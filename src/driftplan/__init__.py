@@ -21,7 +21,6 @@ from .planner import ArcMode, PathSolution, PathType, extended_k_solutions, plan
 from .reachability import (
     FullReachability,
     RegionDescriptor,
-    cost_map,
     full_reachability_2pi,
     reachability_map,
     region_span,
@@ -59,7 +58,6 @@ __all__ = [
     "cf_path",
     "check_termination",
     "controls_of",
-    "cost_map",
     "current_at",
     "drift_predict",
     "estimate_heading_mle",

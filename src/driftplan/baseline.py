@@ -18,13 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .core import TWO_PI, CurrentState, Pose, VehicleSpec, to_start_frame
-from .planner import (
-    LSL_K_CANDIDATES,
-    PathSolution,
-    PathType,
-    RSR_K_CANDIDATES,
-    solve_one,
-)
+from .planner import ArcMode, PathSolution, PathType, plan
 
 HARD_TYPES = (PathType.LSR, PathType.RSL, PathType.LRL, PathType.RLR)
 
@@ -302,15 +296,10 @@ def residual(
     theta_f = goal.theta
     if path_type in (PathType.LSR, PathType.RSL):
         raw = _gamma_csc(path_type, u[:, 0], theta_f, 0)
-        m = -np.floor(raw / TWO_PI)  # representative in [0, 2*pi)
-        out = np.empty((len(u), 2))
-        for mm in np.unique(m):
-            sel = m == mm
-            out[sel] = _branch_residual(path_type, int(mm), goal, scaled, r)(u[sel])
-        return out[0] if np.ndim(unknowns) == 1 else out
-    raw = _gamma_ccc(path_type, u[:, 0], u[:, 1], theta_f, 0)
-    m = -np.floor(raw / TWO_PI)
-    out = np.empty((len(u), 3))
+    else:
+        raw = _gamma_ccc(path_type, u[:, 0], u[:, 1], theta_f, 0)
+    m = -np.floor(raw / TWO_PI)  # representative in [0, 2*pi)
+    out = np.empty(u.shape)
     for mm in np.unique(m):
         sel = m == mm
         out[sel] = _branch_residual(path_type, int(mm), goal, scaled, r)(u[sel])
@@ -411,20 +400,12 @@ def solve_six(
     if current.speed >= vehicle.speed:
         raise ValueError("current speed must be less than vehicle speed")
     t0 = time.perf_counter()
+    best = plan(start, goal, current, vehicle, ArcMode.TWO_PI)
     local_goal, local_current = to_start_frame(start, goal, current)
-    best: PathSolution | None = None
-
-    def consider(sol: PathSolution | None):
-        nonlocal best
-        if sol is not None and (best is None or sol.travel_time < best.travel_time - 1e-12):
-            best = sol
-
-    for path_type, ks in ((PathType.LSL, LSL_K_CANDIDATES), (PathType.RSR, RSR_K_CANDIDATES)):
-        for k in ks:
-            consider(solve_one(path_type, k, local_goal, local_current, vehicle, TWO_PI))
     for path_type in hard_types:
         for sol in solve_hard_type(path_type, local_goal, local_current, vehicle, cfg):
-            consider(sol)
+            if best is None or sol.travel_time < best.travel_time - 1e-12:
+                best = sol
     elapsed = time.perf_counter() - t0
     if best is None:
         return None

@@ -17,12 +17,7 @@ from .baseline import SolverConfig, solve_six
 from .core import CurrentSchedule, CurrentState, Pose, VehicleSpec
 from .experiments import PROFILES, dynamic_monte_carlo, timing_bench
 from .planner import ArcMode, PathSolution, plan
-from .reachability import (
-    cost_map,
-    parametric_scan,
-    reachability_map,
-    write_scan_csv,
-)
+from .reachability import parametric_scan, reachability_map, write_scan_csv
 from .simulator import load_scenario, run_scenario
 from .trajectory import cf_path, controls_of, integrate_if
 
@@ -57,24 +52,22 @@ def _emit(command: str, inputs: dict, results: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _parse_triple(text: str, name: str) -> tuple[float, float, float]:
+def _parse_floats(text: str, name: str, fields: str) -> tuple[float, ...]:
+    """Finite numbers from a comma-separated flag value shaped like fields."""
     parts = text.split(",")
-    if len(parts) != 3:
-        raise ValidationError(f"{name} must be x,y,theta")
+    if len(parts) != len(fields.split(",")):
+        raise ValidationError(f"{name} must be {fields}")
     try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
+        values = tuple(float(p) for p in parts)
     except ValueError:
         raise ValidationError(f"{name} must be numeric: got {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"{name} must be finite: got {text!r}")
+    return values
 
 
 def _parse_current(text: str, degrees: bool) -> CurrentState:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValidationError("current must be vw,thetaw")
-    try:
-        vw, thetaw = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ValidationError(f"current must be numeric: got {text!r}")
+    vw, thetaw = _parse_floats(text, "--current", "vw,thetaw")
     if vw < 0:
         raise ValidationError("current speed must be non-negative")
     return CurrentState(vw, math.radians(thetaw) if degrees else thetaw)
@@ -121,8 +114,8 @@ def _vehicle_from(args) -> VehicleSpec:
 
 
 def cmd_plan(args) -> None:
-    start = Pose(*_parse_triple(args.start, "--start"))
-    goal = Pose(*_parse_triple(args.goal, "--goal"))
+    start = Pose(*_parse_floats(args.start, "--start", "x,y,theta"))
+    goal = Pose(*_parse_floats(args.goal, "--goal", "x,y,theta"))
     current = _parse_current(args.current, args.current_deg)
     vehicle = _vehicle_from(args)
     if current.speed >= vehicle.speed:
@@ -157,13 +150,14 @@ def cmd_plan(args) -> None:
         traj.write_csv(traj_path)
         results["trajectory_csv"] = traj_path
         cf = cf_path(sol, vehicle, start)
-        cf_name = traj_path.replace(".csv", "") + "_cf.csv"
+        cf_name = traj_path.removesuffix(".csv") + "_cf.csv"
         cf.write_csv(cf_name)
         results["cf_trajectory_csv"] = cf_name
     _emit("plan", inputs, results)
 
 
-def _grid_command(args, which: str) -> None:
+def cmd_grid(args) -> None:
+    """reachmap and costmap: both write the same dominant-type/travel-time grid."""
     theta_f = _angle_arg(args, "theta_f")
     current = _parse_current(args.current, args.current_deg)
     vehicle = _vehicle_from(args)
@@ -172,15 +166,13 @@ def _grid_command(args, which: str) -> None:
     mode = ArcMode.TWO_PI if args.mode == "2pi" else ArcMode.FOUR_PI
     bounds = None
     if args.bounds:
-        parts = [float(p) for p in args.bounds.split(",")]
-        if len(parts) != 4:
-            raise ValidationError("--bounds must be xmin,xmax,ymin,ymax")
-        bounds = tuple(parts)
-    fn = reachability_map if which == "reachmap" else cost_map
-    grid = fn(theta_f, current, bounds, args.step, mode, vehicle)
+        bounds = _parse_floats(args.bounds, "--bounds", "xmin,xmax,ymin,ymax")
+        if bounds[0] > bounds[1] or bounds[2] > bounds[3]:
+            raise ValidationError(f"--bounds must not be empty: got {args.bounds!r}")
+    grid = reachability_map(theta_f, current, bounds, args.step, mode, vehicle)
     out_path = _resolve_out(args.out)
     grid.write_csv(out_path)
-    _emit(which, {
+    _emit(args.command, {
         "theta_f": theta_f,
         "current": [current.speed, current.heading],
         "mode": args.mode,
@@ -190,14 +182,6 @@ def _grid_command(args, which: str) -> None:
         "cells": int(grid.dominant.size),
         "unreachable_cells": grid.unreachable_count(),
     })
-
-
-def cmd_reachmap(args) -> None:
-    _grid_command(args, "reachmap")
-
-
-def cmd_costmap(args) -> None:
-    _grid_command(args, "costmap")
 
 
 def cmd_paramscan(args) -> None:
@@ -230,6 +214,8 @@ def cmd_simulate(args) -> None:
 def cmd_montecarlo(args) -> None:
     if args.profile not in PROFILES:
         raise ValidationError(f"unknown profile {args.profile!r}")
+    if args.runs < 1:
+        raise ValidationError(f"--runs must be at least 1, got {args.runs}")
     stats = dynamic_monte_carlo(PROFILES[args.profile], n_runs=args.runs, seed=args.seed)
     if args.out:
         stats.write_csv(_resolve_out(args.out))
@@ -278,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bounds", default=None, help="xmin,xmax,ymin,ymax")
         p.add_argument("--step", type=float, default=None)
         p.add_argument("--out", required=True)
-        p.set_defaults(func=cmd_reachmap if name == "reachmap" else cmd_costmap)
+        p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("paramscan", help="full-reachability parameter scan")
     p.add_argument("--theta-f-step", type=float, default=math.pi / 100)

@@ -64,10 +64,10 @@ class VehicleSpec:
     turning_radius: float = 1.0
 
     def __post_init__(self):
-        if self.speed <= 0.0:
-            raise ValueError("vehicle speed must be positive")
-        if self.turning_radius <= 0.0:
-            raise ValueError("turning radius must be positive")
+        for name in ("speed", "turning_radius"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"vehicle {name} must be finite and positive, got {value!r}")
 
     @property
     def max_turn_rate(self) -> float:
@@ -93,9 +93,6 @@ class CurrentState:
     @property
     def wy(self) -> float:
         return self.speed * math.sin(self.heading)
-
-
-ZERO_CURRENT = CurrentState(0.0, 0.0)
 
 
 @dataclass(frozen=True)

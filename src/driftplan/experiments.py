@@ -271,6 +271,8 @@ def dynamic_monte_carlo(
     and repetition i // 36; both planners see the identical current
     realization and noise streams, so savings compare like for like.
     """
+    if n_runs < 1:
+        raise ValueError("need at least one run")
     if solver_cfg is None:
         solver_cfg = SolverConfig(seed=seed)
     goals = monte_carlo_goals(goal_radius)

@@ -100,6 +100,24 @@ class ParamInterval:
         return True
 
 
+# Feasible alpha/gamma interval per (kappa, path type, k): lower and upper
+# endpoint as functions of theta_f, and whether both ends are closed.
+_FEASIBLE_ROWS = {
+    (TWO_PI, PathType.LSL, 0): (lambda f: 0.0, lambda f: f, True),
+    (TWO_PI, PathType.LSL, 1): (lambda f: f, lambda f: TWO_PI, False),
+    (TWO_PI, PathType.RSR, -1): (lambda f: 0.0, lambda f: TWO_PI - f, True),
+    (TWO_PI, PathType.RSR, -2): (lambda f: TWO_PI - f, lambda f: TWO_PI, False),
+    (FOUR_PI, PathType.LSL, 0): (lambda f: 0.0, lambda f: f, True),
+    (FOUR_PI, PathType.LSL, 1): (lambda f: 0.0, lambda f: TWO_PI + f, True),
+    (FOUR_PI, PathType.LSL, 2): (lambda f: f, lambda f: FOUR_PI, False),
+    (FOUR_PI, PathType.LSL, 3): (lambda f: TWO_PI + f, lambda f: FOUR_PI, False),
+    (FOUR_PI, PathType.RSR, -1): (lambda f: 0.0, lambda f: TWO_PI - f, True),
+    (FOUR_PI, PathType.RSR, -2): (lambda f: 0.0, lambda f: FOUR_PI - f, True),
+    (FOUR_PI, PathType.RSR, -3): (lambda f: TWO_PI - f, lambda f: FOUR_PI, False),
+    (FOUR_PI, PathType.RSR, -4): (lambda f: FOUR_PI - f, lambda f: FOUR_PI, False),
+}
+
+
 def feasible_range(
     path_type: PathType, k: int, theta_f: float, kappa: float
 ) -> ParamInterval:
@@ -108,30 +126,13 @@ def feasible_range(
     Both arc angles share the interval, and its endpoints always sum to the
     total turn alpha + gamma fixed by k and theta_f.
     """
-    if kappa == TWO_PI:
-        rows = {
-            (PathType.LSL, 0): ParamInterval(0.0, theta_f, True, True),
-            (PathType.LSL, 1): ParamInterval(theta_f, TWO_PI, False, False),
-            (PathType.RSR, -1): ParamInterval(0.0, TWO_PI - theta_f, True, True),
-            (PathType.RSR, -2): ParamInterval(TWO_PI - theta_f, TWO_PI, False, False),
-        }
-    elif kappa == FOUR_PI:
-        rows = {
-            (PathType.LSL, 0): ParamInterval(0.0, theta_f, True, True),
-            (PathType.LSL, 1): ParamInterval(0.0, TWO_PI + theta_f, True, True),
-            (PathType.LSL, 2): ParamInterval(theta_f, FOUR_PI, False, False),
-            (PathType.LSL, 3): ParamInterval(TWO_PI + theta_f, FOUR_PI, False, False),
-            (PathType.RSR, -1): ParamInterval(0.0, TWO_PI - theta_f, True, True),
-            (PathType.RSR, -2): ParamInterval(0.0, FOUR_PI - theta_f, True, True),
-            (PathType.RSR, -3): ParamInterval(TWO_PI - theta_f, FOUR_PI, False, False),
-            (PathType.RSR, -4): ParamInterval(FOUR_PI - theta_f, FOUR_PI, False, False),
-        }
-    else:
-        raise ValueError(f"kappa must be 2*pi or 4*pi, got {kappa!r}")
-    try:
-        return rows[(path_type, k)]
-    except KeyError:
+    row = _FEASIBLE_ROWS.get((kappa, path_type, k))
+    if row is None:
+        if kappa != TWO_PI and kappa != FOUR_PI:
+            raise ValueError(f"kappa must be 2*pi or 4*pi, got {kappa!r}")
         raise ValueError(f"no feasible-range row for {path_type} k={k} kappa={kappa}")
+    lower, upper, closed = row
+    return ParamInterval(lower(theta_f), upper(theta_f), closed, closed)
 
 
 def coeffs_lsl(
@@ -168,7 +169,7 @@ def solve_beta(a: float, b: float, current: CurrentState) -> float:
     return (math.sqrt(disc) - dot) / (1.0 - vw * vw)
 
 
-def _solution_residual(
+def interception_residual(
     path_type: PathType,
     alpha: float,
     beta: float,
@@ -177,7 +178,11 @@ def _solution_residual(
     r: float,
     travel_time: float,
 ) -> float:
-    """Position defect of the interception equations (normalized speed)."""
+    """Position defect of the LSL/RSR interception equations, in meters.
+
+    Compares the goal displaced by the current drift over travel_time with
+    the arc-line-arc endpoint; goal in the start frame.
+    """
     xf = goal.x - current.wx * travel_time
     yf = goal.y - current.wy * travel_time
     if path_type is PathType.LSL:
@@ -240,7 +245,7 @@ def _solve_normalized(
         if gamma < 0.0 or not interval.contains(gamma):
             continue
         travel = r * arc_sum + beta
-        if _solution_residual(path_type, alpha, beta, goal, current, r, travel) > 1e-9 * scale:
+        if interception_residual(path_type, alpha, beta, goal, current, r, travel) > 1e-9 * scale:
             continue
         return PathSolution(path_type, k, alpha, beta, gamma, kappa, travel)
     return None

@@ -23,7 +23,8 @@ from .planner import (
     PathType,
     RSR_K_CANDIDATES,
     feasible_range,
-    solve_one,
+    plan,
+    solve_one,  # noqa: F401  -- benchmarks/selftest.py asserts it is bound here
 )
 
 # Angular tolerance for closed-interval membership and full-circle detection.
@@ -46,14 +47,6 @@ class RegionDescriptor:
 
 
 @dataclass(frozen=True)
-class ReachCell:
-    x_f: float
-    y_f: float
-    dominant: str  # "LSL", "RSR", or "unreachable"
-    travel_time: float | None
-
-
-@dataclass(frozen=True)
 class ReachGrid:
     """Rasterized reachability/cost data over a goal-position grid."""
 
@@ -61,13 +54,6 @@ class ReachGrid:
     ys: np.ndarray
     dominant: np.ndarray  # shape (len(ys), len(xs)) of "LSL"/"RSR"/"unreachable"
     travel_time: np.ndarray  # same shape; NaN where unreachable
-
-    def cell(self, i: int, j: int) -> ReachCell:
-        t = float(self.travel_time[j, i])
-        return ReachCell(
-            float(self.xs[i]), float(self.ys[j]), str(self.dominant[j, i]),
-            None if math.isnan(t) else t,
-        )
 
     def unreachable_count(self) -> int:
         return int((self.dominant == "unreachable").sum())
@@ -373,8 +359,8 @@ def reachability_map(
 ) -> ReachGrid:
     """Per-cell dominant path type and travel time over a goal grid.
 
-    Each cell solves both path types in the given arc mode; the dominant
-    label is the faster feasible one, "unreachable" if neither solves.
+    Each cell is one `plan` call from the origin in the given arc mode; the
+    dominant label is the planned path type, "unreachable" if none exists.
     Default bounds are [-10r, 10r]^2 with step 0.1r.
     """
     mode = ArcMode(mode)
@@ -390,33 +376,11 @@ def reachability_map(
     ys = np.arange(y_min, y_max + 0.5 * step, step)
     dominant = np.full((len(ys), len(xs)), "unreachable", dtype=object)
     times = np.full((len(ys), len(xs)), np.nan)
+    start = Pose(0.0, 0.0, 0.0)
     for j, gy in enumerate(ys):
         for i, gx in enumerate(xs):
-            goal = Pose(float(gx), float(gy), theta_f)
-            best_type = None
-            best_t = math.inf
-            for path_type, ks in (
-                (PathType.LSL, LSL_K_CANDIDATES),
-                (PathType.RSR, RSR_K_CANDIDATES),
-            ):
-                for k in ks:
-                    sol = solve_one(path_type, k, goal, current, vehicle, mode.kappa)
-                    if sol is not None and sol.travel_time < best_t - 1e-12:
-                        best_t = sol.travel_time
-                        best_type = path_type
-            if best_type is not None:
-                dominant[j, i] = best_type.value
-                times[j, i] = best_t
+            sol = plan(start, Pose(float(gx), float(gy), theta_f), current, vehicle, mode)
+            if sol is not None:
+                dominant[j, i] = sol.path_type.value
+                times[j, i] = sol.travel_time
     return ReachGrid(xs, ys, dominant, times)
-
-
-def cost_map(
-    theta_f: float,
-    current: CurrentState,
-    bounds: tuple[float, float, float, float] | None = None,
-    step: float | None = None,
-    mode: ArcMode | str = ArcMode.TWO_PI,
-    vehicle: VehicleSpec = VehicleSpec(),
-) -> ReachGrid:
-    """Travel-time grid of the dominant path type (same raster as the map)."""
-    return reachability_map(theta_f, current, bounds, step, mode, vehicle)

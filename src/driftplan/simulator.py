@@ -30,7 +30,7 @@ from .core import (
     normalize_angle,
 )
 from .planner import ArcMode, plan
-from .trajectory import ControlSchedule, SampledTrajectory, controls_of
+from .trajectory import ControlSchedule, SampledTrajectory, _advance, controls_of
 
 PLANNER_KINDS = ("analytic_4pi", "dubins_six")
 
@@ -228,20 +228,6 @@ class _Recorder:
         )
 
 
-def _advance(pose: Pose, u: float, current: CurrentState, v: float, dt: float) -> Pose:
-    """Exact constant-control update of the drift kinematics."""
-    if u == 0.0:
-        return Pose(pose.x + (v * math.cos(pose.theta) + current.wx) * dt,
-                    pose.y + (v * math.sin(pose.theta) + current.wy) * dt,
-                    pose.theta)
-    theta1 = pose.theta + u * dt
-    return Pose(
-        pose.x + (v / u) * (math.sin(theta1) - math.sin(pose.theta)) + current.wx * dt,
-        pose.y - (v / u) * (math.cos(theta1) - math.cos(pose.theta)) + current.wy * dt,
-        theta1,
-    )
-
-
 class _Mission:
     """Mutable state of one run; drives the replan/execute event loop."""
 
@@ -367,7 +353,8 @@ class _Mission:
                 u = self._control_at(self.plan_elapsed + 1e-12)
                 cur = current_at(self.schedule, self.t)
                 dt = min(cut - self.t, self.recorder.spacing)
-                self.pose = _advance(self.pose, u, cur, v, dt)
+                pose = self.pose
+                self.pose = Pose(*_advance(pose.x, pose.y, pose.theta, u, cur.wx, cur.wy, v, dt))
                 self.t += dt
                 self.plan_elapsed += dt
                 self.recorder.add(self.t, self.pose)

@@ -22,7 +22,7 @@ from .core import (
     current_at,
     normalize_angle,
 )
-from .planner import PathSolution, PathType
+from .planner import PathSolution, PathType, interception_residual
 
 # Turn-direction signs (first, middle, last segment) per path type.
 _SEGMENT_SIGNS = {
@@ -96,7 +96,7 @@ def controls_of(sol: PathSolution, vehicle: VehicleSpec) -> ControlSchedule:
     ))
 
 
-def _step_exact(x, y, theta, u, wx, wy, v, h):
+def _advance(x, y, theta, u, wx, wy, v, h):
     """Advance one step with the closed-form constant-turn-rate update."""
     if u == 0.0:
         return (x + (v * math.cos(theta) + wx) * h,
@@ -155,7 +155,7 @@ def integrate_if(
         raise ValueError("step size must be positive")
     if method not in ("exact", "rk4"):
         raise ValueError(f"unknown integration method {method!r}")
-    step = _step_exact if method == "exact" else _step_rk4
+    step = _advance if method == "exact" else _step_rk4
 
     v = vehicle.speed
     seg_ends = []
@@ -225,14 +225,7 @@ def cf_path(
         n = max(1, math.ceil(seg.duration / h))
         for i in range(1, n + 1):
             dt = seg.duration * i / n
-            if seg.turn_rate == 0.0:
-                x = x0 + v * math.cos(th0) * dt
-                y = y0 + v * math.sin(th0) * dt
-                th = th0
-            else:
-                th = th0 + seg.turn_rate * dt
-                x = x0 + (v / seg.turn_rate) * (math.sin(th) - math.sin(th0))
-                y = y0 - (v / seg.turn_rate) * (math.cos(th) - math.cos(th0))
+            x, y, th = _advance(x0, y0, th0, seg.turn_rate, 0.0, 0.0, v, dt)
             ts.append(t0 + dt)
             xs.append(x)
             ys.append(y)
@@ -257,18 +250,14 @@ def endpoint_residual(
     substituting the parameters into the drift-frame interception equations;
     goal in the start frame.
     """
-    r = vehicle.turning_radius
-    t = sol.travel_time
-    xf = goal.x - current.wx * t
-    yf = goal.y - current.wy * t
     if sol.path_type is PathType.LSL:
-        ex = r * math.sin(goal.theta) + sol.beta * math.cos(sol.alpha)
-        ey = r * (1.0 - math.cos(goal.theta)) + sol.beta * math.sin(sol.alpha)
         heading = normalize_angle(sol.alpha + sol.gamma)
     elif sol.path_type is PathType.RSR:
-        ex = -r * math.sin(goal.theta) + sol.beta * math.cos(sol.alpha)
-        ey = -r * (1.0 - math.cos(goal.theta)) - sol.beta * math.sin(sol.alpha)
         heading = normalize_angle(-(sol.alpha + sol.gamma))
     else:
         raise ValueError("algebraic residuals are defined for LSL and RSR only")
-    return math.hypot(xf - ex, yf - ey), angle_difference(heading, goal.theta)
+    position = interception_residual(
+        sol.path_type, sol.alpha, sol.beta, goal, current, vehicle.turning_radius,
+        sol.travel_time,
+    )
+    return position, angle_difference(heading, goal.theta)

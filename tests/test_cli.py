@@ -100,6 +100,46 @@ def test_plan_writes_trajectories(capsys, tmp_path):
     assert header == "t,x,y,theta,frame"
 
 
+def test_plan_cf_name_strips_only_trailing_csv(capsys, tmp_path):
+    traj_dir = tmp_path / "a.csv.d"
+    traj_dir.mkdir()
+    traj = traj_dir / "t.csv"
+    code, out, err = _run(capsys, [
+        "plan", "--start", "0,0,0", "--goal", "4,2,1", "--current", "0.3,1.0",
+        "--traj", str(traj),
+    ])
+    assert code == 0, err
+    results = _envelope(out)["results"]
+    assert results["trajectory_csv"] == str(traj)
+    assert results["cf_trajectory_csv"] == str(traj_dir / "t_cf.csv")
+    assert (traj_dir / "t_cf.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--start", "0,nan,0"),
+    ("--goal", "nan,5,1"),
+    ("--goal", "1,inf,1"),
+    ("--current", "nan,0"),
+    ("--current", "0.3,inf"),
+])
+def test_plan_rejects_non_finite_input(capsys, flag, value):
+    argv = {"--start": "0,0,0", "--goal": "4,2,1", "--current": "0.3,1.0"}
+    argv[flag] = value
+    code, out, err = _run(capsys, ["plan"] + [a for kv in argv.items() for a in kv])
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
+def test_plan_rejects_non_finite_speed(capsys):
+    code, _, err = _run(capsys, [
+        "plan", "--start", "0,0,0", "--goal", "4,2,1", "--current", "0.3,1.0",
+        "--speed", "nan",
+    ])
+    assert code == 2
+    assert "speed" in err
+
+
 def test_reachmap_grid(capsys, tmp_path):
     out_csv = tmp_path / "grid.csv"
     code, out, _ = _run(capsys, [
@@ -118,6 +158,36 @@ def test_costmap_requires_out(capsys):
         "costmap", "--theta-f", "1.0", "--current", "0.3,0",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["reachmap", "costmap"])
+@pytest.mark.parametrize("bounds", [
+    "1,0,1,0", "0,1,1,0", "nan,1,0,1", "0,inf,0,1", "0,1,0", "0,a,0,1",
+])
+def test_grid_rejects_bad_bounds(capsys, tmp_path, command, bounds):
+    out_csv = tmp_path / "grid.csv"
+    code, out, err = _run(capsys, [
+        command, "--theta-f", "1.0", "--current", "0.3,0", f"--bounds={bounds}",
+        "--out", str(out_csv),
+    ])
+    assert code == 2
+    assert out == ""
+    assert "--bounds" in err
+    assert not out_csv.exists()
+
+
+def test_costmap_and_reachmap_write_the_same_grid(capsys, tmp_path):
+    docs = {}
+    for command in ("reachmap", "costmap"):
+        code, out, _ = _run(capsys, [
+            command, "--theta-f", "0.7854", "--current", "0.5,3.14159", "--mode", "4pi",
+            "--bounds=-3,3,-2,2", "--step", "1.0", "--out", str(tmp_path / f"{command}.csv"),
+        ])
+        assert code == 0
+        docs[command] = _envelope(out)
+    assert docs["costmap"]["command"] == "costmap"
+    assert docs["reachmap"]["inputs"] == docs["costmap"]["inputs"]
+    assert (tmp_path / "reachmap.csv").read_text() == (tmp_path / "costmap.csv").read_text()
 
 
 def test_paramscan(capsys, tmp_path):
@@ -186,6 +256,14 @@ def test_montecarlo_deterministic(capsys):
 def test_montecarlo_unknown_profile(capsys):
     code, _, _ = _run(capsys, ["montecarlo", "--profile", "space", "--runs", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_montecarlo_rejects_no_runs(capsys, runs):
+    code, out, err = _run(capsys, ["montecarlo", "--profile", "naval", "--runs", runs])
+    assert code == 2
+    assert out == ""
+    assert "--runs" in err
 
 
 def test_bench_envelope(capsys):

@@ -78,6 +78,14 @@ def test_vehicle_spec_validation():
         VehicleSpec(1.0, -1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_vehicle_spec_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="speed"):
+        VehicleSpec(speed=bad)
+    with pytest.raises(ValueError, match="turning_radius"):
+        VehicleSpec(turning_radius=bad)
+
+
 def test_current_state_components():
     c = CurrentState(0.5, math.pi / 3)
     assert c.wx == pytest.approx(0.25)

@@ -120,3 +120,9 @@ def test_timing_bench_sanity():
     assert result.ratio > 1.0
     with pytest.raises(ValueError):
         timing_bench(n_instances=0)
+
+
+@pytest.mark.parametrize("n_runs", [0, -1])
+def test_dynamic_monte_carlo_rejects_no_runs(n_runs):
+    with pytest.raises(ValueError):
+        dynamic_monte_carlo(NAVAL, n_runs=n_runs)

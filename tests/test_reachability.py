@@ -12,7 +12,6 @@ from driftplan.reachability import (
     center,
     classify_major_minor,
     contains,
-    cost_map,
     full_reachability_2pi,
     major_region_containment,
     omega,
@@ -335,18 +334,18 @@ def test_reachability_map_two_pi_has_gap():
 
 def test_cost_map_spot_values():
     cur = CurrentState(0.5, math.pi)
-    two = cost_map(math.pi / 4, cur, bounds=(-1, -1, 4, 4), step=1.0, mode=ArcMode.TWO_PI)
+    two = reachability_map(math.pi / 4, cur, bounds=(-1, -1, 4, 4), step=1.0, mode=ArcMode.TWO_PI)
     # single-cell grid at the published example goal
     assert two.travel_time[0, 0] == pytest.approx(24.47, rel=0.01)
-    four = cost_map(math.pi / 4, cur, bounds=(-1, -1, 4, 4), step=1.0, mode=ArcMode.FOUR_PI)
+    four = reachability_map(math.pi / 4, cur, bounds=(-1, -1, 4, 4), step=1.0, mode=ArcMode.FOUR_PI)
     assert four.travel_time[0, 0] == pytest.approx(13.21, rel=0.01)
 
 
 def test_cost_map_four_pi_everywhere_no_slower():
     cur = CurrentState(0.4, 2.0)
     theta_f = 1.0
-    two = cost_map(theta_f, cur, bounds=(-5, 5, -5, 5), step=1.0, mode=ArcMode.TWO_PI)
-    four = cost_map(theta_f, cur, bounds=(-5, 5, -5, 5), step=1.0, mode=ArcMode.FOUR_PI)
+    two = reachability_map(theta_f, cur, bounds=(-5, 5, -5, 5), step=1.0, mode=ArcMode.TWO_PI)
+    four = reachability_map(theta_f, cur, bounds=(-5, 5, -5, 5), step=1.0, mode=ArcMode.FOUR_PI)
     both = ~np.isnan(two.travel_time)
     assert (four.travel_time[both] <= two.travel_time[both] + 1e-9).all()
 
