@@ -191,16 +191,16 @@ def multi_start_solve(
     return np.array(kept)
 
 
-def _closure_offsets(path_type: PathType) -> tuple[float, tuple[int, ...]]:
-    """Sign pattern and winding branches of the heading-closure identity."""
+def _closure_offsets(path_type: PathType) -> tuple[int, ...]:
+    """Winding branches m of the heading-closure identity."""
     if path_type is PathType.LSR:
-        return +1.0, (0, 1)
+        return (0, 1)
     if path_type is PathType.RSL:
-        return -1.0, (-1, 0)
+        return (-1, 0)
     if path_type is PathType.LRL:
-        return +1.0, (-1, 0, 1)
+        return (-1, 0, 1)
     if path_type is PathType.RLR:
-        return -1.0, (0, 1, 2)
+        return (0, 1, 2)
     raise ValueError(f"{path_type} has a closed-form solution; no residual needed")
 
 
@@ -364,7 +364,7 @@ def solve_hard_type(
     scaled = CurrentState(current.speed / vehicle.speed, current.heading)
     r = vehicle.turning_radius
     t_bound = _time_upper_bound(goal, scaled.speed, r)
-    _, branches = _closure_offsets(path_type)
+    branches = _closure_offsets(path_type)
     dims = 2 if path_type in (PathType.LSR, PathType.RSL) else 3
     if dims == 2:
         bounds = np.array([[0.0, TWO_PI], [0.0, t_bound]])
@@ -388,13 +388,11 @@ def solve_six(
     current: CurrentState,
     vehicle: VehicleSpec,
     cfg: SolverConfig = SolverConfig(),
-    hard_types: tuple[PathType, ...] = HARD_TYPES,
 ) -> tuple[PathSolution, float] | None:
     """Minimum-time path over all six types plus the wall-clock solve time.
 
     LSL/RSR use the closed forms with classical 2*pi arcs; the other four
-    are solved numerically.  hard_types can restrict the numeric set, e.g.
-    to the two CSC types.  Returns None when nothing converges (possible
+    are solved numerically.  Returns None when nothing converges (possible
     only if the closed forms are infeasible and every multistart fails).
     """
     if current.speed >= vehicle.speed:
@@ -402,7 +400,7 @@ def solve_six(
     t0 = time.perf_counter()
     best = plan(start, goal, current, vehicle, ArcMode.TWO_PI)
     local_goal, local_current = to_start_frame(start, goal, current)
-    for path_type in hard_types:
+    for path_type in HARD_TYPES:
         for sol in solve_hard_type(path_type, local_goal, local_current, vehicle, cfg):
             if best is None or sol.travel_time < best.travel_time - 1e-12:
                 best = sol

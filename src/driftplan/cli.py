@@ -52,10 +52,11 @@ def _emit(command: str, inputs: dict, results: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _parse_floats(text: str, name: str, fields: str) -> tuple[float, ...]:
-    """Finite numbers from a comma-separated flag value shaped like fields."""
+def _parse_floats(text: str, name: str, fields: str | None = None) -> tuple[float, ...]:
+    """Finite numbers from a comma-separated flag value shaped like fields
+    (any count when fields is None)."""
     parts = text.split(",")
-    if len(parts) != len(fields.split(",")):
+    if fields is not None and len(parts) != len(fields.split(",")):
         raise ValidationError(f"{name} must be {fields}")
     try:
         values = tuple(float(p) for p in parts)
@@ -75,15 +76,23 @@ def _parse_current(text: str, degrees: bool) -> CurrentState:
 
 def _angle_arg(args, name: str) -> float:
     """Resolve an angle flag with its _deg alternative."""
+    flag = f"--{name.replace('_', '-')}"
     rad = getattr(args, name)
     deg = getattr(args, f"{name}_deg")
     if rad is not None and deg is not None:
-        raise ValidationError(f"--{name.replace('_', '-')} given twice (radians and degrees)")
-    if deg is not None:
-        return math.radians(deg)
-    if rad is None:
-        raise ValidationError(f"missing --{name.replace('_', '-')}")
-    return rad
+        raise ValidationError(f"{flag} given twice (radians and degrees)")
+    if rad is None and deg is None:
+        raise ValidationError(f"missing {flag}")
+    value, given = (rad, flag) if deg is None else (deg, f"{flag}-deg")
+    if not math.isfinite(value):
+        raise ValidationError(f"{given} must be finite, got {value!r}")
+    return rad if deg is None else math.radians(deg)
+
+
+def _check_step(value: float | None, flag: str) -> None:
+    """A step flag, when given, must be finite and positive."""
+    if value is not None and not (math.isfinite(value) and value > 0.0):
+        raise ValidationError(f"{flag} must be finite and positive, got {value!r}")
 
 
 def _add_angle_flag(parser, name: str, help_text: str, required: bool = False):
@@ -159,6 +168,7 @@ def cmd_plan(args) -> None:
 def cmd_grid(args) -> None:
     """reachmap and costmap: both write the same dominant-type/travel-time grid."""
     theta_f = _angle_arg(args, "theta_f")
+    _check_step(args.step, "--step")
     current = _parse_current(args.current, args.current_deg)
     vehicle = _vehicle_from(args)
     if current.speed >= vehicle.speed:
@@ -185,9 +195,11 @@ def cmd_grid(args) -> None:
 
 
 def cmd_paramscan(args) -> None:
-    vws = tuple(float(p) for p in args.vw.split(","))
+    _check_step(args.theta_f_step, "--theta-f-step")
+    _check_step(args.theta_w_step, "--theta-w-step")
+    vws = _parse_floats(args.vw, "--vw")
     if any(not (0.0 < v < 1.0) for v in vws):
-        raise ValidationError("scan current speeds must lie in (0, 1)")
+        raise ValidationError("--vw speeds must lie in (0, 1)")
     rows = parametric_scan(args.theta_f_step, args.theta_w_step, vws)
     out_path = _resolve_out(args.out)
     write_scan_csv(rows, out_path)

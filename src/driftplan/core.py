@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -105,6 +105,7 @@ class CurrentSchedule:
     """
 
     entries: tuple[tuple[float, CurrentState], ...]
+    starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries:
@@ -116,22 +117,21 @@ class CurrentSchedule:
             if t1 <= t0:
                 raise ValueError("schedule start times must be strictly increasing")
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "starts", tuple(t for t, _ in entries))
 
     @staticmethod
     def constant(state: CurrentState) -> "CurrentSchedule":
         return CurrentSchedule(((0.0, state),))
 
     def change_times(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.entries[1:])
+        return self.starts[1:]
 
 
 def current_at(schedule: CurrentSchedule, t: float) -> CurrentState:
     """Current state in effect at time t (right-continuous lookup)."""
     if t < 0.0:
         raise ValueError("time must be non-negative")
-    starts = [entry[0] for entry in schedule.entries]
-    idx = bisect_right(starts, t) - 1
-    return schedule.entries[idx][1]
+    return schedule.entries[bisect_right(schedule.starts, t) - 1][1]
 
 
 def to_start_frame(

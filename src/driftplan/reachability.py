@@ -32,6 +32,15 @@ ANGLE_TOL = 1e-12
 
 FULL_REACH_CASES = ("1.1", "1.2", "2.1", "2.2", "3.1", "3.2", "4.1", "4.2")
 
+# Largest grid or scan built; a tiny step would otherwise ask for ~10^10 cells.
+MAX_CELLS = 10**7
+
+
+def _check_cells(cells: float, request: str) -> None:
+    """Refuse a request above MAX_CELLS, counted before anything is built."""
+    if not cells <= MAX_CELLS:
+        raise ValueError(f"{request} asks for {cells:.3g} cells, above the cap of {MAX_CELLS:.0e}")
+
 
 @dataclass(frozen=True)
 class RegionDescriptor:
@@ -328,6 +337,9 @@ def parametric_scan(
     """Sweep (theta_f, theta_w, v_w) and record where full coverage holds."""
     if theta_f_step <= 0.0 or theta_w_step <= 0.0:
         raise ValueError("scan steps must be positive")
+    _check_cells(len(v_w_values) * (TWO_PI / theta_f_step) * (TWO_PI / theta_w_step),
+                 f"theta_f_step {theta_f_step!r}, theta_w_step {theta_w_step!r}"
+                 f" and {len(v_w_values)} speeds")
     rows = []
     n_f = int(math.ceil(TWO_PI / theta_f_step - ANGLE_TOL))
     n_w = int(math.ceil(TWO_PI / theta_w_step - ANGLE_TOL))
@@ -372,6 +384,8 @@ def reachability_map(
     if step <= 0.0:
         raise ValueError("grid step must be positive")
     x_min, x_max, y_min, y_max = bounds
+    _check_cells(((x_max - x_min) / step + 1.0) * ((y_max - y_min) / step + 1.0),
+                 f"step {step!r} over bounds {tuple(bounds)}")
     xs = np.arange(x_min, x_max + 0.5 * step, step)
     ys = np.arange(y_min, y_max + 0.5 * step, step)
     dominant = np.full((len(ys), len(xs)), "unreachable", dtype=object)

@@ -9,12 +9,19 @@ baseline flies its stale controls through the estimation window and
 replans once on the refined estimate.  While a replan computes, the
 vehicle drifts along the net velocity; the baseline therefore plans from
 a predicted post-drift pose.
+
+A plan is armed at an absolute time.  Flight is cut at every plan-segment
+end, current change and stop time; each piece between two cuts flies one
+turn rate and one current, both looked up at the piece midpoint, in steps
+of at most the recording spacing, the last of which lands exactly on the
+cut.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,7 +37,7 @@ from .core import (
     normalize_angle,
 )
 from .planner import ArcMode, plan
-from .trajectory import ControlSchedule, SampledTrajectory, _advance, controls_of
+from .trajectory import ControlSchedule, SampledTrajectory, _advance, controls_of, pieces
 
 PLANNER_KINDS = ("analytic_4pi", "dubins_six")
 
@@ -39,6 +46,9 @@ _CHANNELS = {"process": 0, "gps": 1, "compass": 2, "vw": 3, "thetaw": 4}
 
 _DEFAULT_PROCESS_HEADINGS = tuple(m * math.pi / 6 for m in range(12))
 _DEFAULT_PROCESS_PERIODS = (30.0, 45.0, 60.0)
+
+# Before the first plan is armed the vehicle holds its heading.
+_NO_PLAN = ControlSchedule(())
 
 
 @dataclass(frozen=True)
@@ -167,9 +177,8 @@ def drift_predict(
     """Pose after drifting along the net velocity for dt, heading unchanged."""
     if dt < 0.0:
         raise ValueError("drift duration must be non-negative")
-    vx = vehicle.speed * math.cos(heading) + current.wx
-    vy = vehicle.speed * math.sin(heading) + current.wy
-    return Pose(pose.x + dt * vx, pose.y + dt * vy, pose.theta)
+    x, y, _ = _advance(pose.x, pose.y, heading, 0.0, current.wx, current.wy, vehicle.speed, dt)
+    return Pose(x, y, pose.theta)
 
 
 def check_termination(
@@ -246,15 +255,16 @@ class _Mission:
         self.solver_cfg = solver_cfg
         self.t = 0.0
         self.pose = scenario.start
-        self.plan_controls: ControlSchedule | None = None
-        self.plan_elapsed = 0.0
+        self.plan_controls = _NO_PLAN
+        self.armed_at = 0.0
         # the deployment pose is surveyed, but the initial current is known
         # only through one instantaneous (noisy) reading
         self.believed = self._measure_current(0.0)
         self.drift_segments: list[DriftSegment] = []
         self.compute_delays: list[float] = []
         self.replans = -1  # first planner call is the initial plan
-        self.handled_epochs = 0
+        # index into schedule.starts of the first change not yet reacted to
+        self.unhandled = 1
         self.converged = False
         # pending estimate refinement for the fast planner: (due time, epoch)
         self.refine_at: tuple[float, float] | None = None
@@ -290,54 +300,15 @@ class _Mission:
 
     # --- motion ------------------------------------------------------------
 
-    def _next_epoch(self, t: float) -> float:
-        for tc in self.schedule.change_times():
-            if tc > t + 1e-12:
-                return tc
-        return math.inf
-
     def _next_unhandled_epoch(self) -> float:
-        times = self.schedule.change_times()
-        if self.handled_epochs < len(times):
-            return times[self.handled_epochs]
-        return math.inf
+        starts = self.schedule.starts
+        return starts[self.unhandled] if self.unhandled < len(starts) else math.inf
 
     def _epoch_pending(self) -> bool:
         return self._next_unhandled_epoch() <= self.t + 1e-9
 
     def _mark_epochs_handled(self) -> None:
-        times = self.schedule.change_times()
-        while (self.handled_epochs < len(times)
-               and times[self.handled_epochs] <= self.t + 1e-9):
-            self.handled_epochs += 1
-
-    def _control_at(self, plan_time: float) -> float:
-        if self.plan_controls is None or not self.plan_controls.segments:
-            return 0.0
-        acc = 0.0
-        for seg in self.plan_controls.segments:
-            acc += seg.duration
-            if plan_time < acc - 1e-12:
-                return seg.turn_rate
-        # plan exhausted mid-window: loiter on the final arc rather than
-        # fly off on a straight escape course
-        last = self.plan_controls.segments[-1].turn_rate
-        return last if last != 0.0 else self.sc.vehicle.max_turn_rate
-
-    def _segment_cuts(self, t_stop: float) -> list[float]:
-        cuts = {t_stop}
-        if self.plan_controls is not None:
-            acc = 0.0
-            for seg in self.plan_controls.segments:
-                acc += seg.duration
-                t_abs = self.t + (acc - self.plan_elapsed)
-                if self.t < t_abs < t_stop:
-                    cuts.add(t_abs)
-        tc = self._next_epoch(self.t)
-        while tc < t_stop:
-            cuts.add(tc)
-            tc = self._next_epoch(tc)
-        return sorted(cuts)
+        self.unhandled = bisect_right(self.schedule.starts, self.t + 1e-9)
 
     def _run_controls_until(self, t_stop: float):
         """Fly the current plan (or loiter) up to t_stop.
@@ -348,15 +319,19 @@ class _Mission:
         """
         sc = self.sc
         v = sc.vehicle.speed
-        for cut in self._segment_cuts(t_stop):
-            while self.t < cut - 1e-12:
-                u = self._control_at(self.plan_elapsed + 1e-12)
-                cur = current_at(self.schedule, self.t)
-                dt = min(cut - self.t, self.recorder.spacing)
+        spacing = self.recorder.spacing
+        controls = self.plan_controls
+        for _, cut, u, cur in pieces(controls, self.schedule, self.armed_at, self.t, t_stop):
+            if u is None:
+                # plan exhausted mid-window: loiter on the final arc rather
+                # than fly off on a straight escape course
+                u = controls.segments[-1].turn_rate if controls.segments else 0.0
+            while self.t < cut:
+                left = cut - self.t
+                dt = min(left, spacing)
                 pose = self.pose
                 self.pose = Pose(*_advance(pose.x, pose.y, pose.theta, u, cur.wx, cur.wy, v, dt))
-                self.t += dt
-                self.plan_elapsed += dt
+                self.t = cut if dt == left else self.t + dt
                 self.recorder.add(self.t, self.pose)
                 if check_termination(self.pose, sc.goal, sc.precision_radius,
                                      sc.heading_tolerance):
@@ -394,12 +369,12 @@ class _Mission:
         start_pose = self.pose
         start_t = self.t
         t_end = min(self.t + duration, self.sc.t_max)
-        while self.t < t_end - 1e-12:
-            cur = current_at(self.schedule, self.t)
-            chunk = min(t_end, self._next_epoch(self.t)) - self.t
-            self.pose = drift_predict(self.pose, self.pose.theta, cur, chunk, self.sc.vehicle)
-            self.t += chunk
+        for t0, t1, _, cur in pieces(_NO_PLAN, self.schedule, 0.0, self.t, t_end):
+            self.pose = drift_predict(self.pose, self.pose.theta, cur, t1 - t0, self.sc.vehicle)
+            self.t = t1
             self.recorder.add(self.t, self.pose)
+        # a plan left armed (the replan failed) resumes where it paused
+        self.armed_at += self.t - start_t
         if duration > 0.0:
             self.drift_segments.append(DriftSegment(start_t, start_pose, self.pose))
 
@@ -452,7 +427,7 @@ class _Mission:
         if sol is None:
             return False
         self.plan_controls = controls_of(sol, sc.vehicle)
-        self.plan_elapsed = 0.0
+        self.armed_at = self.t
         return True
 
     def _handle_change(self):
@@ -486,8 +461,7 @@ class _Mission:
                         break
                 need_plan = not self._replan_now()
                 continue  # re-check for epochs that arrived during the drift
-            remaining = self.plan_controls.total_duration - self.plan_elapsed
-            plan_end = self.t + max(remaining, 0.0)
+            plan_end = max(self.armed_at + self.plan_controls.total_duration, self.t)
             refine_due = self.refine_at[0] if self.refine_at else math.inf
             t_stop = min(plan_end, self._next_unhandled_epoch(), refine_due, sc.t_max)
             self._run_controls_until(t_stop)

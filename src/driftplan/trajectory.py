@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -43,11 +45,22 @@ class ControlSegment:
 
 @dataclass(frozen=True)
 class ControlSchedule:
+    """Turn-rate segments flown back to back; ends[i] is when segment i ends."""
+
     segments: tuple[ControlSegment, ...]
+    ends: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ends", tuple(accumulate(s.duration for s in self.segments)))
 
     @property
     def total_duration(self) -> float:
-        return sum(s.duration for s in self.segments)
+        return self.ends[-1] if self.ends else 0.0
+
+    def turn_rate_at(self, t: float) -> float | None:
+        """Turn rate flown at plan time t; None once every segment has ended."""
+        i = bisect_right(self.ends, t)
+        return self.segments[i].turn_rate if i < len(self.segments) else None
 
 
 @dataclass(frozen=True)
@@ -122,18 +135,21 @@ def _step_rk4(x, y, theta, u, wx, wy, v, h):
             theta + u * h)
 
 
-def _breakpoints(controls: ControlSchedule, schedule: CurrentSchedule) -> list[float]:
-    """Sorted times where the control or the current changes."""
-    total = controls.total_duration
-    cuts = {0.0, total}
-    acc = 0.0
-    for seg in controls.segments:
-        acc += seg.duration
-        cuts.add(min(acc, total))
-    for t in schedule.change_times():
-        if 0.0 < t < total:
-            cuts.add(t)
-    return sorted(cuts)
+def pieces(controls: ControlSchedule, schedule: CurrentSchedule, armed_at: float,
+           t0: float, t1: float):
+    """Split [t0, t1] where a segment of the plan armed at armed_at ends or
+    the current changes; yield (start, end, turn rate, current) per piece.
+
+    Both are looked up once, at the piece midpoint; the turn rate is None
+    past the plan's last segment.
+    """
+    ends = (armed_at + e for e in controls.ends)
+    cuts = sorted({t for t in chain(ends, schedule.starts) if t0 < t < t1})
+    bounds = [t0, *cuts, t1]
+    for a, b in zip(bounds, bounds[1:]):
+        if a < b:
+            mid = 0.5 * (a + b)
+            yield a, b, controls.turn_rate_at(mid - armed_at), current_at(schedule, mid)
 
 
 def integrate_if(
@@ -158,30 +174,13 @@ def integrate_if(
     step = _advance if method == "exact" else _step_rk4
 
     v = vehicle.speed
-    seg_ends = []
-    acc = 0.0
-    for seg in controls.segments:
-        acc += seg.duration
-        seg_ends.append(acc)
-
-    def turn_rate_at(t: float) -> float:
-        for end, seg in zip(seg_ends, controls.segments):
-            if t < end:
-                return seg.turn_rate
-        return controls.segments[-1].turn_rate if controls.segments else 0.0
-
     ts = [0.0]
     xs = [start.x]
     ys = [start.y]
     thetas = [start.theta]
     x, y, theta = start.x, start.y, start.theta
-    cuts = _breakpoints(controls, schedule)
-    for t0, t1 in zip(cuts, cuts[1:]):
+    for t0, t1, u, cur in pieces(controls, schedule, 0.0, 0.0, controls.total_duration):
         span = t1 - t0
-        if span <= 0.0:
-            continue
-        u = turn_rate_at(0.5 * (t0 + t1))
-        cur = current_at(schedule, t0)
         n = max(1, math.ceil(span / h))
         dt = span / n
         for i in range(n):
@@ -216,11 +215,9 @@ def cf_path(
     xs = [start.x]
     ys = [start.y]
     thetas = [start.theta]
-    t0 = 0.0
     x0, y0, th0 = start.x, start.y, start.theta
-    for seg in controls.segments:
+    for seg, t0 in zip(controls.segments, (0.0, *controls.ends)):
         if seg.duration <= 0.0:
-            t0 += seg.duration
             continue
         n = max(1, math.ceil(seg.duration / h))
         for i in range(1, n + 1):
@@ -230,7 +227,6 @@ def cf_path(
             xs.append(x)
             ys.append(y)
             thetas.append(normalize_angle(th))
-        t0 += seg.duration
         x0, y0 = xs[-1], ys[-1]
         th0 = th0 + seg.turn_rate * seg.duration
     return SampledTrajectory(

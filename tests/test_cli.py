@@ -176,6 +176,36 @@ def test_grid_rejects_bad_bounds(capsys, tmp_path, command, bounds):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["reachmap", "--theta-f", "nan"], "--theta-f"),
+    (["costmap", "--theta-f-deg", "inf"], "--theta-f-deg"),
+    (["reachmap", "--theta-f", "1", "--step", "nan"], "--step"),
+    (["costmap", "--theta-f", "1", "--step", "0"], "--step"),
+    (["reachmap", "--theta-f", "1", "--step", "-0.5"], "--step"),
+])
+def test_grid_rejects_bad_angle_or_step(capsys, tmp_path, argv, flag):
+    out_csv = tmp_path / "grid.csv"
+    code, out, err = _run(capsys, argv + ["--current", "0.3,0", "--out", str(out_csv)])
+    assert code == 2
+    assert out == ""
+    assert flag in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["reachmap", "--theta-f", "1", "--current", "0.3,0", "--step", "1e-6"],
+    ["costmap", "--theta-f", "1", "--current", "0.3,0", "--bounds=-1e300,1e300,0,1"],
+    ["paramscan", "--theta-f-step", "1e-4", "--theta-w-step", "1e-4"],
+])
+def test_oversized_request_refused_before_building(capsys, tmp_path, argv):
+    out_csv = tmp_path / "out.csv"
+    code, out, err = _run(capsys, argv + ["--out", str(out_csv)])
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
+    assert not out_csv.exists()
+
+
 def test_costmap_and_reachmap_write_the_same_grid(capsys, tmp_path):
     docs = {}
     for command in ("reachmap", "costmap"):
@@ -210,6 +240,22 @@ def test_paramscan_rejects_bad_speed(capsys):
         "paramscan", "--vw", "1.5", "--out", "x.csv",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--theta-f-step", "nan"], "--theta-f-step"),
+    (["--theta-f-step", "-1"], "--theta-f-step"),
+    (["--theta-w-step", "inf"], "--theta-w-step"),
+    (["--theta-w-step", "0"], "--theta-w-step"),
+    (["--vw", "0.5,abc"], "--vw"),
+])
+def test_paramscan_rejects_bad_flag(capsys, tmp_path, argv, flag):
+    out_csv = tmp_path / "scan.csv"
+    code, out, err = _run(capsys, ["paramscan", *argv, "--out", str(out_csv)])
+    assert code == 2
+    assert out == ""
+    assert flag in err
+    assert not out_csv.exists()
 
 
 def test_simulate_scenario_file(capsys, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from driftplan.baseline import LatencyModel, SolverConfig
-from driftplan.core import CurrentSchedule, CurrentState, Pose, VehicleSpec
+from driftplan.core import CurrentSchedule, CurrentState, Pose, VehicleSpec, angle_difference
 from driftplan.planner import ArcMode, plan
 from driftplan.simulator import (
     NoiseModel,
@@ -20,6 +20,7 @@ from driftplan.simulator import (
     run_scenario,
     scenario_from_dict,
 )
+from driftplan.trajectory import controls_of, integrate_if
 
 UNIT = VehicleSpec(1.0, 1.0)
 
@@ -128,6 +129,36 @@ def test_steady_noise_free_run_matches_plan():
     # in tolerance, at most (radius + tol*r)/v before the plan's very end
     slack = (scenario.precision_radius + scenario.heading_tolerance) / UNIT.speed + 0.06
     assert planned.travel_time - slack <= result.total_time <= planned.travel_time + 1e-9
+
+
+def test_replanned_flight_ends_on_the_integrated_plan():
+    # Noise-free, one current change: the vehicle replans once, at the
+    # change, and flies the new plan to its very end (a 1e-6 rad heading
+    # tolerance admits only the last step).  The fast planner plans from the
+    # pre-drift pose and flies from the post-drift one, so the final pose is
+    # that plan integrated from the post-drift pose.  A step flown with the
+    # straight segment's turn rate at the start of the final arc, 80 s
+    # after arming, used to miss it by about 1e-3.
+    goal = Pose(86.7, 77.3, 3.92)
+    after = CurrentState(0.5, 5.76)
+    scenario = Scenario(
+        start=Pose(0, 0, 0), goal=goal, vehicle=UNIT,
+        current_process=CurrentSchedule(((0.0, CurrentState(0.5, 3.85)), (66.601, after))),
+        precision_radius=0.01, heading_tolerance=1e-6, estimation_window=0.0,
+    )
+    result = run_scenario(scenario, seed=0)
+    drift = result.drift_segments[0]
+    replanned = plan(drift.from_pose, goal, after, UNIT, ArcMode.FOUR_PI)
+    expected = integrate_if(drift.to_pose, controls_of(replanned, UNIT),
+                            CurrentSchedule.constant(after), UNIT, 0.05).end_pose()
+    final = result.trajectory.end_pose()
+    assert result.converged
+    assert abs(final.x - expected.x) <= 1e-9
+    assert abs(final.y - expected.y) <= 1e-9
+    assert angle_difference(final.theta, expected.theta) <= 1e-9
+    armed_at = drift.t + result.compute_delays[0]
+    assert result.total_time == pytest.approx(armed_at + replanned.travel_time, abs=1e-9)
+    assert result.replan_count == 1
 
 
 def test_fig_replanning_analytic():
