@@ -354,9 +354,10 @@ class _Mission:
             origin = measured if initial else drift_predict(
                 measured, measured.theta, self.believed, delay, sc.vehicle
             )
+            entropy = (self.seed, self.run_index, self.replans + 1)
             cfg = replace(
                 self.solver_cfg,
-                seed=hash((self.seed, self.run_index, self.replans + 1)) % (2**32),
+                seed=int(np.random.SeedSequence(entropy).generate_state(1)[0]),
             )
             solved = solve_six(origin, sc.goal, self.believed, sc.vehicle, cfg)
             sol = solved[0] if solved is not None else None
