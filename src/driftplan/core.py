@@ -101,7 +101,7 @@ class CurrentSchedule:
 
     The first entry must start at t = 0 and start times must be strictly
     increasing.  Evaluation is right-continuous: the state beginning exactly
-    at t applies at t.
+    at t applies at t.  starts holds the start times, in order.
     """
 
     entries: tuple[tuple[float, CurrentState], ...]
