@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .core import TWO_PI, CurrentState, Pose, VehicleSpec, to_start_frame
-from .planner import ArcMode, PathSolution, PathType, plan
+from .planner import SEGMENT_SIGNS, ArcMode, PathSolution, PathType, _normalize_problem, plan
 
 HARD_TYPES = (PathType.LSR, PathType.RSL, PathType.LRL, PathType.RLR)
 
@@ -205,10 +205,8 @@ def _closure_offsets(path_type: PathType) -> tuple[int, ...]:
 
 
 def _gamma_csc(path_type: PathType, alpha, theta_f: float, m):
-    # LSR: heading alpha - gamma = theta_f ; RSL: -alpha + gamma = theta_f
-    if path_type is PathType.LSR:
-        return alpha - theta_f + TWO_PI * m
-    return alpha + theta_f + TWO_PI * m
+    # heading s * (alpha - gamma) = theta_f, with s the first-turn sign
+    return alpha - SEGMENT_SIGNS[path_type][0] * theta_f + TWO_PI * m
 
 
 def _gamma_ccc(path_type: PathType, alpha, delta, theta_f: float, m):
@@ -219,13 +217,11 @@ def _gamma_ccc(path_type: PathType, alpha, delta, theta_f: float, m):
 
 
 def _csc_positions(path_type: PathType, alpha, beta, theta_f: float, r: float):
+    s = SEGMENT_SIGNS[path_type][0]
     sa, ca = np.sin(alpha), np.cos(alpha)
     sf, cf = math.sin(theta_f), math.cos(theta_f)
-    if path_type is PathType.LSR:
-        return (2 * r * sa + beta * ca - r * sf,
-                r - 2 * r * ca + beta * sa + r * cf)
-    return (2 * r * sa + beta * ca + r * sf,
-            2 * r * ca - r - beta * sa - r * cf)
+    return (2 * r * sa + beta * ca - s * r * sf,
+            s * (r - 2 * r * ca + beta * sa + r * cf))
 
 
 def _ccc_positions(path_type: PathType, alpha, delta, theta_f: float, r: float):
@@ -291,7 +287,7 @@ def residual(
     taken as the representative of the heading closure in [0, 2*pi).
     """
     u = np.atleast_2d(np.asarray(unknowns, dtype=float))
-    scaled = CurrentState(current.speed / vehicle.speed, current.heading)
+    scaled, _ = _normalize_problem(current, vehicle)
     r = vehicle.turning_radius
     theta_f = goal.theta
     if path_type in (PathType.LSR, PathType.RSL):
@@ -318,8 +314,12 @@ def _roots_to_solutions(
     goal: Pose,
     r: float,
     t_bound: float,
+    v: float,
 ) -> list[PathSolution]:
-    """Filter branch-m roots down to geometrically valid path solutions."""
+    """Filter branch-m roots down to geometrically valid path solutions.
+
+    Roots are in unit-speed time; the solutions carry it in seconds (/v).
+    """
     sols = []
     theta_f = goal.theta
     for row in roots:
@@ -332,7 +332,7 @@ def _roots_to_solutions(
                     and beta >= -1e-9 and 0.0 < t <= t_bound + 1e-6):
                 sols.append(PathSolution(
                     path_type, m, max(alpha, 0.0), max(beta, 0.0),
-                    max(gamma, 0.0), TWO_PI, t,
+                    max(gamma, 0.0), TWO_PI, t / v,
                 ))
         else:
             alpha, delta, t = row
@@ -344,7 +344,7 @@ def _roots_to_solutions(
                     and abs(t - r * (alpha + delta + gamma)) <= 1e-6):
                 sols.append(PathSolution(
                     path_type, m, max(alpha, 0.0), r * delta,
-                    max(gamma, 0.0), TWO_PI, t,
+                    max(gamma, 0.0), TWO_PI, t / v,
                 ))
     return sols
 
@@ -361,7 +361,7 @@ def solve_hard_type(
     Goal in the start frame.  Travel times are rescaled to real seconds;
     for LRL/RLR the middle-arc length r*delta is stored in beta.
     """
-    scaled = CurrentState(current.speed / vehicle.speed, current.heading)
+    scaled, v = _normalize_problem(current, vehicle)
     r = vehicle.turning_radius
     t_bound = _time_upper_bound(goal, scaled.speed, r)
     branches = _closure_offsets(path_type)
@@ -374,11 +374,7 @@ def solve_hard_type(
     for m in branches:
         fn = _branch_residual(path_type, m, goal, scaled, r)
         roots = multi_start_solve(fn, bounds, cfg)
-        for sol in _roots_to_solutions(path_type, m, roots, goal, r, t_bound):
-            out.append(
-                PathSolution(sol.path_type, sol.k, sol.alpha, sol.beta,
-                             sol.gamma, sol.kappa, sol.travel_time / vehicle.speed)
-            )
+        out.extend(_roots_to_solutions(path_type, m, roots, goal, r, t_bound, v))
     return out
 
 
@@ -394,9 +390,9 @@ def solve_six(
     LSL/RSR use the closed forms with classical 2*pi arcs; the other four
     are solved numerically.  Returns None when nothing converges (possible
     only if the closed forms are infeasible and every multistart fails).
+    Raises ValueError, from `plan`, unless the current is slower than the
+    vehicle.
     """
-    if current.speed >= vehicle.speed:
-        raise ValueError("current speed must be less than vehicle speed")
     t0 = time.perf_counter()
     best = plan(start, goal, current, vehicle, ArcMode.TWO_PI)
     local_goal, local_current = to_start_frame(start, goal, current)

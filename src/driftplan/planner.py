@@ -43,6 +43,19 @@ class PathType(str, enum.Enum):
     RLR = "RLR"
 
 
+# Turn-direction signs (first, middle, last segment) per path type.  Each
+# type mirrors the one with every sign flipped (RSR is LSL reflected), so a
+# closed form written in the first-turn sign s serves both.
+SEGMENT_SIGNS = {
+    PathType.LSL: (1, 0, 1),
+    PathType.RSR: (-1, 0, -1),
+    PathType.LSR: (1, 0, -1),
+    PathType.RSL: (-1, 0, 1),
+    PathType.LRL: (1, -1, 1),
+    PathType.RLR: (-1, 1, -1),
+}
+
+
 class ArcMode(str, enum.Enum):
     """Arc-range cap selector: classical 2*pi arcs or extended 4*pi arcs."""
 
@@ -135,23 +148,21 @@ def feasible_range(
     return ParamInterval(lower(theta_f), upper(theta_f), closed, closed)
 
 
-def coeffs_lsl(
-    k: int, goal: Pose, current: CurrentState, r: float
-) -> tuple[float, float]:
-    """Constants (A, B) of the LSL interception equations for winding index k."""
-    turn = TWO_PI * k + goal.theta
-    a = goal.x - r * math.sin(goal.theta) - current.wx * r * turn
-    b = goal.y - r * (1.0 - math.cos(goal.theta)) - current.wy * r * turn
-    return a, b
+def first_turn_sign(path_type: PathType) -> int:
+    """First-turn sign s of a closed-form type: +1 for LSL, -1 for RSR."""
+    if path_type is not PathType.LSL and path_type is not PathType.RSR:
+        raise ValueError("closed forms exist only for LSL and RSR")
+    return SEGMENT_SIGNS[path_type][0]
 
 
-def coeffs_rsr(
-    k: int, goal: Pose, current: CurrentState, r: float
+def coeffs(
+    path_type: PathType, k: int, goal: Pose, current: CurrentState, r: float
 ) -> tuple[float, float]:
-    """Constants (A, B) of the RSR interception equations for winding index k."""
+    """Constants (A, B) of the interception equations for winding index k."""
+    s = first_turn_sign(path_type)
     turn = TWO_PI * k + goal.theta
-    a = goal.x + r * math.sin(goal.theta) + current.wx * r * turn
-    b = goal.y + r * (1.0 - math.cos(goal.theta)) + current.wy * r * turn
+    a = goal.x - s * r * math.sin(goal.theta) - s * current.wx * r * turn
+    b = goal.y - s * r * (1.0 - math.cos(goal.theta)) - s * current.wy * r * turn
     return a, b
 
 
@@ -183,72 +194,12 @@ def interception_residual(
     Compares the goal displaced by the current drift over travel_time with
     the arc-line-arc endpoint; goal in the start frame.
     """
+    s = first_turn_sign(path_type)
     xf = goal.x - current.wx * travel_time
     yf = goal.y - current.wy * travel_time
-    if path_type is PathType.LSL:
-        ex = r * math.sin(goal.theta) + beta * math.cos(alpha)
-        ey = r * (1.0 - math.cos(goal.theta)) + beta * math.sin(alpha)
-    else:
-        ex = -r * math.sin(goal.theta) + beta * math.cos(alpha)
-        ey = -r * (1.0 - math.cos(goal.theta)) - beta * math.sin(alpha)
+    ex = s * r * math.sin(goal.theta) + beta * math.cos(alpha)
+    ey = s * (r * (1.0 - math.cos(goal.theta)) + beta * math.sin(alpha))
     return math.hypot(xf - ex, yf - ey)
-
-
-def _solve_normalized(
-    path_type: PathType,
-    k: int,
-    goal: Pose,
-    current: CurrentState,
-    r: float,
-    kappa: float,
-) -> PathSolution | None:
-    """Solve one (path type, k) candidate with unit vehicle speed."""
-    interval = feasible_range(path_type, k, goal.theta, kappa)
-    if path_type is PathType.LSL:
-        a, b = coeffs_lsl(k, goal, current, r)
-        arc_sum = TWO_PI * k + goal.theta
-    else:
-        a, b = coeffs_rsr(k, goal, current, r)
-        arc_sum = -(TWO_PI * k + goal.theta)
-    if arc_sum < 0.0:
-        return None
-    beta = solve_beta(a, b, current)
-    if beta < 0.0:
-        return None
-
-    scale = max(1.0, abs(goal.x), abs(goal.y))
-    if beta <= 1e-9 * scale:
-        # Goal at the rotation center: the arc split is free, so take the
-        # symmetric one, which is interior for every feasible-range row.
-        alpha = 0.5 * arc_sum
-        if not interval.contains(alpha):
-            return None
-        travel = r * arc_sum + beta
-        return PathSolution(path_type, k, alpha, beta, arc_sum - alpha, kappa, travel)
-
-    if path_type is PathType.LSL:
-        base = normalize_angle(math.atan2(b - beta * current.wy, a - beta * current.wx))
-    else:
-        base = normalize_angle(math.atan2(-b + beta * current.wy, a - beta * current.wx))
-
-    # atan2 pins alpha only modulo 2*pi; enumerate in-range representatives
-    # (smallest first for determinism) and close gamma exactly against the
-    # winding constraint.
-    reps = int(kappa / TWO_PI) + 1
-    for j in range(reps):
-        alpha = base + TWO_PI * j
-        if not interval.contains(alpha):
-            continue
-        gamma = arc_sum - alpha
-        if -RANGE_SLACK < gamma < 0.0:
-            gamma = 0.0
-        if gamma < 0.0 or not interval.contains(gamma):
-            continue
-        travel = r * arc_sum + beta
-        if interception_residual(path_type, alpha, beta, goal, current, r, travel) > 1e-9 * scale:
-            continue
-        return PathSolution(path_type, k, alpha, beta, gamma, kappa, travel)
-    return None
 
 
 def _normalize_problem(
@@ -272,18 +223,51 @@ def solve_one(
 
     The goal must be expressed in the start frame.  Returns None when no
     (alpha, beta, gamma) satisfies the interception equations inside the
-    feasible ranges.
+    feasible ranges.  The equations are solved at unit speed (current scaled
+    by 1/v); only the returned travel time is in seconds.
     """
-    if path_type not in (PathType.LSL, PathType.RSR):
-        raise ValueError("closed forms exist only for LSL and RSR")
-    scaled, v = _normalize_problem(current, vehicle)
-    sol = _solve_normalized(path_type, k, goal, scaled, vehicle.turning_radius, kappa)
-    if sol is None:
+    s = first_turn_sign(path_type)
+    current, v = _normalize_problem(current, vehicle)
+    r = vehicle.turning_radius
+    interval = feasible_range(path_type, k, goal.theta, kappa)
+    a, b = coeffs(path_type, k, goal, current, r)
+    arc_sum = s * (TWO_PI * k + goal.theta)
+    if arc_sum < 0.0:
         return None
-    return PathSolution(
-        sol.path_type, sol.k, sol.alpha, sol.beta, sol.gamma, sol.kappa,
-        sol.travel_time / v,
-    )
+    beta = solve_beta(a, b, current)
+    if beta < 0.0:
+        return None
+
+    scale = max(1.0, abs(goal.x), abs(goal.y))
+    if beta <= 1e-9 * scale:
+        # Goal at the rotation center: the arc split is free, so take the
+        # symmetric one, which is interior for every feasible-range row.
+        alpha = 0.5 * arc_sum
+        if not interval.contains(alpha):
+            return None
+        travel = r * arc_sum + beta
+        return PathSolution(path_type, k, alpha, beta, arc_sum - alpha, kappa, travel / v)
+
+    base = normalize_angle(math.atan2(s * (b - beta * current.wy), a - beta * current.wx))
+
+    # atan2 pins alpha only modulo 2*pi; enumerate in-range representatives
+    # (smallest first for determinism) and close gamma exactly against the
+    # winding constraint.
+    reps = int(kappa / TWO_PI) + 1
+    for j in range(reps):
+        alpha = base + TWO_PI * j
+        if not interval.contains(alpha):
+            continue
+        gamma = arc_sum - alpha
+        if -RANGE_SLACK < gamma < 0.0:
+            gamma = 0.0
+        if gamma < 0.0 or not interval.contains(gamma):
+            continue
+        travel = r * arc_sum + beta
+        if interception_residual(path_type, alpha, beta, goal, current, r, travel) > 1e-9 * scale:
+            continue
+        return PathSolution(path_type, k, alpha, beta, gamma, kappa, travel / v)
+    return None
 
 
 def plan(

@@ -23,6 +23,7 @@ from .planner import (
     PathType,
     RSR_K_CANDIDATES,
     feasible_range,
+    first_turn_sign,
     plan,
     solve_one,  # noqa: F401  -- benchmarks/selftest.py asserts it is bound here
 )
@@ -94,18 +95,12 @@ def center(
     path_type: PathType, k: int, theta_f: float, current: CurrentState, r: float
 ) -> tuple[float, float]:
     """Rotation center of the reachability ray for one (path type, k)."""
+    s = first_turn_sign(path_type)
     turn = TWO_PI * k + theta_f
-    if path_type is PathType.LSL:
-        return (
-            r * math.sin(theta_f) + current.wx * r * turn,
-            r * (1.0 - math.cos(theta_f)) + current.wy * r * turn,
-        )
-    if path_type is PathType.RSR:
-        return (
-            -r * math.sin(theta_f) - current.wx * r * turn,
-            -r * (1.0 - math.cos(theta_f)) - current.wy * r * turn,
-        )
-    raise ValueError("reachability rays are defined for LSL and RSR only")
+    return (
+        s * (r * math.sin(theta_f) + current.wx * r * turn),
+        s * (r * (1.0 - math.cos(theta_f)) + current.wy * r * turn),
+    )
 
 
 def omega(path_type: PathType, alpha: float, current: CurrentState) -> float:
@@ -114,15 +109,10 @@ def omega(path_type: PathType, alpha: float, current: CurrentState) -> float:
     Independent of the winding index; strictly ccw in alpha for LSL and cw
     for RSR whenever the current is slower than the vehicle.
     """
-    if path_type is PathType.LSL:
-        return normalize_angle(
-            math.atan2(math.sin(alpha) + current.wy, math.cos(alpha) + current.wx)
-        )
-    if path_type is PathType.RSR:
-        return normalize_angle(
-            math.atan2(-math.sin(alpha) + current.wy, math.cos(alpha) + current.wx)
-        )
-    raise ValueError("reachability rays are defined for LSL and RSR only")
+    s = first_turn_sign(path_type)
+    return normalize_angle(
+        math.atan2(s * math.sin(alpha) + current.wy, math.cos(alpha) + current.wx)
+    )
 
 
 def opposite(delta: float) -> float:
@@ -165,13 +155,18 @@ def region_span(
     )
 
 
+def _ccw_bounds(region: RegionDescriptor) -> tuple[float, float]:
+    """A sector's boundary rotations in ccw order (a cw sweep reversed)."""
+    if region.sweep == "ccw":
+        return region.omega_start, region.omega_end
+    return region.omega_end, region.omega_start
+
+
 def sweep_extent(region: RegionDescriptor) -> float:
     """Unwrapped angular width of a sector, in [0, 2*pi]."""
     if region.covers_full_circle:
         return TWO_PI
-    if region.sweep == "ccw":
-        return _ccw_offset(region.omega_start, region.omega_end)
-    return _ccw_offset(region.omega_end, region.omega_start)
+    return _ccw_offset(*_ccw_bounds(region))
 
 
 def contains(region: RegionDescriptor, point: tuple[float, float]) -> bool:
@@ -187,10 +182,7 @@ def contains(region: RegionDescriptor, point: tuple[float, float]) -> bool:
     dy = point[1] - py
     if math.hypot(dx, dy) <= ANGLE_TOL:
         return True
-    direction = normalize_angle(math.atan2(dy, dx))
-    if region.sweep == "ccw":
-        return _in_ccw_interval(region.omega_start, region.omega_end, direction)
-    return _in_ccw_interval(region.omega_end, region.omega_start, direction)
+    return _in_ccw_interval(*_ccw_bounds(region), normalize_angle(math.atan2(dy, dx)))
 
 
 def classify_major_minor(
@@ -260,9 +252,8 @@ def _shadow_interval(region: RegionDescriptor) -> tuple[float, float]:
     rotating its boundaries by pi gives the cone in which the complementary
     sector's center must lie to cover that gap.
     """
-    if region.sweep == "ccw":
-        return opposite(region.omega_end), opposite(region.omega_start)
-    return opposite(region.omega_start), opposite(region.omega_end)
+    start, end = _ccw_bounds(region)
+    return opposite(end), opposite(start)
 
 
 def full_reachability_2pi(

@@ -24,17 +24,7 @@ from .core import (
     current_at,
     normalize_angle,
 )
-from .planner import PathSolution, PathType, interception_residual
-
-# Turn-direction signs (first, middle, last segment) per path type.
-_SEGMENT_SIGNS = {
-    PathType.LSL: (1, 0, 1),
-    PathType.RSR: (-1, 0, -1),
-    PathType.LSR: (1, 0, -1),
-    PathType.RSL: (-1, 0, 1),
-    PathType.LRL: (1, -1, 1),
-    PathType.RLR: (-1, 1, -1),
-}
+from .planner import SEGMENT_SIGNS, PathSolution, first_turn_sign, interception_residual
 
 
 @dataclass(frozen=True)
@@ -101,7 +91,7 @@ def controls_of(sol: PathSolution, vehicle: VehicleSpec) -> ControlSchedule:
     u = vehicle.max_turn_rate
     v = vehicle.speed
     r = vehicle.turning_radius
-    s1, s2, s3 = _SEGMENT_SIGNS[sol.path_type]
+    s1, s2, s3 = SEGMENT_SIGNS[sol.path_type]
     return ControlSchedule((
         ControlSegment(s1 * u, r * sol.alpha / v),
         ControlSegment(s2 * u, sol.beta / v),
@@ -246,12 +236,7 @@ def endpoint_residual(
     substituting the parameters into the drift-frame interception equations;
     goal in the start frame.
     """
-    if sol.path_type is PathType.LSL:
-        heading = normalize_angle(sol.alpha + sol.gamma)
-    elif sol.path_type is PathType.RSR:
-        heading = normalize_angle(-(sol.alpha + sol.gamma))
-    else:
-        raise ValueError("algebraic residuals are defined for LSL and RSR only")
+    heading = normalize_angle(first_turn_sign(sol.path_type) * (sol.alpha + sol.gamma))
     position = interception_residual(
         sol.path_type, sol.alpha, sol.beta, goal, current, vehicle.turning_radius,
         sol.travel_time,

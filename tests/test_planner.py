@@ -9,8 +9,7 @@ from driftplan.core import FOUR_PI, TWO_PI, CurrentState, Pose, VehicleSpec, to_
 from driftplan.planner import (
     ArcMode,
     PathType,
-    coeffs_lsl,
-    coeffs_rsr,
+    coeffs,
     extended_k_solutions,
     feasible_range,
     plan,
@@ -27,13 +26,13 @@ UNIT = VehicleSpec(1.0, 1.0)
 
 
 def test_coeffs_lsl_simple():
-    assert coeffs_lsl(0, Pose(5, 0, 0), CurrentState(0, 0), 1.0) == pytest.approx((5.0, 0.0))
-    assert coeffs_lsl(0, Pose(0, 0, math.pi / 2), CurrentState(0, 0), 1.0) == pytest.approx((-1.0, -1.0))
+    assert coeffs(PathType.LSL, 0, Pose(5, 0, 0), CurrentState(0, 0), 1.0) == pytest.approx((5.0, 0.0))
+    assert coeffs(PathType.LSL, 0, Pose(0, 0, math.pi / 2), CurrentState(0, 0), 1.0) == pytest.approx((-1.0, -1.0))
 
 
 def test_coeffs_rsr_simple():
-    assert coeffs_rsr(-1, Pose(5, 0, 0), CurrentState(0, 0), 1.0) == pytest.approx((5.0, 0.0))
-    assert coeffs_rsr(-1, Pose(0, 0, math.pi / 2), CurrentState(0, 0), 1.0) == pytest.approx((1.0, 1.0))
+    assert coeffs(PathType.RSR, -1, Pose(5, 0, 0), CurrentState(0, 0), 1.0) == pytest.approx((5.0, 0.0))
+    assert coeffs(PathType.RSR, -1, Pose(0, 0, math.pi / 2), CurrentState(0, 0), 1.0) == pytest.approx((1.0, 1.0))
 
 
 def test_solve_beta_no_current_is_norm():
