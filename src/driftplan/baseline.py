@@ -25,14 +25,17 @@ HARD_TYPES = (PathType.LSR, PathType.RSL, PathType.LRL, PathType.RLR)
 # Accept roots whose arc angles poke marginally outside [0, 2*pi).
 _ARC_SLACK = 1e-9
 
+# Newton stops once the max-norm residual is at most this, or after this
+# many iterations.
+RESIDUAL_TOLERANCE = 1e-10
+MAX_ITERATIONS = 25
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Multistart root-finder settings for the four transcendental types."""
 
     n_initial_guesses: int = 100
-    residual_tolerance: float = 1e-10
-    max_iterations: int = 25
     seed: int = 0
 
     def __post_init__(self):
@@ -141,8 +144,8 @@ def multi_start_solve(
     f = residual_fn(x)
     fnorm = np.abs(f).max(axis=1)
     # iterate only rows that are neither converged nor stalled
-    active = fnorm > cfg.residual_tolerance
-    for _ in range(cfg.max_iterations):
+    active = fnorm > RESIDUAL_TOLERANCE
+    for _ in range(MAX_ITERATIONS):
         if not active.any():
             break
         xa = x[active]
@@ -177,9 +180,9 @@ def multi_start_solve(
         x[active] = new_x
         f[active] = new_f
         fnorm[active] = new_norm
-        still = accepted & (new_norm > cfg.residual_tolerance)
+        still = accepted & (new_norm > RESIDUAL_TOLERANCE)
         active[np.flatnonzero(active)] = still  # drop converged and stalled rows
-    converged = x[fnorm <= cfg.residual_tolerance]
+    converged = x[fnorm <= RESIDUAL_TOLERANCE]
     if len(converged) == 0:
         return converged.reshape(0, bounds.shape[0])
     order = np.lexsort(converged.T[::-1])

@@ -27,8 +27,8 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 
-class ValidationError(Exception):
-    pass
+class ValidationError(ValueError):
+    """Bad command-line input; `main` maps it, like any ValueError, to exit 2."""
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -95,7 +95,7 @@ def _check_step(value: float | None, flag: str) -> None:
         raise ValidationError(f"{flag} must be finite and positive, got {value!r}")
 
 
-def _add_angle_flag(parser, name: str, help_text: str, required: bool = False):
+def _add_angle_flag(parser, name: str, help_text: str):
     parser.add_argument(f"--{name}", type=float, default=None, dest=name.replace("-", "_"),
                         help=f"{help_text} (radians)")
     parser.add_argument(f"--{name}-deg", type=float, default=None,
@@ -152,7 +152,7 @@ def cmd_plan(args) -> None:
         else:
             results = {"solution": _solution_dict(sol)}
     traj_path = _resolve_out(args.traj)
-    if traj_path and isinstance(results.get("solution"), dict):
+    if traj_path and sol is not None:
         controls = controls_of(sol, vehicle)
         h = 1e-3 * vehicle.turning_radius / vehicle.speed
         traj = integrate_if(start, controls, CurrentSchedule.constant(current), vehicle, h)
@@ -316,9 +316,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

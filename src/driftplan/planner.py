@@ -86,9 +86,6 @@ class PathSolution:
     kappa: float
     travel_time: float
 
-    def arc_sum(self) -> float:
-        return self.alpha + self.gamma
-
 
 @dataclass(frozen=True)
 class ParamInterval:
@@ -96,21 +93,14 @@ class ParamInterval:
 
     lower: float
     upper: float
-    lower_closed: bool
-    upper_closed: bool
+    closed: bool  # both ends, or neither
 
-    def contains(self, x: float, slack: float = RANGE_SLACK) -> bool:
-        if self.lower_closed:
-            if x < self.lower - slack:
-                return False
-        elif x <= self.lower + slack:
-            return False
-        if self.upper_closed:
-            if x > self.upper + slack:
-                return False
-        elif x >= self.upper - slack:
-            return False
-        return True
+    def contains(self, x: float) -> bool:
+        """Membership with RANGE_SLACK, widening a closed interval and
+        narrowing an open one."""
+        if self.closed:
+            return self.lower - RANGE_SLACK <= x <= self.upper + RANGE_SLACK
+        return self.lower + RANGE_SLACK < x < self.upper - RANGE_SLACK
 
 
 # Feasible alpha/gamma interval per (kappa, path type, k): lower and upper
@@ -145,7 +135,7 @@ def feasible_range(
             raise ValueError(f"kappa must be 2*pi or 4*pi, got {kappa!r}")
         raise ValueError(f"no feasible-range row for {path_type} k={k} kappa={kappa}")
     lower, upper, closed = row
-    return ParamInterval(lower(theta_f), upper(theta_f), closed, closed)
+    return ParamInterval(lower(theta_f), upper(theta_f), closed)
 
 
 def first_turn_sign(path_type: PathType) -> int:

@@ -37,6 +37,12 @@ FULL_REACH_CASES = ("1.1", "1.2", "2.1", "2.2", "3.1", "3.2", "4.1", "4.2")
 MAX_CELLS = 10**7
 
 
+def _check_step(name: str, step: float) -> None:
+    """Refuse a step that is not finite and positive, naming the argument."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {step!r}")
+
+
 def _check_cells(cells: float, request: str) -> None:
     """Refuse a request above MAX_CELLS, counted before anything is built."""
     if not cells <= MAX_CELLS:
@@ -326,8 +332,8 @@ def parametric_scan(
     r: float = 1.0,
 ) -> list[tuple[float, float, float, bool]]:
     """Sweep (theta_f, theta_w, v_w) and record where full coverage holds."""
-    if theta_f_step <= 0.0 or theta_w_step <= 0.0:
-        raise ValueError("scan steps must be positive")
+    _check_step("theta_f_step", theta_f_step)
+    _check_step("theta_w_step", theta_w_step)
     _check_cells(len(v_w_values) * (TWO_PI / theta_f_step) * (TWO_PI / theta_w_step),
                  f"theta_f_step {theta_f_step!r}, theta_w_step {theta_w_step!r}"
                  f" and {len(v_w_values)} speeds")
@@ -372,8 +378,9 @@ def reachability_map(
         bounds = (-10.0 * r, 10.0 * r, -10.0 * r, 10.0 * r)
     if step is None:
         step = 0.1 * r
-    if step <= 0.0:
-        raise ValueError("grid step must be positive")
+    _check_step("step", step)
+    if not all(math.isfinite(b) for b in bounds):
+        raise ValueError(f"bounds must be finite, got {tuple(bounds)!r}")
     x_min, x_max, y_min, y_max = bounds
     _check_cells(((x_max - x_min) / step + 1.0) * ((y_max - y_min) / step + 1.0),
                  f"step {step!r} over bounds {tuple(bounds)}")

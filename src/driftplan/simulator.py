@@ -68,10 +68,6 @@ class NoiseModel:
         if self.sample_rate <= 0.0:
             raise ValueError("sample rate must be positive")
 
-    @staticmethod
-    def zero() -> "NoiseModel":
-        return NoiseModel()
-
 
 @dataclass(frozen=True)
 class RandomCurrentProcess:
@@ -97,7 +93,7 @@ class Scenario:
     goal: Pose
     vehicle: VehicleSpec
     current_process: CurrentSchedule | RandomCurrentProcess
-    noise: NoiseModel = NoiseModel.zero()
+    noise: NoiseModel = NoiseModel()
     precision_radius: float = 1.0
     heading_tolerance: float = math.radians(5.0)
     t_max: float = 1000.0

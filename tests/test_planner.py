@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftplan.core import FOUR_PI, TWO_PI, CurrentState, Pose, VehicleSpec, to_start_frame
 from driftplan.planner import (
+    LSL_K_CANDIDATES,
+    LSL_K_EXTENDED,
     ArcMode,
     PathType,
     coeffs,
@@ -76,13 +80,13 @@ def test_solve_beta_rejects_fast_current():
 def test_feasible_range_rows():
     theta_f = 1.1
     r0 = feasible_range(PathType.LSL, 0, theta_f, TWO_PI)
-    assert (r0.lower, r0.upper, r0.lower_closed, r0.upper_closed) == (0.0, theta_f, True, True)
+    assert (r0.lower, r0.upper, r0.closed) == (0.0, theta_f, True)
     r1 = feasible_range(PathType.LSL, 1, theta_f, FOUR_PI)
     assert (r1.lower, r1.upper) == (0.0, TWO_PI + theta_f)
-    assert r1.lower_closed and r1.upper_closed
+    assert r1.closed
     r3 = feasible_range(PathType.RSR, -3, theta_f, FOUR_PI)
     assert (r3.lower, r3.upper) == (TWO_PI - theta_f, FOUR_PI)
-    assert not r3.lower_closed and not r3.upper_closed
+    assert not r3.closed
 
 
 def test_feasible_range_rejects_bad_pairs():
@@ -312,3 +316,33 @@ def test_speed_scaling():
 def test_plan_rejects_fast_current():
     with pytest.raises(ValueError):
         plan(ORIGIN, Pose(1, 1, 0), CurrentState(1.5, 0.0), UNIT, ArcMode.FOUR_PI)
+
+
+# theta_f stays clear of 0 and 2*pi: the mirror maps theta_f to 2*pi - theta_f,
+# which at theta_f = 0 lands on 2*pi, outside the normalized range.
+MIRROR_THETA_F = st.floats(1e-6, TWO_PI - 1e-6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    row=st.sampled_from([(k, TWO_PI) for k in LSL_K_CANDIDATES]
+                        + [(k, FOUR_PI) for k in LSL_K_EXTENDED]),
+    x=st.floats(-20.0, 20.0), y=st.floats(-20.0, 20.0), theta_f=MIRROR_THETA_F,
+    vw=st.floats(0.0, 0.95), psi=st.floats(0.0, TWO_PI),
+    speed=st.floats(0.5, 3.0), radius=st.floats(0.3, 3.0),
+)
+def test_rsr_is_lsl_mirrored(row, x, y, theta_f, vw, psi, speed, radius):
+    # Reflecting goal and current across the start heading turns an LSL
+    # solution of winding index k into an RSR one of index -k-1 with the
+    # same arcs, straight and time.
+    k, kappa = row
+    vehicle = VehicleSpec(speed, radius)
+    lsl = solve_one(PathType.LSL, k, Pose(x, y, theta_f), CurrentState(vw * speed, psi),
+                    vehicle, kappa)
+    rsr = solve_one(PathType.RSR, -k - 1, Pose(x, -y, -theta_f), CurrentState(vw * speed, -psi),
+                    vehicle, kappa)
+    assert (lsl is None) == (rsr is None)
+    if lsl is not None:
+        tol = 1e-9 * max(1.0, abs(x), abs(y))
+        for field in ("alpha", "beta", "gamma", "travel_time"):
+            assert getattr(rsr, field) == pytest.approx(getattr(lsl, field), rel=1e-9, abs=tol)

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from driftplan.core import FOUR_PI, TWO_PI, CurrentState, Pose, VehicleSpec
+from driftplan.core import FOUR_PI, TWO_PI, CurrentState, Pose, VehicleSpec, angle_difference
 from driftplan.planner import ArcMode, PathType, feasible_range, plan, solve_one
 from driftplan.reachability import (
     FULL_REACH_CASES,
@@ -358,3 +360,32 @@ def test_grid_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "x,y,dominant,T"
     assert len(lines) == grid.dominant.size + 1
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: parametric_scan(math.inf, 1.0), "theta_f_step"),
+    (lambda: parametric_scan(1.0, math.nan), "theta_w_step"),
+    (lambda: reachability_map(1.0, EXAMPLE_CURRENT, step=math.nan), "step"),
+    (lambda: reachability_map(1.0, EXAMPLE_CURRENT, bounds=(-1.0, math.inf, -1.0, 1.0),
+                              step=1.0), "bounds"),
+], ids=["scan-inf-theta_f_step", "scan-nan-theta_w_step", "map-nan-step", "map-inf-bound"])
+def test_library_rejects_non_finite_step_or_bounds(call, name):
+    # refused before the cell cap, which would misreport a nan step as nan cells
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(k=st.sampled_from((0, 1)), theta_f=st.floats(1e-6, TWO_PI - 1e-6),
+       vw=st.floats(0.0, 0.95), psi=st.floats(0.0, TWO_PI), r=st.floats(0.3, 3.0),
+       alpha=st.floats(0.0, FOUR_PI))
+def test_rsr_rays_are_lsl_rays_mirrored(k, theta_f, vw, psi, r, alpha):
+    # Reflecting theta_f and the current heading mirrors the LSL center of
+    # index k to the RSR center of index -k-1 and negates the ray rotation.
+    mirrored_theta_f = Pose(0.0, 0.0, -theta_f).theta
+    lsl = center(PathType.LSL, k, theta_f, CurrentState(vw, psi), r)
+    rsr = center(PathType.RSR, -k - 1, mirrored_theta_f, CurrentState(vw, -psi), r)
+    tol = 1e-9 * max(1.0, abs(lsl[0]), abs(lsl[1]))
+    assert rsr == pytest.approx((lsl[0], -lsl[1]), rel=1e-9, abs=tol)
+    turned = omega(PathType.LSL, alpha, CurrentState(vw, psi))
+    assert angle_difference(omega(PathType.RSR, alpha, CurrentState(vw, -psi)), -turned) <= 1e-9
