@@ -7,8 +7,8 @@ closed-form planner replans at once from an instantaneous reading and
 again when the windowed estimate is ready, while the slow six-type
 baseline flies its stale controls through the estimation window and
 replans once on the refined estimate.  While a replan computes, the
-vehicle drifts along the net velocity; the baseline therefore plans from
-a predicted post-drift pose.
+vehicle drifts along the net velocity; both planners therefore plan from
+the predicted post-drift pose.
 
 A plan is armed at an absolute time.  Flight is cut at every plan-segment
 end, current change and stop time; each piece between two cuts flies one
@@ -337,19 +337,21 @@ class _Mission:
     # --- planning ----------------------------------------------------------
 
     def _invoke_planner(self, initial: bool):
-        """Plan from the measured pose; returns (solution, synthetic delay).
+        """Plan from where the plan will be flown; returns (solution, delay).
 
-        The initial plan starts from the exact deployment pose; replans use
-        the noisy measured pose, and the slow planner then plans from the
-        predicted post-drift pose (the fast one replans in place).
+        The initial plan starts from the exact deployment pose, which the
+        vehicle holds until the plan is armed.  A replan starts from the noisy
+        measured pose drifted along the believed net velocity for the
+        compute delay: the pose predicted for the moment the plan is armed.
         """
         sc = self.sc
         delay = sc.latency.delay_for(sc.planner)
-        measured = self.pose if initial else self._noisy_pose()
+        if initial:
+            origin = self.pose
+        else:
+            measured = self._noisy_pose()
+            origin = drift_predict(measured, measured.theta, self.believed, delay, sc.vehicle)
         if sc.planner == "dubins_six":
-            origin = measured if initial else drift_predict(
-                measured, measured.theta, self.believed, delay, sc.vehicle
-            )
             entropy = (self.seed, self.run_index, self.replans + 1)
             cfg = replace(
                 self.solver_cfg,
@@ -358,7 +360,7 @@ class _Mission:
             solved = solve_six(origin, sc.goal, self.believed, sc.vehicle, cfg)
             sol = solved[0] if solved is not None else None
         else:
-            sol = plan(measured, sc.goal, self.believed, sc.vehicle, ArcMode.FOUR_PI)
+            sol = plan(origin, sc.goal, self.believed, sc.vehicle, ArcMode.FOUR_PI)
         return sol, delay
 
     def _drift_through(self, duration: float):

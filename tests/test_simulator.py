@@ -135,10 +135,10 @@ def test_replanned_flight_ends_on_the_integrated_plan():
     # Noise-free, one current change: the vehicle replans once, at the
     # change, and flies the new plan to its very end (a 1e-6 rad heading
     # tolerance admits only the last step).  The fast planner plans from the
-    # pre-drift pose and flies from the post-drift one, so the final pose is
-    # that plan integrated from the post-drift pose.  A step flown with the
-    # straight segment's turn rate at the start of the final arc, 80 s
-    # after arming, used to miss it by about 1e-3.
+    # predicted post-drift pose and flies from the actual one, so the final
+    # pose is that plan integrated from the actual post-drift pose.  A step
+    # flown with the straight segment's turn rate at the start of the final
+    # arc, 80 s after arming, used to miss it by about 1e-3.
     goal = Pose(86.7, 77.3, 3.92)
     after = CurrentState(0.5, 5.76)
     scenario = Scenario(
@@ -148,7 +148,9 @@ def test_replanned_flight_ends_on_the_integrated_plan():
     )
     result = run_scenario(scenario, seed=0)
     drift = result.drift_segments[0]
-    replanned = plan(drift.from_pose, goal, after, UNIT, ArcMode.FOUR_PI)
+    origin = drift_predict(drift.from_pose, drift.from_pose.theta, after,
+                           result.compute_delays[0], UNIT)
+    replanned = plan(origin, goal, after, UNIT, ArcMode.FOUR_PI)
     expected = integrate_if(drift.to_pose, controls_of(replanned, UNIT),
                             CurrentSchedule.constant(after), UNIT, 0.05).end_pose()
     final = result.trajectory.end_pose()
@@ -158,6 +160,26 @@ def test_replanned_flight_ends_on_the_integrated_plan():
     assert angle_difference(final.theta, expected.theta) <= 1e-9
     armed_at = drift.t + result.compute_delays[0]
     assert result.total_time == pytest.approx(armed_at + replanned.travel_time, abs=1e-9)
+    assert result.replan_count == 1
+
+
+@pytest.mark.parametrize("goal, before, after, t_change", [
+    (Pose(86.7, 77.3, 3.92), CurrentState(0.5, 3.85), CurrentState(0.5, 5.76), 66.601),
+    (Pose(-40.0, 25.0, 1.0), CurrentState(0.8, 0.3), CurrentState(0.2, 4.0), 12.5),
+    (Pose(10.0, -60.0, 5.5), CurrentState(0.1, 2.0), CurrentState(0.9, 1.1), 30.0),
+], ids=["northeast", "northwest", "south"])
+def test_replan_lands_within_a_micrometre(goal, before, after, t_change):
+    # The replan starts where the vehicle will be once the compute drift
+    # ends, so without noise the one replan at the change arrives even
+    # inside a 1e-6 precision circle.  Planning from the pre-drift pose
+    # missed by the drift (about 1e-3) and replanned until t_max.
+    scenario = Scenario(
+        start=Pose(0, 0, 0), goal=goal, vehicle=UNIT,
+        current_process=CurrentSchedule(((0.0, before), (t_change, after))),
+        precision_radius=1e-6, estimation_window=0.0,
+    )
+    result = run_scenario(scenario, seed=0, record_trajectory=False)
+    assert result.converged
     assert result.replan_count == 1
 
 
