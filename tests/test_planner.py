@@ -30,13 +30,15 @@ UNIT = VehicleSpec(1.0, 1.0)
 
 
 def test_coeffs_lsl_simple():
-    assert coeffs(PathType.LSL, 0, Pose(5, 0, 0), CurrentState(0, 0), 1.0) == pytest.approx((5.0, 0.0))
-    assert coeffs(PathType.LSL, 0, Pose(0, 0, math.pi / 2), CurrentState(0, 0), 1.0) == pytest.approx((-1.0, -1.0))
+    still = CurrentState(0, 0)
+    assert coeffs(PathType.LSL, 0, Pose(5, 0, 0), still, 1.0) == pytest.approx((5.0, 0.0))
+    assert coeffs(PathType.LSL, 0, Pose(0, 0, math.pi / 2), still, 1.0) == pytest.approx((-1.0, -1.0))
 
 
 def test_coeffs_rsr_simple():
-    assert coeffs(PathType.RSR, -1, Pose(5, 0, 0), CurrentState(0, 0), 1.0) == pytest.approx((5.0, 0.0))
-    assert coeffs(PathType.RSR, -1, Pose(0, 0, math.pi / 2), CurrentState(0, 0), 1.0) == pytest.approx((1.0, 1.0))
+    still = CurrentState(0, 0)
+    assert coeffs(PathType.RSR, -1, Pose(5, 0, 0), still, 1.0) == pytest.approx((5.0, 0.0))
+    assert coeffs(PathType.RSR, -1, Pose(0, 0, math.pi / 2), still, 1.0) == pytest.approx((1.0, 1.0))
 
 
 def test_solve_beta_no_current_is_norm():
@@ -318,23 +320,19 @@ def test_plan_rejects_fast_current():
         plan(ORIGIN, Pose(1, 1, 0), CurrentState(1.5, 0.0), UNIT, ArcMode.FOUR_PI)
 
 
-# theta_f stays clear of 0 and 2*pi: the mirror maps theta_f to 2*pi - theta_f,
-# which at theta_f = 0 lands on 2*pi, outside the normalized range.
-MIRROR_THETA_F = st.floats(1e-6, TWO_PI - 1e-6)
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     row=st.sampled_from([(k, TWO_PI) for k in LSL_K_CANDIDATES]
                         + [(k, FOUR_PI) for k in LSL_K_EXTENDED]),
-    x=st.floats(-20.0, 20.0), y=st.floats(-20.0, 20.0), theta_f=MIRROR_THETA_F,
+    x=st.floats(-20.0, 20.0), y=st.floats(-20.0, 20.0), theta_f=st.floats(1e-6, TWO_PI - 1e-6),
     vw=st.floats(0.0, 0.95), psi=st.floats(0.0, TWO_PI),
     speed=st.floats(0.5, 3.0), radius=st.floats(0.3, 3.0),
 )
 def test_rsr_is_lsl_mirrored(row, x, y, theta_f, vw, psi, speed, radius):
     # Reflecting goal and current across the start heading turns an LSL
     # solution of winding index k into an RSR one of index -k-1 with the
-    # same arcs, straight and time.
+    # same arcs, straight and time.  theta_f stays clear of 0, where the
+    # mirrored heading is 0 rather than 2*pi and the index shifts by one.
     k, kappa = row
     vehicle = VehicleSpec(speed, radius)
     lsl = solve_one(PathType.LSL, k, Pose(x, y, theta_f), CurrentState(vw * speed, psi),

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftplan.core import FOUR_PI, TWO_PI, CurrentState, Pose, VehicleSpec, angle_difference
+from driftplan.core import (
+    FOUR_PI, TWO_PI, CurrentState, Pose, VehicleSpec, angle_difference, normalize_angle,
+)
 from driftplan.planner import ArcMode, PathType, feasible_range, plan, solve_one
 from driftplan.reachability import (
     FULL_REACH_CASES,
@@ -382,9 +384,8 @@ def test_library_rejects_non_finite_step_or_bounds(call, name):
 def test_rsr_rays_are_lsl_rays_mirrored(k, theta_f, vw, psi, r, alpha):
     # Reflecting theta_f and the current heading mirrors the LSL center of
     # index k to the RSR center of index -k-1 and negates the ray rotation.
-    mirrored_theta_f = Pose(0.0, 0.0, -theta_f).theta
     lsl = center(PathType.LSL, k, theta_f, CurrentState(vw, psi), r)
-    rsr = center(PathType.RSR, -k - 1, mirrored_theta_f, CurrentState(vw, -psi), r)
+    rsr = center(PathType.RSR, -k - 1, normalize_angle(-theta_f), CurrentState(vw, -psi), r)
     tol = 1e-9 * max(1.0, abs(lsl[0]), abs(lsl[1]))
     assert rsr == pytest.approx((lsl[0], -lsl[1]), rel=1e-9, abs=tol)
     turned = omega(PathType.LSL, alpha, CurrentState(vw, psi))
