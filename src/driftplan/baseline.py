@@ -3,9 +3,13 @@
 The comparison baseline: LSL and RSR come from the closed forms, while LSR,
 RSL, LRL and RLR require numeric root finding of their interception
 equations (the goal keeps drifting while the path plays out, so the travel
-time enters the boundary conditions).  Roots are found by a seeded,
-batched, damped-Newton multistart, which stands in for the generic
-nonlinear solvers such planners traditionally rely on.
+time enters the boundary conditions).  The turn-sign table
+`planner.SEGMENT_SIGNS` serves all six words: the four numeric ones share
+one heading closure, one endpoint and one residual, with RSL and RLR the
+mirrors of LSR and LRL, and a CCC word differs from a CSC one only in its
+middle segment.  Roots are found by a seeded, batched, damped-Newton
+multistart, which stands in for the generic nonlinear solvers such
+planners traditionally rely on.
 """
 
 from __future__ import annotations
@@ -207,33 +211,34 @@ def _closure_offsets(path_type: PathType) -> tuple[int, ...]:
     raise ValueError(f"{path_type} has a closed-form solution; no residual needed")
 
 
-def _gamma_csc(path_type: PathType, alpha, theta_f: float, m):
-    # heading s * (alpha - gamma) = theta_f, with s the first-turn sign
-    return alpha - SEGMENT_SIGNS[path_type][0] * theta_f + TWO_PI * m
+def _is_ccc(path_type: PathType) -> bool:
+    """Whether the middle segment turns: CCC unknowns are (alpha, delta, T),
+    CSC unknowns (alpha, T)."""
+    return SEGMENT_SIGNS[path_type][1] != 0
 
 
-def _gamma_ccc(path_type: PathType, alpha, delta, theta_f: float, m):
-    # LRL: alpha - delta + gamma = theta_f ; RLR: -alpha + delta - gamma = theta_f
-    if path_type is PathType.LRL:
-        return theta_f - alpha + delta + TWO_PI * m
-    return delta - alpha - theta_f + TWO_PI * m
+def _gamma(path_type: PathType, alpha, delta, theta_f: float, m):
+    # heading closure s1*alpha + s2*delta + s3*gamma = theta_f (delta = 0 on CSC)
+    _, s2, s3 = SEGMENT_SIGNS[path_type]
+    turn = delta - alpha if s2 else alpha
+    return turn + s3 * theta_f + TWO_PI * m
 
 
-def _csc_positions(path_type: PathType, alpha, beta, theta_f: float, r: float):
-    s = SEGMENT_SIGNS[path_type][0]
+def _endpoint(path_type: PathType, alpha, mid, theta_f: float, r: float):
+    """Unit-speed path endpoint from the origin in the first-turn sign s.
+
+    mid is the straight length of a CSC word or the middle arc angle of a
+    CCC word; RSL and RLR are LSR and LRL mirrored across the start heading.
+    """
+    s, s2, s3 = SEGMENT_SIGNS[path_type]
     sa, ca = np.sin(alpha), np.cos(alpha)
-    sf, cf = math.sin(theta_f), math.cos(theta_f)
-    return (2 * r * sa + beta * ca - s * r * sf,
-            s * (r - 2 * r * ca + beta * sa + r * cf))
-
-
-def _ccc_positions(path_type: PathType, alpha, delta, theta_f: float, r: float):
-    sf, cf = math.sin(theta_f), math.cos(theta_f)
-    if path_type is PathType.LRL:
-        return (2 * r * np.sin(alpha) - 2 * r * np.sin(alpha - delta) + r * sf,
-                r - 2 * r * np.cos(alpha) + 2 * r * np.cos(alpha - delta) - r * cf)
-    return (2 * r * np.sin(alpha) + 2 * r * np.sin(delta - alpha) - r * sf,
-            2 * r * np.cos(alpha) - r - 2 * r * np.cos(delta - alpha) + r * cf)
+    if s2:
+        chord = alpha - mid
+        mx, my = -2 * r * np.sin(chord), 2 * r * np.cos(chord)
+    else:
+        mx, my = mid * ca, mid * sa
+    return (2 * r * sa + mx + s3 * r * math.sin(theta_f),
+            s * (r - 2 * r * ca + my) - s3 * r * math.cos(theta_f))
 
 
 def _branch_residual(
@@ -245,34 +250,23 @@ def _branch_residual(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Smooth residual for one winding branch, normalized vehicle speed.
 
-    CSC rows are (alpha, T); CCC rows are (alpha, delta, T).  The residual
-    vanishes exactly when the path endpoint meets the goal displaced by the
-    current drift over T.
+    CSC rows are (alpha, T); CCC rows are (alpha, delta, T) and add the
+    time closure T = r*(alpha + delta + gamma) as a third residual.  The
+    residual vanishes exactly when the path endpoint meets the goal
+    displaced by the current drift over T.
     """
     wx, wy = current.wx, current.wy
     theta_f = goal.theta
-
-    if path_type in (PathType.LSR, PathType.RSL):
-        def fn(u: np.ndarray) -> np.ndarray:
-            alpha, t = u[:, 0], u[:, 1]
-            gamma = _gamma_csc(path_type, alpha, theta_f, m)
-            beta = t - r * (alpha + gamma)
-            px, py = _csc_positions(path_type, alpha, beta, theta_f, r)
-            return np.stack(
-                [px - (goal.x - wx * t), py - (goal.y - wy * t)], axis=1
-            )
-        return fn
+    ccc = _is_ccc(path_type)
 
     def fn(u: np.ndarray) -> np.ndarray:
-        alpha, delta, t = u[:, 0], u[:, 1], u[:, 2]
-        gamma = _gamma_ccc(path_type, alpha, delta, theta_f, m)
-        px, py = _ccc_positions(path_type, alpha, delta, theta_f, r)
-        return np.stack(
-            [px - (goal.x - wx * t),
-             py - (goal.y - wy * t),
-             t - r * (alpha + delta + gamma)],
-            axis=1,
-        )
+        alpha, t = u[:, 0], u[:, -1]
+        delta = u[:, 1] if ccc else 0.0
+        gamma = _gamma(path_type, alpha, delta, theta_f, m)
+        closure = t - r * (alpha + delta + gamma)  # the straight length on CSC
+        px, py = _endpoint(path_type, alpha, delta if ccc else closure, theta_f, r)
+        rows = [px - (goal.x - wx * t), py - (goal.y - wy * t)]
+        return np.stack(rows + [closure] if ccc else rows, axis=1)
     return fn
 
 
@@ -292,11 +286,8 @@ def residual(
     u = np.atleast_2d(np.asarray(unknowns, dtype=float))
     scaled, _ = _normalize_problem(current, vehicle)
     r = vehicle.turning_radius
-    theta_f = goal.theta
-    if path_type in (PathType.LSR, PathType.RSL):
-        raw = _gamma_csc(path_type, u[:, 0], theta_f, 0)
-    else:
-        raw = _gamma_ccc(path_type, u[:, 0], u[:, 1], theta_f, 0)
+    delta = u[:, 1] if _is_ccc(path_type) else 0.0
+    raw = _gamma(path_type, u[:, 0], delta, goal.theta, 0)
     m = -np.floor(raw / TWO_PI)  # representative in [0, 2*pi)
     out = np.empty(u.shape)
     for mm in np.unique(m):
@@ -324,31 +315,24 @@ def _roots_to_solutions(
     Roots are in unit-speed time; the solutions carry it in seconds (/v).
     """
     sols = []
-    theta_f = goal.theta
+    ccc = _is_ccc(path_type)
     for row in roots:
-        if path_type in (PathType.LSR, PathType.RSL):
-            alpha, t = row
-            gamma = float(_gamma_csc(path_type, alpha, theta_f, m))
-            beta = t - r * (alpha + gamma)
-            if (-_ARC_SLACK <= alpha < TWO_PI + _ARC_SLACK
-                    and -_ARC_SLACK <= gamma < TWO_PI + _ARC_SLACK
-                    and beta >= -1e-9 and 0.0 < t <= t_bound + 1e-6):
-                sols.append(PathSolution(
-                    path_type, m, max(alpha, 0.0), max(beta, 0.0),
-                    max(gamma, 0.0), TWO_PI, t / v,
-                ))
+        alpha, t = row[0], row[-1]
+        delta = row[1] if ccc else 0.0
+        gamma = float(_gamma(path_type, alpha, delta, goal.theta, m))
+        closure = t - r * (alpha + delta + gamma)
+        if ccc:
+            middle_ok = _ARC_SLACK < delta < TWO_PI + _ARC_SLACK and abs(closure) <= 1e-6
         else:
-            alpha, delta, t = row
-            gamma = float(_gamma_ccc(path_type, alpha, delta, theta_f, m))
-            if (-_ARC_SLACK <= alpha < TWO_PI + _ARC_SLACK
-                    and _ARC_SLACK < delta < TWO_PI + _ARC_SLACK
-                    and -_ARC_SLACK <= gamma < TWO_PI + _ARC_SLACK
-                    and 0.0 < t <= t_bound + 1e-6
-                    and abs(t - r * (alpha + delta + gamma)) <= 1e-6):
-                sols.append(PathSolution(
-                    path_type, m, max(alpha, 0.0), r * delta,
-                    max(gamma, 0.0), TWO_PI, t / v,
-                ))
+            middle_ok = closure >= -1e-9
+        if (middle_ok
+                and -_ARC_SLACK <= alpha < TWO_PI + _ARC_SLACK
+                and -_ARC_SLACK <= gamma < TWO_PI + _ARC_SLACK
+                and 0.0 < t <= t_bound + 1e-6):
+            sols.append(PathSolution(
+                path_type, m, max(alpha, 0.0), r * delta if ccc else max(closure, 0.0),
+                max(gamma, 0.0), TWO_PI, t / v,
+            ))
     return sols
 
 
@@ -367,14 +351,10 @@ def solve_hard_type(
     scaled, v = _normalize_problem(current, vehicle)
     r = vehicle.turning_radius
     t_bound = _time_upper_bound(goal, scaled.speed, r)
-    branches = _closure_offsets(path_type)
-    dims = 2 if path_type in (PathType.LSR, PathType.RSL) else 3
-    if dims == 2:
-        bounds = np.array([[0.0, TWO_PI], [0.0, t_bound]])
-    else:
-        bounds = np.array([[0.0, TWO_PI], [0.0, TWO_PI], [0.0, t_bound]])
+    arcs = 2 if _is_ccc(path_type) else 1
+    bounds = np.array([[0.0, TWO_PI]] * arcs + [[0.0, t_bound]])
     out: list[PathSolution] = []
-    for m in branches:
+    for m in _closure_offsets(path_type):
         fn = _branch_residual(path_type, m, goal, scaled, r)
         roots = multi_start_solve(fn, bounds, cfg)
         out.extend(_roots_to_solutions(path_type, m, roots, goal, r, t_bound, v))
