@@ -69,8 +69,6 @@ def _parse_floats(text: str, name: str, fields: str | None = None) -> tuple[floa
 
 def _parse_current(text: str, degrees: bool) -> CurrentState:
     vw, thetaw = _parse_floats(text, "--current", "vw,thetaw")
-    if vw < 0:
-        raise ValidationError("current speed must be non-negative")
     return CurrentState(vw, math.radians(thetaw) if degrees else thetaw)
 
 
@@ -115,18 +113,11 @@ def _solution_dict(sol: PathSolution) -> dict:
     }
 
 
-def _vehicle_from(args) -> VehicleSpec:
-    try:
-        return VehicleSpec(args.speed, args.radius)
-    except ValueError as exc:
-        raise ValidationError(str(exc))
-
-
 def cmd_plan(args) -> None:
     start = Pose(*_parse_floats(args.start, "--start", "x,y,theta"))
     goal = Pose(*_parse_floats(args.goal, "--goal", "x,y,theta"))
     current = _parse_current(args.current, args.current_deg)
-    vehicle = _vehicle_from(args)
+    vehicle = VehicleSpec(args.speed, args.radius)
     if current.speed >= vehicle.speed:
         raise ValidationError("current speed must be less than vehicle speed")
     inputs = {
@@ -170,7 +161,7 @@ def cmd_grid(args) -> None:
     theta_f = _angle_arg(args, "theta_f")
     _check_step(args.step, "--step")
     current = _parse_current(args.current, args.current_deg)
-    vehicle = _vehicle_from(args)
+    vehicle = VehicleSpec(args.speed, args.radius)
     if current.speed >= vehicle.speed:
         raise ValidationError("current speed must be less than vehicle speed")
     mode = ArcMode.TWO_PI if args.mode == "2pi" else ArcMode.FOUR_PI

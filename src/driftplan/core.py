@@ -82,8 +82,8 @@ class CurrentState:
     heading: float
 
     def __post_init__(self):
-        if self.speed < 0.0:
-            raise ValueError("current speed must be non-negative")
+        if not 0.0 <= self.speed < math.inf:
+            raise ValueError(f"current speed must be finite and non-negative, got {self.speed!r}")
         object.__setattr__(self, "heading", normalize_angle(self.heading))
 
     @property

@@ -382,6 +382,8 @@ def reachability_map(
     if not all(math.isfinite(b) for b in bounds):
         raise ValueError(f"bounds must be finite, got {tuple(bounds)!r}")
     x_min, x_max, y_min, y_max = bounds
+    if x_min > x_max or y_min > y_max:
+        raise ValueError(f"bounds must not be empty, got {tuple(bounds)!r}")
     _check_cells(((x_max - x_min) / step + 1.0) * ((y_max - y_min) / step + 1.0),
                  f"step {step!r} over bounds {tuple(bounds)}")
     xs = np.arange(x_min, x_max + 0.5 * step, step)

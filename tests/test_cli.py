@@ -140,6 +140,16 @@ def test_plan_rejects_non_finite_speed(capsys):
     assert "speed" in err
 
 
+def test_plan_rejects_negative_current(capsys):
+    # refused by CurrentState itself, which names the value
+    code, out, err = _run(capsys, [
+        "plan", "--start", "0,0,0", "--goal", "4,2,1", "--current=-0.3,1.0",
+    ])
+    assert code == 2
+    assert out == ""
+    assert "current speed must be finite and non-negative, got -0.3" in err
+
+
 def test_reachmap_grid(capsys, tmp_path):
     out_csv = tmp_path / "grid.csv"
     code, out, _ = _run(capsys, [

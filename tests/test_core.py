@@ -94,6 +94,12 @@ def test_current_state_components():
         CurrentState(-0.1, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+def test_current_state_rejects_bad_speed(bad):
+    with pytest.raises(ValueError, match=f"^current speed must be finite and non-negative, got {bad!r}$"):
+        CurrentState(bad, 0.0)
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         CurrentSchedule(())

@@ -377,6 +377,20 @@ def test_library_rejects_non_finite_step_or_bounds(call, name):
         call()
 
 
+@pytest.mark.parametrize("bounds", [(1.0, -1.0, -1.0, 1.0), (-1.0, 1.0, 1.0, -1.0)],
+                         ids=["x-reversed", "y-reversed"])
+def test_library_rejects_reversed_bounds(bounds):
+    # an empty grid used to come back without error
+    with pytest.raises(ValueError, match="^bounds must not be empty"):
+        reachability_map(1.0, CurrentState(0.3, 0.0), bounds=bounds, step=1.0)
+
+
+def test_scan_rejects_non_finite_current_speed():
+    # refused where the current is built, not deep inside as a non-finite angle
+    with pytest.raises(ValueError, match="^current speed must be finite"):
+        parametric_scan(1.0, 1.0, v_w_values=(math.nan,))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(k=st.sampled_from((0, 1)), theta_f=st.floats(1e-6, TWO_PI - 1e-6),
        vw=st.floats(0.0, 0.95), psi=st.floats(0.0, TWO_PI), r=st.floats(0.3, 3.0),
