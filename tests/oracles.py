@@ -125,6 +125,72 @@ def bisect_root(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
+def virtual_target_roots(
+    x: float,
+    y: float,
+    theta_f: float,
+    wx: float,
+    wy: float,
+    t_max: float,
+    speed: float = 1.0,
+    r: float = 1.0,
+    n_grid: int = 2000,
+):
+    """Travel times at which an LSR/RSL/LRL/RLR word meets the drifting goal.
+
+    The virtual-target method (McGee & Hedrick 2005; Techy & Woolsey 2009):
+    at a fixed travel time T the goal drifted back by the current,
+    (x - wx*T, y - wy*T, theta_f), is a classical no-current target, and a
+    word aimed at it solves the drift problem exactly when its length is
+    speed*T.  Each word (a CCC word has a short and a long middle arc) is
+    scanned on a grid of T in (0, t_max] for sign changes of
+    length - speed*T, which are bisected.  A bracket whose bisected gap stays
+    large straddles an arc wrapping past 2*pi and is dropped.  Returns
+    (path_type, T, first, middle, last) tuples, sorted by type and T.
+    """
+    def words(t):
+        out = {}
+        for path_type, a, mid, c, length in classical_dubins_candidates(
+                x - wx * t, y - wy * t, theta_f, r):
+            if path_type not in (PathType.LSL, PathType.RSR):
+                long_middle = _SEGMENT_SIGNS[path_type][1] != 0 and mid > math.pi
+                out[(path_type, long_middle)] = (length - speed * t, a, mid, c)
+        return out
+
+    ts = [t_max * (i + 1) / n_grid for i in range(n_grid)]
+    table = [words(t) for t in ts]
+    roots = []
+    for key in {key for row in table for key in row}:
+        def gap(t, key=key):
+            word = words(t).get(key)
+            return math.nan if word is None else word[0]
+
+        for i in range(n_grid - 1):
+            a, b = ts[i], ts[i + 1]
+            lo, hi = table[i].get(key), table[i + 1].get(key)
+            if lo is None and hi is None:
+                continue
+            if lo is None or hi is None:
+                # the word appears or vanishes inside the step: move the
+                # empty end to that edge
+                inside, outside = (b, a) if lo is None else (a, b)
+                for _ in range(60):
+                    middle = 0.5 * (inside + outside)
+                    if key in words(middle):
+                        inside = middle
+                    else:
+                        outside = middle
+                a, b = (inside, b) if lo is None else (a, inside)
+                lo, hi = words(a)[key], words(b)[key]
+            if (lo[0] > 0.0) == (hi[0] > 0.0):
+                continue
+            t = bisect_root(gap, a, b)
+            word = words(t).get(key)
+            if word is not None and abs(word[0]) <= 1e-6 * max(1.0, speed * t):
+                roots.append((key[0], t) + word[1:])
+    return sorted(roots, key=lambda root: (root[0].value, root[1]))
+
+
 def batch_endpoints_rk4(
     solutions: list[PathSolution],
     currents,

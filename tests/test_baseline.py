@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftplan.baseline import (
     HARD_TYPES,
@@ -18,7 +20,7 @@ from driftplan.core import TWO_PI, CurrentSchedule, CurrentState, Pose, VehicleS
 from driftplan.planner import ArcMode, PathType, plan
 from driftplan.trajectory import controls_of, integrate_if
 
-from oracles import classical_dubins_shortest
+from oracles import classical_dubins_candidates, classical_dubins_shortest, virtual_target_roots
 
 ORIGIN = Pose(0.0, 0.0, 0.0)
 UNIT = VehicleSpec(1.0, 1.0)
@@ -104,6 +106,35 @@ def test_hard_type_roots_integrate_to_goal():
     assert checked > 20
 
 
+def test_hard_roots_match_virtual_target_oracle():
+    # At its travel time T every multistart root is the classical word of
+    # its type aimed at the goal drifted back by the current, and the
+    # oracle's own T scan finds it too.
+    vehicle = VehicleSpec(1.5, 0.8)
+    v, r = vehicle.speed, vehicle.turning_radius
+    rng = np.random.default_rng(19)
+    checked = 0
+    for _ in range(30):
+        goal = Pose(rng.uniform(-6, 6) * r, rng.uniform(-6, 6) * r, rng.uniform(0, TWO_PI))
+        cur = CurrentState(rng.uniform(0, 0.8) * v, rng.uniform(0, TWO_PI))
+        t_max = (math.hypot(goal.x, goal.y) + 2 * TWO_PI * r) / (v - cur.speed)
+        scanned = virtual_target_roots(goal.x, goal.y, goal.theta, cur.wx, cur.wy, t_max, v, r)
+        for path_type in HARD_TYPES:
+            for sol in solve_hard_type(path_type, goal, cur, vehicle, FAST_CFG):
+                t = sol.travel_time
+                words = classical_dubins_candidates(
+                    goal.x - cur.wx * t, goal.y - cur.wy * t, goal.theta, r)
+                gap = min((max(abs(a - sol.alpha), abs(r * mid - sol.beta),
+                               abs(c - sol.gamma), abs(length - v * t))
+                           for word, a, mid, c, length in words if word is path_type),
+                          default=math.inf)
+                assert gap <= 1e-7, (path_type, sol, gap)
+                assert any(word is path_type and abs(ts - t) <= 1e-7 * t
+                           for word, ts, *_ in scanned), (path_type, sol)
+                checked += 1
+    assert checked > 50
+
+
 def test_zero_current_matches_classical_dubins():
     rng = np.random.default_rng(11)
     for _ in range(60):
@@ -158,3 +189,30 @@ def test_solve_six_rejects_fast_current():
 def test_solve_six_reports_wall_clock():
     _, elapsed = solve_six(ORIGIN, Pose(2, 2, 1.0), STILL, UNIT, FAST_CFG)
     assert elapsed > 0.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    pair=st.sampled_from(((PathType.LSR, PathType.RSL), (PathType.LRL, PathType.RLR))),
+    x=st.floats(-10.0, 10.0), y=st.floats(-10.0, 10.0), theta_f=st.floats(1e-3, TWO_PI - 1e-3),
+    vw=st.floats(0.0, 0.9), psi=st.floats(0.0, TWO_PI),
+    speed=st.floats(0.5, 3.0), radius=st.floats(0.3, 3.0),
+)
+def test_hard_words_are_mirrored(pair, x, y, theta_f, vw, psi, speed, radius):
+    # Reflecting goal and current across the start heading turns the LSR
+    # (LRL) roots into RSL (RLR) roots with the same arcs, middle and time.
+    # theta_f stays clear of 0, where the mirrored heading wraps.
+    word, mirrored = pair
+    vehicle = VehicleSpec(speed, radius)
+    current = CurrentState(vw * speed, psi)
+    mirrored_current = CurrentState(vw * speed, -psi)
+    sols = solve_hard_type(word, Pose(x * radius, y * radius, theta_f), current,
+                           vehicle, FAST_CFG)
+    mirrored_sols = solve_hard_type(mirrored, Pose(x * radius, -y * radius, -theta_f),
+                                    mirrored_current, vehicle, FAST_CFG)
+    assert len(sols) == len(mirrored_sols)
+
+    def rows(found):
+        return np.array(sorted((s.alpha, s.beta, s.gamma, s.travel_time) for s in found))
+
+    np.testing.assert_allclose(rows(mirrored_sols), rows(sols), rtol=1e-9, atol=1e-9)
