@@ -283,6 +283,8 @@ def residual(
     normalized (unit-speed) units with the goal in the start frame; gamma is
     taken as the representative of the heading closure in [0, 2*pi).
     """
+    if path_type not in HARD_TYPES:
+        raise ValueError(f"{path_type} has a closed-form solution; no residual needed")
     u = np.atleast_2d(np.asarray(unknowns, dtype=float))
     scaled, _ = _normalize_problem(current, vehicle)
     r = vehicle.turning_radius

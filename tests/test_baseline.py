@@ -89,6 +89,13 @@ def test_residual_positive_away_from_roots():
     assert (np.abs(res).max(axis=1) > 1e-9).sum() >= 49
 
 
+@pytest.mark.parametrize("path_type", [PathType.LSL, PathType.RSR])
+def test_residual_refuses_closed_form_words(path_type):
+    # used to return the residual of another word without error
+    with pytest.raises(ValueError, match="closed-form"):
+        residual(path_type, (1.0, 5.0), Pose(3.0, 2.0, 1.0), STILL, UNIT)
+
+
 def test_hard_type_roots_integrate_to_goal():
     rng = np.random.default_rng(7)
     checked = 0
