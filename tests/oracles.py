@@ -145,8 +145,9 @@ def virtual_target_roots(
     speed*T.  Each word (a CCC word has a short and a long middle arc) is
     scanned on a grid of T in (0, t_max] for sign changes of
     length - speed*T, which are bisected.  A bracket whose bisected gap stays
-    large straddles an arc wrapping past 2*pi and is dropped.  Returns
-    (path_type, T, first, middle, last) tuples, sorted by type and T.
+    large straddles an arc wrapping past 2*pi and is dropped.  Classical
+    arcs lie in [0, 2*pi), so a root with a full-turn arc is not found.
+    Returns (path_type, T, first, middle, last) tuples, sorted by type and T.
     """
     def words(t):
         out = {}

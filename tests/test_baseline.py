@@ -211,12 +211,10 @@ def test_hard_words_are_mirrored(pair, x, y, theta_f, vw, psi, speed, radius):
     # theta_f stays clear of 0, where the mirrored heading wraps.
     word, mirrored = pair
     vehicle = VehicleSpec(speed, radius)
-    current = CurrentState(vw * speed, psi)
-    mirrored_current = CurrentState(vw * speed, -psi)
-    sols = solve_hard_type(word, Pose(x * radius, y * radius, theta_f), current,
-                           vehicle, FAST_CFG)
+    sols = solve_hard_type(word, Pose(x * radius, y * radius, theta_f),
+                           CurrentState(vw * speed, psi), vehicle, FAST_CFG)
     mirrored_sols = solve_hard_type(mirrored, Pose(x * radius, -y * radius, -theta_f),
-                                    mirrored_current, vehicle, FAST_CFG)
+                                    CurrentState(vw * speed, -psi), vehicle, FAST_CFG)
     assert len(sols) == len(mirrored_sols)
 
     def rows(found):
