@@ -9,7 +9,8 @@ one heading closure, one endpoint and one residual, with RSL and RLR the
 mirrors of LSR and LRL, and a CCC word differs from a CSC one only in its
 middle segment.  Roots are found by a seeded, batched, damped-Newton
 multistart, which stands in for the generic nonlinear solvers such
-planners traditionally rely on.
+planners traditionally rely on; each word's winding branches run as rows
+of one array.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import TWO_PI, CurrentState, Pose, VehicleSpec, to_start_frame
+from .core import TWO_PI, CurrentState, Pose, VehicleSpec, check_finite, to_start_frame
 from .planner import SEGMENT_SIGNS, ArcMode, PathSolution, PathType, _normalize_problem, plan
 
 HARD_TYPES = (PathType.LSR, PathType.RSL, PathType.LRL, PathType.RLR)
@@ -55,8 +56,8 @@ class LatencyModel:
     analytic_4pi: float = 6.4e-4
 
     def __post_init__(self):
-        if self.dubins_six < 0.0 or self.analytic_4pi < 0.0:
-            raise ValueError("compute delays must be non-negative")
+        for name in ("dubins_six", "analytic_4pi"):
+            check_finite(f"latency {name}", getattr(self, name))
 
     def delay_for(self, planner: str) -> float:
         if planner == "dubins_six":
@@ -136,66 +137,51 @@ def multi_start_solve(
     residual_fn: Callable[[np.ndarray], np.ndarray],
     bounds: np.ndarray,
     cfg: SolverConfig,
-) -> np.ndarray:
-    """Deduplicated roots of a batched residual from low-discrepancy starts.
+    branches: int = 1,
+) -> list[tuple[int, np.ndarray]]:
+    """Deduplicated (branch, root) pairs of a batched residual.
 
     residual_fn maps an (n, d) array of parameter rows to an (n, d) array of
-    residual rows.  All starts iterate in lockstep with damped Newton steps;
-    the returned root set is deterministic for a fixed config.
+    residual rows.  The low-discrepancy starts are tiled once per branch, so
+    row b*n_initial_guesses + i is start i of branch b, and the residual may
+    read each row's branch from its position.  All rows iterate in lockstep
+    with damped Newton steps, and a converged or stalled row stops moving;
+    the returned pairs are deterministic for a fixed config.
     """
     bounds = np.asarray(bounds, dtype=float)
-    x = _low_discrepancy_starts(cfg.n_initial_guesses, bounds, cfg.seed)
+    x = np.tile(_low_discrepancy_starts(cfg.n_initial_guesses, bounds, cfg.seed), (branches, 1))
     f = residual_fn(x)
     fnorm = np.abs(f).max(axis=1)
-    # iterate only rows that are neither converged nor stalled
-    active = fnorm > RESIDUAL_TOLERANCE
+    active = fnorm > RESIDUAL_TOLERANCE  # neither converged nor stalled
     for _ in range(MAX_ITERATIONS):
         if not active.any():
             break
-        xa = x[active]
-        fa = f[active]
-        na = fnorm[active]
-        jac = _batched_jacobian(residual_fn, xa)
-        step = _batched_solve(jac, -fa)
+        step = _batched_solve(_batched_jacobian(residual_fn, x), -f)
         # cap absurd steps so one bad Jacobian cannot fling a start away
-        norms = np.abs(step).max(axis=1)
-        big = norms > 10.0
-        if big.any():
-            step[big] *= (10.0 / norms[big])[:, None]
-        lam = np.ones(len(xa))
-        accepted = np.zeros(len(xa), dtype=bool)
-        new_x = xa.copy()
-        new_f = fa.copy()
-        new_norm = na.copy()
+        step *= (10.0 / np.maximum(np.abs(step).max(axis=1), 10.0))[:, None]
+        todo = active.copy()
+        lam = 1.0
         for _ in range(6):
-            todo = ~accepted
-            trial = xa[todo] + lam[todo, None] * step[todo]
+            trial = x + lam * step
             ft = residual_fn(trial)
             fn = np.abs(ft).max(axis=1)
-            improve = fn < na[todo]
-            idx = np.flatnonzero(todo)[improve]
-            new_x[idx] = trial[improve]
-            new_f[idx] = ft[improve]
-            new_norm[idx] = fn[improve]
-            accepted[idx] = True
-            if accepted.all():
+            improve = todo & (fn < fnorm)
+            x[improve], f[improve], fnorm[improve] = trial[improve], ft[improve], fn[improve]
+            todo &= ~improve
+            if not todo.any():
                 break
-            lam = np.where(accepted, lam, lam * 0.5)
-        x[active] = new_x
-        f[active] = new_f
-        fnorm[active] = new_norm
-        still = accepted & (new_norm > RESIDUAL_TOLERANCE)
-        active[np.flatnonzero(active)] = still  # drop converged and stalled rows
-    converged = x[fnorm <= RESIDUAL_TOLERANCE]
-    if len(converged) == 0:
-        return converged.reshape(0, bounds.shape[0])
-    order = np.lexsort(converged.T[::-1])
-    converged = converged[order]
-    kept: list[np.ndarray] = []
-    for row in converged:
-        if all(np.abs(row - other).max() > 1e-6 for other in kept):
-            kept.append(row)
-    return np.array(kept)
+            lam *= 0.5
+        active &= ~todo & (fnorm > RESIDUAL_TOLERANCE)  # drop converged and stalled rows
+    roots = []
+    n, dims = cfg.n_initial_guesses, bounds.shape[0]
+    for b, (xs, norms) in enumerate(zip(x.reshape(branches, n, dims), fnorm.reshape(branches, n))):
+        converged = xs[norms <= RESIDUAL_TOLERANCE]
+        kept: list[np.ndarray] = []
+        for row in converged[np.lexsort(converged.T[::-1])]:
+            if all(np.abs(row - other).max() > 1e-6 for other in kept):
+                kept.append(row)
+        roots.extend((b, row) for row in kept)
+    return roots
 
 
 def _closure_offsets(path_type: PathType) -> tuple[int, ...]:
@@ -243,13 +229,14 @@ def _endpoint(path_type: PathType, alpha, mid, theta_f: float, r: float):
 
 def _branch_residual(
     path_type: PathType,
-    m: int,
+    m: int | np.ndarray,
     goal: Pose,
     current: CurrentState,
     r: float,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Smooth residual for one winding branch, normalized vehicle speed.
+    """Smooth residual on winding branch m, normalized vehicle speed.
 
+    m is one branch for every row or an array with one branch per row.
     CSC rows are (alpha, T); CCC rows are (alpha, delta, T) and add the
     time closure T = r*(alpha + delta + gamma) as a third residual.  The
     residual vanishes exactly when the path endpoint meets the goal
@@ -291,10 +278,7 @@ def residual(
     delta = u[:, 1] if _is_ccc(path_type) else 0.0
     raw = _gamma(path_type, u[:, 0], delta, goal.theta, 0)
     m = -np.floor(raw / TWO_PI)  # representative in [0, 2*pi)
-    out = np.empty(u.shape)
-    for mm in np.unique(m):
-        sel = m == mm
-        out[sel] = _branch_residual(path_type, int(mm), goal, scaled, r)(u[sel])
+    out = _branch_residual(path_type, m, goal, scaled, r)(u)
     return out[0] if np.ndim(unknowns) == 1 else out
 
 
@@ -305,20 +289,22 @@ def _time_upper_bound(goal: Pose, vw: float, r: float) -> float:
 
 def _roots_to_solutions(
     path_type: PathType,
-    m: int,
-    roots: np.ndarray,
+    roots: list[tuple[int, np.ndarray]],
     goal: Pose,
     r: float,
     t_bound: float,
     v: float,
 ) -> list[PathSolution]:
-    """Filter branch-m roots down to geometrically valid path solutions.
+    """Filter (branch, root) pairs down to geometrically valid path solutions.
 
-    Roots are in unit-speed time; the solutions carry it in seconds (/v).
+    Branch b is the winding offset `_closure_offsets(path_type)[b]`.  Roots
+    are in unit-speed time; the solutions carry it in seconds (/v).
     """
     sols = []
     ccc = _is_ccc(path_type)
-    for row in roots:
+    offsets = _closure_offsets(path_type)
+    for b, row in roots:
+        m = offsets[b]
         alpha, t = row[0], row[-1]
         delta = row[1] if ccc else 0.0
         gamma = float(_gamma(path_type, alpha, delta, goal.theta, m))
@@ -355,12 +341,11 @@ def solve_hard_type(
     t_bound = _time_upper_bound(goal, scaled.speed, r)
     arcs = 2 if _is_ccc(path_type) else 1
     bounds = np.array([[0.0, TWO_PI]] * arcs + [[0.0, t_bound]])
-    out: list[PathSolution] = []
-    for m in _closure_offsets(path_type):
-        fn = _branch_residual(path_type, m, goal, scaled, r)
-        roots = multi_start_solve(fn, bounds, cfg)
-        out.extend(_roots_to_solutions(path_type, m, roots, goal, r, t_bound, v))
-    return out
+    offsets = _closure_offsets(path_type)
+    m = np.repeat(offsets, cfg.n_initial_guesses)  # the row layout of multi_start_solve
+    fn = _branch_residual(path_type, m, goal, scaled, r)
+    roots = multi_start_solve(fn, bounds, cfg, len(offsets))
+    return _roots_to_solutions(path_type, roots, goal, r, t_bound, v)
 
 
 def solve_six(

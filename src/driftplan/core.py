@@ -22,18 +22,12 @@ def normalize_angle(a: float) -> float:
     return r
 
 
-def mod_kappa(a: float, kappa: float) -> float:
-    """Reduce an angle modulo the arc-range cap kappa (2*pi or 4*pi)."""
-    if not (kappa == TWO_PI or kappa == FOUR_PI):
-        raise ValueError(f"kappa must be 2*pi or 4*pi, got {kappa!r}")
-    if not math.isfinite(a):
-        raise ValueError(f"angle must be finite, got {a!r}")
-    r = math.fmod(a, kappa)
-    if r < 0.0:
-        r += kappa
-    if r >= kappa:
-        r = 0.0
-    return r
+def check_finite(name: str, value: float, positive: bool = False) -> None:
+    """Refuse a value that is not finite and non-negative (positive, if
+    asked), with a message that names it."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
 
 
 def angle_difference(a: float, b: float) -> float:
@@ -65,9 +59,7 @@ class VehicleSpec:
 
     def __post_init__(self):
         for name in ("speed", "turning_radius"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"vehicle {name} must be finite and positive, got {value!r}")
+            check_finite(f"vehicle {name}", getattr(self, name), positive=True)
 
     @property
     def max_turn_rate(self) -> float:

@@ -254,7 +254,11 @@ def solve_one(
         if gamma < 0.0 or not interval.contains(gamma):
             continue
         travel = r * arc_sum + beta
-        if interception_residual(path_type, alpha, beta, goal, current, r, travel) > 1e-9 * scale:
+        # The residual's rounding error is relative to its largest terms, and
+        # the drift vw*T grows without bound as vw approaches 1.
+        terms = abs(goal.x) + abs(goal.y) + current.speed * travel + r + beta
+        defect = interception_residual(path_type, alpha, beta, goal, current, r, travel)
+        if defect > 1e-9 * max(1.0, terms):
             continue
         return PathSolution(path_type, k, alpha, beta, gamma, kappa, travel / v)
     return None

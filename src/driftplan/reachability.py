@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, CurrentState, Pose, VehicleSpec, normalize_angle
+from .core import TWO_PI, CurrentState, Pose, VehicleSpec, check_finite, normalize_angle
 from .planner import (
     ArcMode,
     LSL_K_CANDIDATES,
@@ -35,12 +35,6 @@ FULL_REACH_CASES = ("1.1", "1.2", "2.1", "2.2", "3.1", "3.2", "4.1", "4.2")
 
 # Largest grid or scan built; a tiny step would otherwise ask for ~10^10 cells.
 MAX_CELLS = 10**7
-
-
-def _check_step(name: str, step: float) -> None:
-    """Refuse a step that is not finite and positive, naming the argument."""
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {step!r}")
 
 
 def _check_cells(cells: float, request: str) -> None:
@@ -332,8 +326,8 @@ def parametric_scan(
     r: float = 1.0,
 ) -> list[tuple[float, float, float, bool]]:
     """Sweep (theta_f, theta_w, v_w) and record where full coverage holds."""
-    _check_step("theta_f_step", theta_f_step)
-    _check_step("theta_w_step", theta_w_step)
+    check_finite("theta_f_step", theta_f_step, positive=True)
+    check_finite("theta_w_step", theta_w_step, positive=True)
     _check_cells(len(v_w_values) * (TWO_PI / theta_f_step) * (TWO_PI / theta_w_step),
                  f"theta_f_step {theta_f_step!r}, theta_w_step {theta_w_step!r}"
                  f" and {len(v_w_values)} speeds")
@@ -378,7 +372,7 @@ def reachability_map(
         bounds = (-10.0 * r, 10.0 * r, -10.0 * r, 10.0 * r)
     if step is None:
         step = 0.1 * r
-    _check_step("step", step)
+    check_finite("step", step, positive=True)
     if not all(math.isfinite(b) for b in bounds):
         raise ValueError(f"bounds must be finite, got {tuple(bounds)!r}")
     x_min, x_max, y_min, y_max = bounds

@@ -33,6 +33,7 @@ from .core import (
     Pose,
     VehicleSpec,
     angle_difference,
+    check_finite,
     current_at,
     normalize_angle,
 )
@@ -63,10 +64,8 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("sigma_position", "sigma_heading", "sigma_vw_relative", "sigma_thetaw"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.sample_rate <= 0.0:
-            raise ValueError("sample rate must be positive")
+            check_finite(name, getattr(self, name))
+        check_finite("sample_rate", self.sample_rate, positive=True)
 
 
 @dataclass(frozen=True)
@@ -76,6 +75,12 @@ class RandomCurrentProcess:
     initial: CurrentState
     headings: tuple[float, ...] = _DEFAULT_PROCESS_HEADINGS
     periods: tuple[float, ...] = _DEFAULT_PROCESS_PERIODS
+
+    def __post_init__(self):
+        if not self.periods:
+            raise ValueError("periods must not be empty")
+        for period in self.periods:
+            check_finite("periods", period, positive=True)
 
 
 @dataclass(frozen=True)
@@ -103,14 +108,12 @@ class Scenario:
     initial_compute_latency: bool = False
 
     def __post_init__(self):
-        if self.precision_radius <= 0.0:
-            raise ValueError("precision radius must be positive")
+        check_finite("precision_radius", self.precision_radius, positive=True)
+        check_finite("heading_tolerance", self.heading_tolerance)
         if self.planner not in PLANNER_KINDS:
             raise ValueError(f"planner must be one of {PLANNER_KINDS}")
-        if self.t_max <= 0.0:
-            raise ValueError("t_max must be positive")
-        if self.estimation_window < 0.0:
-            raise ValueError("estimation window must be non-negative")
+        check_finite("t_max", self.t_max, positive=True)
+        check_finite("estimation_window", self.estimation_window)
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,10 @@ def test_multi_start_on_synthetic_quadratic():
     def fn(u):
         return np.stack([u[:, 0] ** 2 - 1.0, u[:, 1] - 2.0], axis=1)
 
-    roots = multi_start_solve(fn, np.array([[-3.0, 3.0], [0.0, 4.0]]),
+    pairs = multi_start_solve(fn, np.array([[-3.0, 3.0], [0.0, 4.0]]),
                               SolverConfig(n_initial_guesses=40, seed=1))
-    assert len(roots) == 2
+    assert [b for b, _ in pairs] == [0, 0]
+    roots = [row for _, row in pairs]
     xs = sorted(round(r[0], 6) for r in roots)
     assert xs == [-1.0, 1.0]
     assert all(abs(r[1] - 2.0) < 1e-8 for r in roots)
@@ -62,7 +63,28 @@ def test_multi_start_deterministic():
     cfg = SolverConfig(n_initial_guesses=30, seed=9)
     a = multi_start_solve(fn, bounds, cfg)
     b = multi_start_solve(fn, bounds, cfg)
-    assert np.array_equal(a, b)
+    assert a
+    assert repr([(i, row.tolist()) for i, row in a]) == repr([(i, row.tolist()) for i, row in b])
+
+
+def test_multi_start_lockstep_matches_one_call_per_branch():
+    # Rows carry their branch's parameter p by position; p = -1 has no root.
+    # Each branch must keep exactly the roots that a run on p alone keeps.
+    def residual_for(p):
+        return lambda u: np.stack([u[:, 0] ** 2 - p, u[:, 1] ** 3 + u[:, 1] - p], axis=1)
+
+    params = (-1.0, 0.25, 2.0, 9.0)
+    bounds = np.array([[-4.0, 4.0], [-1.0, 3.0]])
+    cfg = SolverConfig(n_initial_guesses=30, seed=3)
+    p = np.repeat(params, cfg.n_initial_guesses)
+    lockstep = multi_start_solve(residual_for(p), bounds, cfg, len(params))
+    assert [b for b, _ in lockstep] == sorted(b for b, _ in lockstep)
+    for b, param in enumerate(params):
+        alone = multi_start_solve(residual_for(param), bounds, cfg)
+        assert {i for i, _ in alone} <= {0}
+        assert repr([row.tolist() for _, row in alone]) == \
+            repr([row.tolist() for i, row in lockstep if i == b])
+    assert {b for b, _ in lockstep} == {1, 2, 3}
 
 
 def test_residual_zero_at_classical_lsr_root():

@@ -294,6 +294,27 @@ def test_simulate_scenario_file(capsys, tmp_path):
     assert traj.exists()
 
 
+@pytest.mark.parametrize("field, patch", [
+    ("precision_radius", {"precision_radius": math.nan}),
+    ("t_max", {"t_max": math.nan}),
+    ("sample_rate", {"noise": {"sample_rate": math.nan}}),
+    ("latency dubins_six", {"latency": {"dubins_six": math.nan}}),
+])
+def test_simulate_rejects_non_finite_scenario_field(capsys, tmp_path, field, patch):
+    doc = {
+        "start": {"x": 0, "y": 0, "theta": 0},
+        "goal": {"x": 5, "y": 8.5, "theta": 2.0},
+        "vehicle": {"speed": 1.0, "turning_radius": 1.0},
+        "current_schedule": [{"t_start": 0, "speed": 0.5, "heading": 3.0}],
+        **patch,
+    }
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(doc))  # writes the bare NaN token json accepts
+    code, _, err = _run(capsys, ["simulate", "--scenario", str(scen)])
+    assert code == 2
+    assert f"{field} must be finite" in err
+
+
 def test_simulate_missing_file_exits_2(capsys, tmp_path):
     code, _, _ = _run(capsys, [
         "simulate", "--scenario", str(tmp_path / "nope.json"),

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from driftplan.core import (
-    FOUR_PI,
     TWO_PI,
     CurrentSchedule,
     CurrentState,
@@ -14,7 +13,6 @@ from driftplan.core import (
     VehicleSpec,
     current_at,
     from_start_frame,
-    mod_kappa,
     normalize_angle,
     to_start_frame,
 )
@@ -42,26 +40,6 @@ def test_normalize_angle_tiny_negative_stays_in_range():
 def test_normalize_angle_rejects_non_finite(bad):
     with pytest.raises(ValueError):
         normalize_angle(bad)
-
-
-def test_mod_kappa_examples():
-    assert mod_kappa(-math.pi / 4, FOUR_PI) == pytest.approx(15 * math.pi / 4)
-    assert mod_kappa(9 * math.pi / 2, FOUR_PI) == pytest.approx(math.pi / 2)
-    assert mod_kappa(TWO_PI, TWO_PI) == 0.0
-
-
-def test_mod_kappa_rejects_other_moduli():
-    with pytest.raises(ValueError):
-        mod_kappa(1.0, math.pi)
-
-
-def test_mod_kappa_idempotent():
-    rng = np.random.default_rng(1)
-    for a in rng.uniform(-40, 40, size=200):
-        for kappa in (TWO_PI, FOUR_PI):
-            m = mod_kappa(float(a), kappa)
-            assert 0.0 <= m < kappa
-            assert mod_kappa(m, kappa) == m
 
 
 def test_pose_normalizes_theta():

@@ -344,3 +344,17 @@ def test_rsr_is_lsl_mirrored(row, x, y, theta_f, vw, psi, speed, radius):
         tol = 1e-9 * max(1.0, abs(x), abs(y))
         for field in ("alpha", "beta", "gamma", "travel_time"):
             assert getattr(rsr, field) == pytest.approx(getattr(lsl, field), rel=1e-9, abs=tol)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x=st.floats(-10.0, 10.0), y=st.floats(-10.0, 10.0), theta_f=st.floats(0.0, TWO_PI),
+       psi=st.floats(0.0, TWO_PI))
+def test_four_pi_complete_at_near_unit_current(x, y, theta_f, psi):
+    # At vw/v = 1 - 1e-7 a plan travels up to |goal|/(1 - vw) ~ 1e8 r, so its
+    # residual's rounding scales with the drift vw*T, not with the goal.
+    goal, current = Pose(x, y, theta_f), CurrentState(1.0 - 1e-7, psi)
+    sol = plan(ORIGIN, goal, current, UNIT, ArcMode.FOUR_PI)
+    assert sol is not None
+    position, heading = endpoint_residual(sol, goal, current, UNIT)
+    assert position <= 1e-9 * (1.0 + abs(x) + abs(y) + 2.0 * sol.travel_time)
+    assert heading <= 1e-9

@@ -287,6 +287,45 @@ def test_scenario_validation():
                  current_process=FIG_SCHEDULE, planner="other")
 
 
+@pytest.mark.parametrize("field, value, sign", [
+    ("precision_radius", math.nan, "positive"),
+    ("precision_radius", math.inf, "positive"),
+    ("heading_tolerance", math.nan, "non-negative"),
+    ("heading_tolerance", -0.1, "non-negative"),
+    ("t_max", math.nan, "positive"),
+    ("t_max", math.inf, "positive"),
+    ("estimation_window", math.nan, "non-negative"),
+])
+def test_scenario_refuses_non_finite_fields(field, value, sign):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and {sign}, got {value!r}$"):
+        Scenario(start=Pose(0, 0, 0), goal=Pose(1, 1, 0), vehicle=UNIT,
+                 current_process=FIG_SCHEDULE, **{field: value})
+
+
+@pytest.mark.parametrize("field", [
+    "sigma_position", "sigma_heading", "sigma_vw_relative", "sigma_thetaw", "sample_rate",
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_noise_model_refuses_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        NoiseModel(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["dubins_six", "analytic_4pi"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_latency_model_refuses_bad_delays(field, value):
+    with pytest.raises(ValueError, match=f"^latency {field} must be finite and non-negative"):
+        LatencyModel(**{field: value})
+
+
+@pytest.mark.parametrize("periods", [(), (0.0,), (30.0, math.nan), (math.inf,), (-5.0,)])
+def test_random_process_refuses_bad_periods(periods):
+    # a zero, negative or NaN period would keep realize_schedule from ever
+    # reaching its horizon
+    with pytest.raises(ValueError, match="^periods must"):
+        RandomCurrentProcess(CurrentState(0.5, 0.0), periods=periods)
+
+
 def test_scenario_from_dict_with_degrees(tmp_path):
     doc = {
         "start": {"x": 0, "y": 0, "theta": 0},
