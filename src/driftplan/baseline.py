@@ -9,12 +9,14 @@ one heading closure, one endpoint and one residual, with RSL and RLR the
 mirrors of LSR and LRL, and a CCC word differs from a CSC one only in its
 middle segment.  Roots are found by a seeded, batched, damped-Newton
 multistart, which stands in for the generic nonlinear solvers such
-planners traditionally rely on; each word's winding branches run as rows
-of one array.
+planners traditionally rely on.  A word and its mirror run as rows of one
+array, one block of rows per (word, winding branch), and Newton uses the
+residual's closed-form Jacobian.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -26,6 +28,8 @@ from .core import TWO_PI, CurrentState, Pose, VehicleSpec, check_finite, to_star
 from .planner import SEGMENT_SIGNS, ArcMode, PathSolution, PathType, _normalize_problem, plan
 
 HARD_TYPES = (PathType.LSR, PathType.RSL, PathType.LRL, PathType.RLR)
+# Mirror pairs of one arity; each pair is solved as one array.
+_MIRROR_PAIRS = ((PathType.LSR, PathType.RSL), (PathType.LRL, PathType.RLR))
 
 # Accept roots whose arc angles poke marginally outside [0, 2*pi).
 _ARC_SLACK = 1e-9
@@ -77,21 +81,31 @@ def _van_der_corput(n: int, base: int) -> float:
     return q
 
 
+@functools.lru_cache(maxsize=8)
+def _halton_table(n: int, dims: int) -> np.ndarray:
+    """The first n Halton points in [0, 1)^dims, built once per (n, dims)."""
+    table = np.array([[_van_der_corput(i + 1, p) for p in (2, 3, 5, 7)[:dims]]
+                      for i in range(n)])
+    table.setflags(write=False)
+    return table
+
+
 def _low_discrepancy_starts(
     n: int, bounds: np.ndarray, seed: int
 ) -> np.ndarray:
     """Halton points with a seeded toroidal shift, scaled into bounds."""
     dims = bounds.shape[0]
-    primes = (2, 3, 5, 7)[:dims]
     rng = np.random.default_rng(np.random.SeedSequence((seed, dims, n)))
-    shift = rng.random(dims)
-    pts = np.empty((n, dims))
-    for d, p in enumerate(primes):
-        col = np.array([_van_der_corput(i + 1, p) for i in range(n)])
-        pts[:, d] = (col + shift[d]) % 1.0
+    pts = (_halton_table(n, dims) + rng.random(dims)) % 1.0
     lo = bounds[:, 0]
     hi = bounds[:, 1]
     return lo + pts * (hi - lo)
+
+
+def _max_abs(rows: np.ndarray) -> np.ndarray:
+    """Max-norm of each row, as an elementwise maximum over the columns
+    (ndarray.max over a short last axis costs about ten times more)."""
+    return functools.reduce(np.maximum, np.abs(rows).T)
 
 
 def _batched_jacobian(residual_fn, x: np.ndarray) -> np.ndarray:
@@ -108,28 +122,29 @@ def _batched_jacobian(residual_fn, x: np.ndarray) -> np.ndarray:
 
 
 def _batched_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve J dx = rhs per row with explicit 2x2/3x3 inverses.
+    """Solve J dx = rhs per row as adj(J) rhs / det(J), with the adjugate of
+    each 2x2 or 3x3 matrix written out.
 
     Rows with a near-singular Jacobian get a zero step and simply fail the
     convergence test later.
     """
-    d = jac.shape[1]
-    if d == 2:
-        a, b = jac[:, 0, 0], jac[:, 0, 1]
-        c, e = jac[:, 1, 0], jac[:, 1, 1]
+    if jac.shape[1] == 2:
+        (a, b), (c, e) = jac.transpose(1, 2, 0)
         det = a * e - b * c
-        ok = np.abs(det) > 1e-14
-        det = np.where(ok, det, 1.0)
-        dx = np.empty_like(rhs)
-        dx[:, 0] = (e * rhs[:, 0] - b * rhs[:, 1]) / det
-        dx[:, 1] = (-c * rhs[:, 0] + a * rhs[:, 1]) / det
-        dx[~ok] = 0.0
-        return dx
-    det = np.linalg.det(jac)
+        adj = ((e, -b), (-c, a))
+    else:
+        (a, b, c), (d, e, f), (g, h, i) = jac.transpose(1, 2, 0)
+        cof = (e * i - f * h, f * g - d * i, d * h - e * g)
+        det = a * cof[0] + b * cof[1] + c * cof[2]
+        adj = ((cof[0], c * h - b * i, b * f - c * e),
+               (cof[1], a * i - c * g, c * d - a * f),
+               (cof[2], b * g - a * h, a * e - b * d))
     ok = np.abs(det) > 1e-14
-    dx = np.zeros_like(rhs)
-    if ok.any():
-        dx[ok] = np.linalg.solve(jac[ok], rhs[ok][..., None])[..., 0]
+    det = np.where(ok, det, 1.0)
+    dx = np.empty_like(rhs)
+    for k, row in enumerate(adj):
+        dx[:, k] = sum(coef * rhs[:, j] for j, coef in enumerate(row)) / det
+    dx[~ok] = 0.0
     return dx
 
 
@@ -138,12 +153,15 @@ def multi_start_solve(
     bounds: np.ndarray,
     cfg: SolverConfig,
     branches: int = 1,
+    jacobian_fn: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[tuple[int, np.ndarray]]:
     """Deduplicated (branch, root) pairs of a batched residual.
 
     residual_fn maps an (n, d) array of parameter rows to an (n, d) array of
-    residual rows.  The low-discrepancy starts are tiled once per branch, so
-    row b*n_initial_guesses + i is start i of branch b, and the residual may
+    residual rows, and jacobian_fn, if given, maps it to the (n, d, d)
+    Jacobians; without it central differences are used.  The
+    low-discrepancy starts are tiled once per branch, so row
+    b*n_initial_guesses + i is start i of branch b, and the residual may
     read each row's branch from its position.  All rows iterate in lockstep
     with damped Newton steps, and a converged or stalled row stops moving;
     the returned pairs are deterministic for a fixed config.
@@ -151,20 +169,21 @@ def multi_start_solve(
     bounds = np.asarray(bounds, dtype=float)
     x = np.tile(_low_discrepancy_starts(cfg.n_initial_guesses, bounds, cfg.seed), (branches, 1))
     f = residual_fn(x)
-    fnorm = np.abs(f).max(axis=1)
+    fnorm = _max_abs(f)
     active = fnorm > RESIDUAL_TOLERANCE  # neither converged nor stalled
     for _ in range(MAX_ITERATIONS):
         if not active.any():
             break
-        step = _batched_solve(_batched_jacobian(residual_fn, x), -f)
+        jac = jacobian_fn(x) if jacobian_fn else _batched_jacobian(residual_fn, x)
+        step = _batched_solve(jac, -f)
         # cap absurd steps so one bad Jacobian cannot fling a start away
-        step *= (10.0 / np.maximum(np.abs(step).max(axis=1), 10.0))[:, None]
+        step *= (10.0 / np.maximum(_max_abs(step), 10.0))[:, None]
         todo = active.copy()
         lam = 1.0
         for _ in range(6):
             trial = x + lam * step
             ft = residual_fn(trial)
-            fn = np.abs(ft).max(axis=1)
+            fn = _max_abs(ft)
             improve = todo & (fn < fnorm)
             x[improve], f[improve], fnorm[improve] = trial[improve], ft[improve], fn[improve]
             todo &= ~improve
@@ -175,13 +194,21 @@ def multi_start_solve(
     roots = []
     n, dims = cfg.n_initial_guesses, bounds.shape[0]
     for b, (xs, norms) in enumerate(zip(x.reshape(branches, n, dims), fnorm.reshape(branches, n))):
-        converged = xs[norms <= RESIDUAL_TOLERANCE]
-        kept: list[np.ndarray] = []
-        for row in converged[np.lexsort(converged.T[::-1])]:
-            if all(np.abs(row - other).max() > 1e-6 for other in kept):
-                kept.append(row)
-        roots.extend((b, row) for row in kept)
+        roots.extend((b, row) for row in _distinct_rows(xs[norms <= RESIDUAL_TOLERANCE]))
     return roots
+
+
+def _distinct_rows(rows: np.ndarray) -> list[np.ndarray]:
+    """Greedy dedup in lexicographic order: each row is kept unless it lies
+    within 1e-6 (max-norm) of a row kept before it."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    kept = []
+    free = np.ones(len(rows), dtype=bool)  # farther than 1e-6 from every kept row
+    while free.any():
+        row = rows[free.argmax()]
+        kept.append(row)
+        free &= _max_abs(rows - row) > 1e-6
+    return kept
 
 
 def _closure_offsets(path_type: PathType) -> tuple[int, ...]:
@@ -203,22 +230,23 @@ def _is_ccc(path_type: PathType) -> bool:
     return SEGMENT_SIGNS[path_type][1] != 0
 
 
-def _gamma(path_type: PathType, alpha, delta, theta_f: float, m):
-    # heading closure s1*alpha + s2*delta + s3*gamma = theta_f (delta = 0 on CSC)
-    _, s2, s3 = SEGMENT_SIGNS[path_type]
-    turn = delta - alpha if s2 else alpha
-    return turn + s3 * theta_f + TWO_PI * m
+def _gamma(ccc: bool, s, alpha, delta, theta_f: float, m):
+    # heading closure s*alpha + s2*delta + s3*gamma = theta_f, where a mirror
+    # flips all three signs: s2 = -s, s3 = s on CCC; s2 = 0, s3 = -s and
+    # delta = 0 on CSC
+    turn = delta - alpha if ccc else alpha
+    return turn + (s if ccc else -s) * theta_f + TWO_PI * m
 
 
-def _endpoint(path_type: PathType, alpha, mid, theta_f: float, r: float):
+def _endpoint(ccc: bool, s, alpha, mid, theta_f: float, r: float):
     """Unit-speed path endpoint from the origin in the first-turn sign s.
 
     mid is the straight length of a CSC word or the middle arc angle of a
-    CCC word; RSL and RLR are LSR and LRL mirrored across the start heading.
+    CCC word; s = -1 mirrors the path across the start heading.
     """
-    s, s2, s3 = SEGMENT_SIGNS[path_type]
+    s3 = s if ccc else -s
     sa, ca = np.sin(alpha), np.cos(alpha)
-    if s2:
+    if ccc:
         chord = alpha - mid
         mx, my = -2 * r * np.sin(chord), 2 * r * np.cos(chord)
     else:
@@ -228,33 +256,71 @@ def _endpoint(path_type: PathType, alpha, mid, theta_f: float, r: float):
 
 
 def _branch_residual(
-    path_type: PathType,
+    ccc: bool,
+    s: int | np.ndarray,
     m: int | np.ndarray,
     goal: Pose,
     current: CurrentState,
     r: float,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Smooth residual on winding branch m, normalized vehicle speed.
+    """Smooth residual of first-turn sign s on winding branch m, normalized
+    vehicle speed.
 
-    m is one branch for every row or an array with one branch per row.
-    CSC rows are (alpha, T); CCC rows are (alpha, delta, T) and add the
-    time closure T = r*(alpha + delta + gamma) as a third residual.  The
-    residual vanishes exactly when the path endpoint meets the goal
+    s and m are each one value for every row or an array with one value
+    per row.  CSC rows are (alpha, T); CCC rows are (alpha, delta, T) and
+    add the time closure T = r*(alpha + delta + gamma) as a third residual.
+    The residual vanishes exactly when the path endpoint meets the goal
     displaced by the current drift over T.
     """
     wx, wy = current.wx, current.wy
     theta_f = goal.theta
-    ccc = _is_ccc(path_type)
 
     def fn(u: np.ndarray) -> np.ndarray:
         alpha, t = u[:, 0], u[:, -1]
         delta = u[:, 1] if ccc else 0.0
-        gamma = _gamma(path_type, alpha, delta, theta_f, m)
+        gamma = _gamma(ccc, s, alpha, delta, theta_f, m)
         closure = t - r * (alpha + delta + gamma)  # the straight length on CSC
-        px, py = _endpoint(path_type, alpha, delta if ccc else closure, theta_f, r)
+        px, py = _endpoint(ccc, s, alpha, delta if ccc else closure, theta_f, r)
         rows = [px - (goal.x - wx * t), py - (goal.y - wy * t)]
         return np.stack(rows + [closure] if ccc else rows, axis=1)
     return fn
+
+
+def _branch_jacobian(
+    ccc: bool,
+    s: int | np.ndarray,
+    m: int | np.ndarray,
+    goal: Pose,
+    current: CurrentState,
+    r: float,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Closed-form Jacobian of `_branch_residual` with the same arguments.
+
+    The residual is a trig polynomial in the unknowns; with c the straight
+    length, a CSC row's matrix is [[-c sin a, cos a + wx],
+    [s c cos a, s sin a + wy]].
+    """
+    wx, wy = current.wx, current.wy
+    theta_f = goal.theta
+
+    def jac(u: np.ndarray) -> np.ndarray:
+        alpha, t = u[:, 0], u[:, -1]
+        sa, ca = np.sin(alpha), np.cos(alpha)
+        if not ccc:
+            c = t - r * (alpha + _gamma(ccc, s, alpha, 0.0, theta_f, m))
+            out = np.empty((len(u), 2, 2))
+            out[:, 0, 0], out[:, 0, 1] = -c * sa, ca + wx
+            out[:, 1, 0], out[:, 1, 1] = s * c * ca, s * sa + wy
+            return out
+        chord = alpha - u[:, 1]
+        sc, cc = np.sin(chord), np.cos(chord)
+        two_rs = 2 * r * s
+        out = np.zeros((len(u), 3, 3))
+        out[:, 0, 0], out[:, 0, 1], out[:, 0, 2] = 2 * r * (ca - cc), 2 * r * cc, wx
+        out[:, 1, 0], out[:, 1, 1], out[:, 1, 2] = two_rs * (sa - sc), two_rs * sc, wy
+        out[:, 2, 1], out[:, 2, 2] = -2 * r, 1.0  # the time closure
+        return out
+    return jac
 
 
 def residual(
@@ -275,10 +341,11 @@ def residual(
     u = np.atleast_2d(np.asarray(unknowns, dtype=float))
     scaled, _ = _normalize_problem(current, vehicle)
     r = vehicle.turning_radius
-    delta = u[:, 1] if _is_ccc(path_type) else 0.0
-    raw = _gamma(path_type, u[:, 0], delta, goal.theta, 0)
+    ccc = _is_ccc(path_type)
+    s = SEGMENT_SIGNS[path_type][0]
+    raw = _gamma(ccc, s, u[:, 0], u[:, 1] if ccc else 0.0, goal.theta, 0)
     m = -np.floor(raw / TWO_PI)  # representative in [0, 2*pi)
-    out = _branch_residual(path_type, m, goal, scaled, r)(u)
+    out = _branch_residual(ccc, s, m, goal, scaled, r)(u)
     return out[0] if np.ndim(unknowns) == 1 else out
 
 
@@ -288,7 +355,7 @@ def _time_upper_bound(goal: Pose, vw: float, r: float) -> float:
 
 
 def _roots_to_solutions(
-    path_type: PathType,
+    branches: list[tuple[PathType, int]],
     roots: list[tuple[int, np.ndarray]],
     goal: Pose,
     r: float,
@@ -297,17 +364,16 @@ def _roots_to_solutions(
 ) -> list[PathSolution]:
     """Filter (branch, root) pairs down to geometrically valid path solutions.
 
-    Branch b is the winding offset `_closure_offsets(path_type)[b]`.  Roots
-    are in unit-speed time; the solutions carry it in seconds (/v).
+    Branch b is the word and winding offset `branches[b]`.  Roots are in
+    unit-speed time; the solutions carry it in seconds (/v).
     """
     sols = []
-    ccc = _is_ccc(path_type)
-    offsets = _closure_offsets(path_type)
     for b, row in roots:
-        m = offsets[b]
+        path_type, m = branches[b]
+        ccc = _is_ccc(path_type)
         alpha, t = row[0], row[-1]
         delta = row[1] if ccc else 0.0
-        gamma = float(_gamma(path_type, alpha, delta, goal.theta, m))
+        gamma = float(_gamma(ccc, SEGMENT_SIGNS[path_type][0], alpha, delta, goal.theta, m))
         closure = t - r * (alpha + delta + gamma)
         if ccc:
             middle_ok = _ARC_SLACK < delta < TWO_PI + _ARC_SLACK and abs(closure) <= 1e-6
@@ -324,6 +390,36 @@ def _roots_to_solutions(
     return sols
 
 
+def _solve_words(
+    words: tuple[PathType, ...],
+    goal: Pose,
+    current: CurrentState,
+    vehicle: VehicleSpec,
+    cfg: SolverConfig,
+) -> list[PathSolution]:
+    """All multistart roots of transcendental words of one arity, solved as
+    one array.
+
+    The rows are one block of n_initial_guesses per (word, winding branch),
+    and each row reads its first-turn sign and winding from its position;
+    all blocks start from the same Halton points.  Solutions come word by
+    word, in the order given.
+    """
+    scaled, v = _normalize_problem(current, vehicle)
+    r = vehicle.turning_radius
+    t_bound = _time_upper_bound(goal, scaled.speed, r)
+    ccc = _is_ccc(words[0])
+    bounds = np.array([[0.0, TWO_PI]] * (2 if ccc else 1) + [[0.0, t_bound]])
+    branches = [(word, m) for word in words for m in _closure_offsets(word)]
+    n = cfg.n_initial_guesses
+    s = np.repeat([float(SEGMENT_SIGNS[word][0]) for word, _ in branches], n)
+    m = np.repeat([m for _, m in branches], n)
+    fn = _branch_residual(ccc, s, m, goal, scaled, r)
+    jac = _branch_jacobian(ccc, s, m, goal, scaled, r)
+    roots = multi_start_solve(fn, bounds, cfg, len(branches), jac)
+    return _roots_to_solutions(branches, roots, goal, r, t_bound, v)
+
+
 def solve_hard_type(
     path_type: PathType,
     goal: Pose,
@@ -336,16 +432,7 @@ def solve_hard_type(
     Goal in the start frame.  Travel times are rescaled to real seconds;
     for LRL/RLR the middle-arc length r*delta is stored in beta.
     """
-    scaled, v = _normalize_problem(current, vehicle)
-    r = vehicle.turning_radius
-    t_bound = _time_upper_bound(goal, scaled.speed, r)
-    arcs = 2 if _is_ccc(path_type) else 1
-    bounds = np.array([[0.0, TWO_PI]] * arcs + [[0.0, t_bound]])
-    offsets = _closure_offsets(path_type)
-    m = np.repeat(offsets, cfg.n_initial_guesses)  # the row layout of multi_start_solve
-    fn = _branch_residual(path_type, m, goal, scaled, r)
-    roots = multi_start_solve(fn, bounds, cfg, len(offsets))
-    return _roots_to_solutions(path_type, roots, goal, r, t_bound, v)
+    return _solve_words((path_type,), goal, current, vehicle, cfg)
 
 
 def solve_six(
@@ -358,16 +445,16 @@ def solve_six(
     """Minimum-time path over all six types plus the wall-clock solve time.
 
     LSL/RSR use the closed forms with classical 2*pi arcs; the other four
-    are solved numerically.  Returns None when nothing converges (possible
-    only if the closed forms are infeasible and every multistart fails).
-    Raises ValueError, from `plan`, unless the current is slower than the
-    vehicle.
+    are solved numerically, each mirror pair as one array.  Returns None
+    when nothing converges (possible only if the closed forms are
+    infeasible and every multistart fails).  Raises ValueError, from
+    `plan`, unless the current is slower than the vehicle.
     """
     t0 = time.perf_counter()
     best = plan(start, goal, current, vehicle, ArcMode.TWO_PI)
     local_goal, local_current = to_start_frame(start, goal, current)
-    for path_type in HARD_TYPES:
-        for sol in solve_hard_type(path_type, local_goal, local_current, vehicle, cfg):
+    for words in _MIRROR_PAIRS:
+        for sol in _solve_words(words, local_goal, local_current, vehicle, cfg):
             if best is None or sol.travel_time < best.travel_time - 1e-12:
                 best = sol
     elapsed = time.perf_counter() - t0

@@ -77,8 +77,12 @@ class RandomCurrentProcess:
     periods: tuple[float, ...] = _DEFAULT_PROCESS_PERIODS
 
     def __post_init__(self):
-        if not self.periods:
-            raise ValueError("periods must not be empty")
+        for name in ("headings", "periods"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+        for heading in self.headings:  # any finite angle; it is normalized when drawn
+            if not math.isfinite(heading):
+                raise ValueError(f"headings must be finite, got {heading!r}")
         for period in self.periods:
             check_finite("periods", period, positive=True)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftplan import baseline
 from driftplan.baseline import (
     HARD_TYPES,
     LatencyModel,
@@ -17,7 +18,8 @@ from driftplan.baseline import (
     solve_six,
 )
 from driftplan.core import TWO_PI, CurrentSchedule, CurrentState, Pose, VehicleSpec
-from driftplan.planner import ArcMode, PathType, plan
+from driftplan.experiments import AERIAL, NAVAL
+from driftplan.planner import SEGMENT_SIGNS, ArcMode, PathType, plan
 from driftplan.trajectory import controls_of, integrate_if
 
 from oracles import classical_dubins_candidates, classical_dubins_shortest, virtual_target_roots
@@ -85,6 +87,95 @@ def test_multi_start_lockstep_matches_one_call_per_branch():
         assert repr([row.tolist() for _, row in alone]) == \
             repr([row.tolist() for i, row in lockstep if i == b])
     assert {b for b, _ in lockstep} == {1, 2, 3}
+
+
+def test_distinct_rows_matches_greedy_loop():
+    # clusters a few 1e-6 wide, so which row of a cluster survives depends
+    # on the greedy order; the reference is the row-by-row loop
+    rng = np.random.default_rng(31)
+    for dims in (2, 3):
+        centers = rng.uniform(-5, 5, size=(6, dims))
+        rows = centers[rng.integers(6, size=80)] + rng.uniform(-1.5e-6, 1.5e-6, size=(80, dims))
+        kept = []
+        for row in rows[np.lexsort(rows.T[::-1])]:
+            if all(np.abs(row - other).max() > 1e-6 for other in kept):
+                kept.append(row)
+        assert len(kept) > 6
+        assert repr(baseline._distinct_rows(rows)) == repr(kept)
+    assert baseline._distinct_rows(np.empty((0, 2))) == []
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_batched_solve_matches_lapack_and_zeroes_singular_rows(dims):
+    rng = np.random.default_rng(dims)
+    jac = rng.normal(size=(200, dims, dims))
+    jac[::7, -1] = jac[::7, 0]  # singular: two equal rows
+    rhs = rng.normal(size=(200, dims))
+    dx = baseline._batched_solve(jac, rhs)
+    singular = np.zeros(200, dtype=bool)
+    singular[::7] = True
+    assert (dx[singular] == 0.0).all()
+    expected = np.linalg.solve(jac[~singular], rhs[~singular][..., None])[..., 0]
+    cond = np.linalg.cond(jac[~singular])
+    assert (np.abs(dx[~singular] - expected).max(axis=1)
+            <= 1e-13 * cond * np.abs(expected).max(axis=1)).all()
+
+
+@pytest.mark.parametrize("words", baseline._MIRROR_PAIRS, ids=lambda w: "+".join(x.name for x in w))
+def test_analytic_jacobian_matches_finite_differences(words):
+    # Rows mix both words of the pair and all their winding branches; each
+    # row's closed-form matrix must match central differences of the same
+    # residual to about 1e-6 of that matrix row's scale.
+    ccc = baseline._is_ccc(words[0])
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        goal = Pose(rng.uniform(-8, 8), rng.uniform(-8, 8), rng.uniform(0, TWO_PI))
+        cur = CurrentState(rng.uniform(0, 0.9), rng.uniform(0, TWO_PI))
+        r = rng.uniform(0.3, 3.0)
+        picks = rng.integers(len(words), size=60)
+        assert set(picks) == {0, 1}
+        s = np.array([SEGMENT_SIGNS[words[i]][0] for i in picks], dtype=float)
+        m = np.array([rng.choice(baseline._closure_offsets(words[i])) for i in picks])
+        u = rng.uniform(0.0, TWO_PI, size=(60, 3 if ccc else 2))
+        u[:, -1] = rng.uniform(0.0, 40.0, size=60)
+        jac = baseline._branch_jacobian(ccc, s, m, goal, cur, r)(u)
+        fd = baseline._batched_jacobian(baseline._branch_residual(ccc, s, m, goal, cur, r), u)
+        scale = np.maximum(np.abs(jac).max(axis=2, keepdims=True), 1.0)
+        assert np.abs(jac - fd).max() > 0.0  # not the same computation
+        assert (np.abs(jac - fd) <= 1e-6 * scale).all(), np.abs(jac - fd).max()
+
+
+@pytest.mark.parametrize("vehicle", [NAVAL.vehicle, AERIAL.vehicle, UNIT],
+                         ids=["naval", "aerial", "unit"])
+def test_solve_six_pairs_match_per_word_solves(monkeypatch, vehicle):
+    # solve_six solves each mirror pair as one array; every pair's solutions
+    # must be repr-identical to the two words solved one at a time.
+    paired = []
+    solve_words = baseline._solve_words
+
+    def spy(words, *args):
+        out = solve_words(words, *args)
+        paired.append((words, args, out))
+        return out
+
+    monkeypatch.setattr(baseline, "_solve_words", spy)
+    v, r = vehicle.speed, vehicle.turning_radius
+    rng = np.random.default_rng(23)
+    found = 0
+    for _ in range(6):
+        start = Pose(rng.uniform(-5, 5) * r, rng.uniform(-5, 5) * r, rng.uniform(0, TWO_PI))
+        goal = Pose(start.x + rng.uniform(-10, 10) * r, start.y + rng.uniform(-10, 10) * r,
+                    rng.uniform(0, TWO_PI))
+        cur = CurrentState(rng.uniform(0, 0.9) * v, rng.uniform(0, TWO_PI))
+        cfg = SolverConfig(n_initial_guesses=40, seed=int(rng.integers(2**16)))
+        paired.clear()
+        solve_six(start, goal, cur, vehicle, cfg)
+        assert [words for words, _, _ in paired] == list(baseline._MIRROR_PAIRS)
+        for words, args, out in list(paired):
+            alone = [sol for word in words for sol in solve_hard_type(word, *args)]
+            assert repr(out) == repr(alone)
+            found += len(out)
+    assert found > 10
 
 
 def test_residual_zero_at_classical_lsr_root():

@@ -315,6 +315,24 @@ def test_simulate_rejects_non_finite_scenario_field(capsys, tmp_path, field, pat
     assert f"{field} must be finite" in err
 
 
+@pytest.mark.parametrize("headings, message", [
+    ([math.nan], "headings must be finite, got nan"),
+    ([], "headings must not be empty"),
+])
+def test_simulate_rejects_bad_process_headings(capsys, tmp_path, headings, message):
+    doc = {
+        "start": {"x": 0, "y": 0, "theta": 0},
+        "goal": {"x": 5, "y": 8.5, "theta": 2.0},
+        "vehicle": {"speed": 1.0, "turning_radius": 1.0},
+        "current_process": {"speed": 0.5, "heading": 0.0, "headings": headings},
+    }
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, ["simulate", "--scenario", str(scen)])
+    assert code == 2
+    assert message in err
+
+
 def test_simulate_missing_file_exits_2(capsys, tmp_path):
     code, _, _ = _run(capsys, [
         "simulate", "--scenario", str(tmp_path / "nope.json"),

@@ -326,6 +326,19 @@ def test_random_process_refuses_bad_periods(periods):
         RandomCurrentProcess(CurrentState(0.5, 0.0), periods=periods)
 
 
+@pytest.mark.parametrize("headings", [(), (math.nan,), (1.0, math.inf), (-math.inf,)])
+def test_random_process_refuses_bad_headings(headings):
+    # NaN used to fail inside realize_schedule as "angle must be finite",
+    # and () as numpy's "a cannot be empty"; neither named the field
+    with pytest.raises(ValueError, match="^headings must"):
+        RandomCurrentProcess(CurrentState(0.5, 0.0), headings=headings)
+
+
+def test_random_process_accepts_negative_headings():
+    process = RandomCurrentProcess(CurrentState(0.5, 0.0), headings=(-1.0, -7.0))
+    assert process.headings == (-1.0, -7.0)
+
+
 def test_scenario_from_dict_with_degrees(tmp_path):
     doc = {
         "start": {"x": 0, "y": 0, "theta": 0},
