@@ -5,7 +5,8 @@ vehicle flies ordinary arc-line-arc geometry while the goal drifts at the
 opposite of the current velocity, so interception reduces to a small set of
 closed-form candidates indexed by a winding index k.  Arc angles may be
 capped at 2*pi (classical) or extended to 4*pi, which restores full
-reachability and often shortens the interception time.
+reachability and often shortens the interception time.  `plan_goals` is
+`plan` over arrays of goals that share one heading and current, for grids.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     FOUR_PI,
@@ -101,6 +104,12 @@ class ParamInterval:
         if self.closed:
             return self.lower - RANGE_SLACK <= x <= self.upper + RANGE_SLACK
         return self.lower + RANGE_SLACK < x < self.upper - RANGE_SLACK
+
+    def mask(self, x: np.ndarray) -> np.ndarray:
+        """`contains` applied elementwise to an array."""
+        if self.closed:
+            return (self.lower - RANGE_SLACK <= x) & (x <= self.upper + RANGE_SLACK)
+        return (self.lower + RANGE_SLACK < x) & (x < self.upper - RANGE_SLACK)
 
 
 # Feasible alpha/gamma interval per (kappa, path type, k): lower and upper
@@ -289,6 +298,107 @@ def plan(
             if best is None or sol.travel_time < best.travel_time - 1e-12:
                 best = sol
     return best
+
+
+# Path types of plan_goals's winner codes, in plan's candidate order.
+CLOSED_FORM_TYPES = (PathType.LSL, PathType.RSR)
+
+
+def _normalize_angles(a: np.ndarray) -> np.ndarray:
+    """normalize_angle applied elementwise to a finite array."""
+    r = np.fmod(a, TWO_PI)
+    r = np.where(r < 0.0, r + TWO_PI, r)
+    return np.where(r >= TWO_PI, 0.0, r)
+
+
+def _goals_reached(
+    path_type: PathType,
+    k: int,
+    x: np.ndarray,
+    y: np.ndarray,
+    theta: float,
+    current: CurrentState,
+    r: float,
+    kappa: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """solve_one over arrays of start-frame goals sharing the heading theta.
+
+    current is already scaled to unit speed.  Returns which goals have a
+    solution and the unit-speed travel r*arc_sum + beta of each goal, which
+    does not depend on the arc split and is meaningful where reached.
+    """
+    s = first_turn_sign(path_type)
+    interval = feasible_range(path_type, k, theta, kappa)
+    arc_sum = s * (TWO_PI * k + theta)
+    if arc_sum < 0.0:
+        return np.zeros(x.shape, dtype=bool), np.zeros(x.shape)
+    wx, wy, vw = current.wx, current.wy, current.speed
+    # coeffs, then solve_beta, as whole-array expressions with the same
+    # operation order.
+    turn = TWO_PI * k + theta
+    a = x - s * r * math.sin(theta) - s * wx * r * turn
+    b = y - s * r * (1.0 - math.cos(theta)) - s * wy * r * turn
+    dot = a * wx + b * wy
+    disc = dot * dot + (a * a + b * b) * (1.0 - vw * vw)
+    beta = (np.sqrt(disc) - dot) / (1.0 - vw * vw)
+    travel = r * arc_sum + beta
+
+    scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
+    at_center = beta <= 1e-9 * scale
+    # At the rotation center the symmetric split decides alone.
+    reached = at_center & interval.contains(0.5 * arc_sum)
+
+    base = _normalize_angles(np.arctan2(s * (b - beta * wy), a - beta * wx))
+    terms = np.abs(x) + np.abs(y) + vw * travel + r + beta
+    tol = 1e-9 * np.maximum(1.0, terms)
+    xf = x - wx * travel
+    yf = y - wy * travel
+    # Every representative gives the same travel, so a goal is reached when
+    # any of them passes; taking them smallest first changes only the split.
+    for j in range(int(kappa / TWO_PI) + 1):
+        alpha = base + TWO_PI * j
+        gamma = arc_sum - alpha
+        gamma = np.where((-RANGE_SLACK < gamma) & (gamma < 0.0), 0.0, gamma)
+        # The residual is needed only where the split is feasible.
+        i = np.flatnonzero(~at_center & ~reached & interval.mask(alpha) & (gamma >= 0.0)
+                           & interval.mask(gamma))
+        ex = s * r * math.sin(theta) + beta[i] * np.cos(alpha[i])
+        ey = s * (r * (1.0 - math.cos(theta)) + beta[i] * np.sin(alpha[i]))
+        defect = np.hypot(xf[i] - ex, yf[i] - ey)
+        reached[i] = ~(defect > tol[i])
+    return reached & ~(beta < 0.0), travel
+
+
+def plan_goals(
+    x: np.ndarray,
+    y: np.ndarray,
+    theta_f: float,
+    current: CurrentState,
+    vehicle: VehicleSpec,
+    kappa: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`plan` over arrays of goals that share one heading, current and vehicle.
+
+    x and y are goal positions in the start frame, of one shape; theta_f is
+    the goal heading and kappa the arc-range cap.  Follows solve_one and
+    plan step for step, with plan's candidate order and 1e-12 tie-break.
+    Returns per goal the winner's index in CLOSED_FORM_TYPES (-1 where no
+    path exists) and its travel time in seconds (NaN there).
+    """
+    theta = normalize_angle(theta_f)
+    current, v = _normalize_problem(current, vehicle)
+    r = vehicle.turning_radius
+    winner = np.full(x.shape, -1, dtype=np.int8)
+    best = np.full(x.shape, np.nan)
+    for code, ks in enumerate((LSL_K_CANDIDATES, RSR_K_CANDIDATES)):
+        for k in ks:
+            reached, travel = _goals_reached(
+                CLOSED_FORM_TYPES[code], k, x, y, theta, current, r, kappa)
+            time = travel / v
+            take = reached & ((winner < 0) | (time < best - 1e-12))
+            winner[take] = code
+            best[take] = time[take]
+    return winner, best
 
 
 def travel_time(sol: PathSolution, vehicle: VehicleSpec) -> float:

@@ -16,15 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, CurrentState, Pose, VehicleSpec, check_finite, normalize_angle
+from .core import TWO_PI, CurrentState, VehicleSpec, check_finite, normalize_angle
 from .planner import (
+    CLOSED_FORM_TYPES,
     ArcMode,
     LSL_K_CANDIDATES,
     PathType,
     RSR_K_CANDIDATES,
+    _normalize_problem,
     feasible_range,
     first_turn_sign,
-    plan,
+    plan_goals,
     solve_one,  # noqa: F401  -- benchmarks/selftest.py asserts it is bound here
 )
 
@@ -35,6 +37,13 @@ FULL_REACH_CASES = ("1.1", "1.2", "2.1", "2.2", "3.1", "3.2", "4.1", "4.2")
 
 # Largest grid or scan built; a tiny step would otherwise ask for ~10^10 cells.
 MAX_CELLS = 10**7
+
+# Cells per plan_goals call of reachability_map (about 20 rows of the
+# default 201-column grid), which bounds the kernel's temporaries.
+_BLOCK_CELLS = 4096
+
+# Dominant label per plan_goals winner code; code -1 (no path) picks the last.
+_LABELS = np.array([t.value for t in CLOSED_FORM_TYPES] + ["unreachable"], dtype=object)
 
 
 def _check_cells(cells: float, request: str) -> None:
@@ -69,17 +78,17 @@ class ReachGrid:
         return int((self.dominant == "unreachable").sum())
 
     def write_csv(self, path) -> None:
+        xs = [repr(x) for x in self.xs.tolist()]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "y", "dominant", "T"])
-            for j in range(len(self.ys)):
-                for i in range(len(self.xs)):
-                    t = self.travel_time[j, i]
-                    writer.writerow([
-                        repr(float(self.xs[i])), repr(float(self.ys[j])),
-                        str(self.dominant[j, i]),
-                        "" if math.isnan(t) else repr(float(t)),
-                    ])
+            for y, labels, times in zip(self.ys.tolist(), self.dominant.tolist(),
+                                        self.travel_time.tolist()):
+                y_text = repr(y)
+                writer.writerows(
+                    [x, y_text, str(label), "" if math.isnan(t) else repr(t)]
+                    for x, label, t in zip(xs, labels, times)
+                )
 
 
 @dataclass(frozen=True)
@@ -185,6 +194,15 @@ def contains(region: RegionDescriptor, point: tuple[float, float]) -> bool:
     return _in_ccw_interval(*_ccw_bounds(region), normalize_angle(math.atan2(dy, dx)))
 
 
+# Winding indices of the two 2*pi sectors per path type, in tie-break order.
+_SECTOR_KS = {PathType.LSL: LSL_K_CANDIDATES, PathType.RSR: RSR_K_CANDIDATES}
+
+
+def _major_index(extents: list[float]) -> int:
+    """Position of the larger of two sector extents; a tie picks the first."""
+    return 0 if extents[0] >= extents[1] else 1
+
+
 def classify_major_minor(
     path_type: PathType, theta_f: float, current: CurrentState, r: float
 ) -> tuple[int, int]:
@@ -193,14 +211,28 @@ def classify_major_minor(
     Ties (isolated theta_f values) resolve toward k=0 for LSL and k=-1 for
     RSR for determinism.
     """
-    ks = LSL_K_CANDIDATES if path_type is PathType.LSL else RSR_K_CANDIDATES
-    extents = [
-        sweep_extent(region_span(path_type, k, theta_f, current, r, TWO_PI))
-        for k in ks
-    ]
-    if extents[0] >= extents[1]:
-        return ks[0], ks[1]
-    return ks[1], ks[0]
+    ks = _SECTOR_KS[path_type]
+    major = _major_index([
+        sweep_extent(region_span(path_type, k, theta_f, current, r, TWO_PI)) for k in ks
+    ])
+    return ks[major], ks[1 - major]
+
+
+def _major_sectors(
+    theta_f: float, current: CurrentState, r: float
+) -> dict[PathType, tuple[RegionDescriptor, float]]:
+    """Each path type's major 2*pi sector and its sweep extent.
+
+    Builds each of the four sectors once; the choice of major is
+    classify_major_minor's.
+    """
+    out = {}
+    for path_type, ks in _SECTOR_KS.items():
+        regions = [region_span(path_type, k, theta_f, current, r, TWO_PI) for k in ks]
+        extents = [sweep_extent(region) for region in regions]
+        major = _major_index(extents)
+        out[path_type] = regions[major], extents[major]
+    return out
 
 
 def phi(case: str, theta_f: float, current: CurrentState, r: float) -> float:
@@ -268,17 +300,14 @@ def full_reachability_2pi(
     """
     if current.speed == 0.0:
         return FullReachability(frozenset(), True, degenerate=True)
-    majors = {
-        PathType.LSL: classify_major_minor(PathType.LSL, theta_f, current, r)[0],
-        PathType.RSR: classify_major_minor(PathType.RSR, theta_f, current, r)[0],
-    }
+    majors = _major_sectors(theta_f, current, r)
     satisfied = set()
     for case in FULL_REACH_CASES:
         path_type, k = _CASE_MAJOR[case]
-        if majors[path_type] != k:
+        region, extent = majors[path_type]
+        if region.k != k:
             continue
-        region = region_span(path_type, k, theta_f, current, r, TWO_PI)
-        if sweep_extent(region) >= TWO_PI - ANGLE_TOL:
+        if extent >= TWO_PI - ANGLE_TOL:
             satisfied.add(case)
             continue
         start, end = _shadow_interval(region)
@@ -297,13 +326,11 @@ def major_region_containment(
     opposite-facing half-planes at exact extent ties, where neither covers
     the other); those resolve deterministically to the LSL side.
     """
-    lsl_major = classify_major_minor(PathType.LSL, theta_f, current, r)[0]
-    rsr_major = classify_major_minor(PathType.RSR, theta_f, current, r)[0]
-    lsl = region_span(PathType.LSL, lsl_major, theta_f, current, r, TWO_PI)
-    rsr = region_span(PathType.RSR, rsr_major, theta_f, current, r, TWO_PI)
+    majors = _major_sectors(theta_f, current, r)
+    (lsl, lsl_extent), (rsr, rsr_extent) = majors[PathType.LSL], majors[PathType.RSR]
 
-    def covers(big: RegionDescriptor, small: RegionDescriptor) -> bool:
-        if sweep_extent(big) >= TWO_PI - ANGLE_TOL:
+    def covers(big: RegionDescriptor, big_extent: float, small: RegionDescriptor) -> bool:
+        if big_extent >= TWO_PI - ANGLE_TOL:
             return True
         dx = small.center[0] - big.center[0]
         dy = small.center[1] - big.center[1]
@@ -312,8 +339,8 @@ def major_region_containment(
         start, end = _shadow_interval(big)
         return _in_ccw_interval(start, end, normalize_angle(math.atan2(dy, dx)))
 
-    lsl_covers = covers(lsl, rsr)
-    rsr_covers = covers(rsr, lsl)
+    lsl_covers = covers(lsl, lsl_extent, rsr)
+    rsr_covers = covers(rsr, rsr_extent, lsl)
     if lsl_covers == rsr_covers:
         return True, False
     return lsl_covers, rsr_covers
@@ -328,6 +355,10 @@ def parametric_scan(
     """Sweep (theta_f, theta_w, v_w) and record where full coverage holds."""
     check_finite("theta_f_step", theta_f_step, positive=True)
     check_finite("theta_w_step", theta_w_step, positive=True)
+    check_finite("r", r, positive=True)
+    for vw in v_w_values:  # current speeds relative to the vehicle's
+        if not 0.0 <= vw < 1.0:
+            raise ValueError(f"current speed must be finite and in [0, 1): v_w_values holds {vw!r}")
     _check_cells(len(v_w_values) * (TWO_PI / theta_f_step) * (TWO_PI / theta_w_step),
                  f"theta_f_step {theta_f_step!r}, theta_w_step {theta_w_step!r}"
                  f" and {len(v_w_values)} speeds")
@@ -362,11 +393,15 @@ def reachability_map(
 ) -> ReachGrid:
     """Per-cell dominant path type and travel time over a goal grid.
 
-    Each cell is one `plan` call from the origin in the given arc mode; the
-    dominant label is the planned path type, "unreachable" if none exists.
-    Default bounds are [-10r, 10r]^2 with step 0.1r.
+    Each cell is the `plan` from the origin in the given arc mode, computed
+    by `plan_goals` a block of cells at a time; the dominant label is the
+    planned path type, "unreachable" if none exists.  Default bounds are
+    [-10r, 10r]^2 with step 0.1r.
     """
     mode = ArcMode(mode)
+    if not math.isfinite(theta_f):
+        raise ValueError(f"theta_f must be finite, got {theta_f!r}")
+    _normalize_problem(current, vehicle)  # refuses a current at or above vehicle speed
     r = vehicle.turning_radius
     if bounds is None:
         bounds = (-10.0 * r, 10.0 * r, -10.0 * r, 10.0 * r)
@@ -382,13 +417,16 @@ def reachability_map(
                  f"step {step!r} over bounds {tuple(bounds)}")
     xs = np.arange(x_min, x_max + 0.5 * step, step)
     ys = np.arange(y_min, y_max + 0.5 * step, step)
-    dominant = np.full((len(ys), len(xs)), "unreachable", dtype=object)
-    times = np.full((len(ys), len(xs)), np.nan)
-    start = Pose(0.0, 0.0, 0.0)
-    for j, gy in enumerate(ys):
-        for i, gx in enumerate(xs):
-            sol = plan(start, Pose(float(gx), float(gy), theta_f), current, vehicle, mode)
-            if sol is not None:
-                dominant[j, i] = sol.path_type.value
-                times[j, i] = sol.travel_time
-    return ReachGrid(xs, ys, dominant, times)
+    n = len(xs) * len(ys)
+    winner = np.empty(n, dtype=np.int8)
+    times = np.empty(n)
+    for lo in range(0, n, _BLOCK_CELLS):
+        cells = np.arange(lo, min(lo + _BLOCK_CELLS, n))
+        gx = xs[cells % len(xs)]
+        gy = ys[cells // len(xs)]
+        # The goal as to_start_frame expresses it from the origin pose
+        # (cos 0 = 1, sin 0 = 0); the sum turns a -0.0 coordinate into 0.0.
+        winner[lo:lo + len(cells)], times[lo:lo + len(cells)] = plan_goals(
+            1.0 * gx + 0.0 * gy, -0.0 * gx + 1.0 * gy, theta_f, current, vehicle, mode.kappa)
+    shape = (len(ys), len(xs))
+    return ReachGrid(xs, ys, _LABELS[winner].reshape(shape), times.reshape(shape))

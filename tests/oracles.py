@@ -2,17 +2,21 @@
 
 Everything here is deliberately separate from the library's solution path:
 classical no-wind Dubins closed forms, a brute-force bisection root finder,
-and a batched RK4 endpoint integrator for bulk solver validation.
+and a batched RK4 endpoint integrator for bulk solver validation.  The
+per-cell and per-case references at the end are earlier, slower forms of
+library functions, kept to pin the faster ones to the same output.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 
-from driftplan.core import TWO_PI
-from driftplan.planner import PathSolution, PathType
+from driftplan import reachability as rc
+from driftplan.core import TWO_PI, Pose
+from driftplan.planner import PathSolution, PathType, plan
 
 _SEGMENT_SIGNS = {
     PathType.LSL: (1, 0, 1),
@@ -237,3 +241,65 @@ def batch_endpoints_rk4(
             y = y + h / 6.0 * (k1y + 4.0 * k2y + k4y)
             theta = th_end
     return np.stack([x, y, theta % TWO_PI], axis=1)
+
+
+def reachability_map_per_cell(theta_f, current, bounds, step, mode, vehicle):
+    """Dominant type and travel time per cell, one scalar `plan` per cell.
+
+    The grid is laid out as `reachability.reachability_map` lays it out;
+    returns (xs, ys, dominant, travel_time) arrays.
+    """
+    x_min, x_max, y_min, y_max = bounds
+    xs = np.arange(x_min, x_max + 0.5 * step, step)
+    ys = np.arange(y_min, y_max + 0.5 * step, step)
+    dominant = np.full((len(ys), len(xs)), "unreachable", dtype=object)
+    times = np.full((len(ys), len(xs)), np.nan)
+    start = Pose(0.0, 0.0, 0.0)
+    for j, gy in enumerate(ys):
+        for i, gx in enumerate(xs):
+            sol = plan(start, Pose(float(gx), float(gy), theta_f), current, vehicle, mode)
+            if sol is not None:
+                dominant[j, i] = sol.path_type.value
+                times[j, i] = sol.travel_time
+    return xs, ys, dominant, times
+
+
+def full_reachability_2pi_per_case(theta_f, current, r):
+    """The coverage predicates with each case building its own sectors.
+
+    Returns the satisfied case ids; zero current gives none.
+    """
+    if current.speed == 0.0:
+        return frozenset()
+    majors = {
+        PathType.LSL: rc.classify_major_minor(PathType.LSL, theta_f, current, r)[0],
+        PathType.RSR: rc.classify_major_minor(PathType.RSR, theta_f, current, r)[0],
+    }
+    satisfied = set()
+    for case in rc.FULL_REACH_CASES:
+        path_type, k = rc._CASE_MAJOR[case]
+        if majors[path_type] != k:
+            continue
+        region = rc.region_span(path_type, k, theta_f, current, r, TWO_PI)
+        if rc.sweep_extent(region) >= TWO_PI - rc.ANGLE_TOL:
+            satisfied.add(case)
+            continue
+        start, end = rc._shadow_interval(region)
+        if rc._in_ccw_interval(start, end, rc.phi(case, theta_f, current, r)):
+            satisfied.add(case)
+    return frozenset(satisfied)
+
+
+def write_grid_csv_per_cell(grid, path) -> None:
+    """ReachGrid.write_csv's format, written one numpy cell at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "dominant", "T"])
+        for j in range(len(grid.ys)):
+            for i in range(len(grid.xs)):
+                t = grid.travel_time[j, i]
+                writer.writerow([
+                    repr(float(grid.xs[i])), repr(float(grid.ys[j])),
+                    str(grid.dominant[j, i]),
+                    "" if math.isnan(t) else repr(float(t)),
+                ])

@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftplan.core import (
     FOUR_PI, TWO_PI, CurrentState, Pose, VehicleSpec, angle_difference, normalize_angle,
 )
-from driftplan.planner import ArcMode, PathType, feasible_range, plan, solve_one
+from driftplan.planner import (
+    ArcMode, PathType, coeffs, feasible_range, plan, solve_beta, solve_one,
+)
 from driftplan.reachability import (
     FULL_REACH_CASES,
+    ReachGrid,
     center,
     classify_major_minor,
     contains,
@@ -25,6 +28,11 @@ from driftplan.reachability import (
     reachability_map,
     region_span,
     sweep_extent,
+)
+from oracles import (
+    full_reachability_2pi_per_case,
+    reachability_map_per_cell,
+    write_grid_csv_per_cell,
 )
 
 ORIGIN = Pose(0.0, 0.0, 0.0)
@@ -404,3 +412,139 @@ def test_rsr_rays_are_lsl_rays_mirrored(k, theta_f, vw, psi, r, alpha):
     assert rsr == pytest.approx((lsl[0], -lsl[1]), rel=1e-9, abs=tol)
     turned = omega(PathType.LSL, alpha, CurrentState(vw, psi))
     assert angle_difference(omega(PathType.RSR, alpha, CurrentState(vw, -psi)), -turned) <= 1e-9
+
+
+def test_reachability_map_refuses_non_finite_theta_f():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^theta_f must be finite"):
+            reachability_map(bad, EXAMPLE_CURRENT, step=1.0)
+
+
+@pytest.mark.parametrize("current, vehicle", [
+    (CurrentState(1.0, 0.0), UNIT),
+    (CurrentState(2.5, 1.0), VehicleSpec(2.0, 1.0)),
+], ids=["equal", "faster"])
+def test_reachability_map_refuses_fast_current_before_building(current, vehicle):
+    # a step far too fine for the cell cap: the current is refused first
+    with pytest.raises(ValueError, match="^current speed must be less than vehicle speed"):
+        reachability_map(1.0, current, step=1e-9, vehicle=vehicle)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"v_w_values": (1.5,)}, "v_w_values"),
+    ({"v_w_values": (0.5, 1.0)}, "v_w_values"),
+    ({"v_w_values": (-0.1,)}, "v_w_values"),
+    ({"r": math.nan}, "r"),
+    ({"r": -1.0}, "r"),
+    ({"r": 0.0}, "r"),
+    ({"r": math.inf}, "r"),
+], ids=["vw-above-one", "vw-one", "vw-negative", "r-nan", "r-negative", "r-zero", "r-inf"])
+def test_scan_refuses_bad_speed_or_radius(kwargs, name):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        parametric_scan(1.0, 1.0, **kwargs)
+
+
+def _assert_same_grid(grid, reference):
+    xs, ys, dominant, times = reference
+    assert repr(grid.xs.tolist()) == repr(xs.tolist())
+    assert repr(grid.ys.tolist()) == repr(ys.tolist())
+    assert repr(grid.dominant.tolist()) == repr(dominant.tolist())
+    assert repr(grid.travel_time.tolist()) == repr(times.tolist())
+
+
+# Goal headings anywhere, and within 1e-15 of 0 and of 2*pi, where the LSL
+# and RSR sectors nearly coincide and the 1e-12 tie-break decides.
+THETA_F = st.one_of(st.floats(0.0, TWO_PI), st.floats(-1e-15, 1e-15),
+                    st.floats(TWO_PI - 1e-15, TWO_PI + 1e-15))
+# Current speed as a share of the vehicle's, up to 1 - 1e-7.
+SPEED_SHARE = st.one_of(st.floats(0.0, 0.95), st.floats(0.999, 1.0 - 1e-7))
+VEHICLE = st.builds(VehicleSpec, st.floats(0.5, 3.0), st.floats(0.3, 3.0))
+MODE = st.sampled_from([ArcMode.TWO_PI, ArcMode.FOUR_PI])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(theta_f=THETA_F, share=SPEED_SHARE, heading=st.floats(0.0, TWO_PI), vehicle=VEHICLE,
+       mode=MODE, x0=st.one_of(st.floats(-12.0, 12.0), st.floats(-1.1e6, 1.1e6)),
+       y0=st.one_of(st.floats(-12.0, 12.0), st.floats(-1.1e6, 1.1e6)),
+       nx=st.integers(1, 6), ny=st.integers(1, 6), step=st.floats(0.05, 3.0))
+@example(theta_f=1e-15, share=0.5, heading=1.0, vehicle=UNIT, mode=ArcMode.TWO_PI,
+         x0=-3.0, y0=-3.0, nx=6, ny=6, step=1.0)
+@example(theta_f=TWO_PI - 1e-15, share=0.9, heading=4.0, vehicle=VehicleSpec(2.0, 0.5),
+         mode=ArcMode.FOUR_PI, x0=-2.5, y0=-2.5, nx=6, ny=6, step=1.0)
+def test_reachability_map_matches_per_cell_plan(theta_f, share, heading, vehicle, mode,
+                                                x0, y0, nx, ny, step):
+    # The block kernel reproduces one scalar plan per cell: types, times and
+    # unreachable cells, to the last bit.
+    current = CurrentState(share * vehicle.speed, heading)
+    step *= vehicle.turning_radius
+    bounds = (x0, x0 + (nx - 1) * step, y0, y0 + (ny - 1) * step)
+    grid = reachability_map(theta_f, current, bounds, step, mode, vehicle)
+    _assert_same_grid(grid, reachability_map_per_cell(theta_f, current, bounds, step, mode,
+                                                      vehicle))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(theta_f=THETA_F, share=SPEED_SHARE, heading=st.floats(0.0, TWO_PI), vehicle=VEHICLE)
+def test_reachability_map_at_rotation_centers(theta_f, share, heading, vehicle):
+    # A one-cell grid on each sector's rotation center, where beta is ~0 and
+    # the symmetric arc split decides.
+    current = CurrentState(share * vehicle.speed, heading)
+    unit_current = CurrentState(share, heading)
+    r = vehicle.turning_radius
+    theta = normalize_angle(theta_f)
+    for path_type, k in ((PathType.LSL, 0), (PathType.LSL, 1),
+                         (PathType.RSR, -1), (PathType.RSR, -2)):
+        cx, cy = center(path_type, k, theta, unit_current, r)
+        a, b = coeffs(path_type, k, Pose(cx, cy, theta), unit_current, r)
+        assert solve_beta(a, b, unit_current) <= 1e-9 * max(1.0, abs(cx), abs(cy))
+        bounds = (cx, cx, cy, cy)
+        for mode in (ArcMode.TWO_PI, ArcMode.FOUR_PI):
+            grid = reachability_map(theta_f, current, bounds, 1.0, mode, vehicle)
+            assert grid.travel_time.shape == (1, 1)
+            _assert_same_grid(grid, reachability_map_per_cell(theta_f, current, bounds, 1.0,
+                                                              mode, vehicle))
+
+
+def test_full_reachability_matches_per_case_sectors():
+    # Each sector built once gives the cases of building it per case, on the
+    # benchmark's scan lattice, which holds exact extent ties.
+    step = math.pi / 12
+    ties = 0
+    for vw in (0.0, 0.25, 0.5, 0.75, 0.99):
+        for i in range(24):
+            for j in range(24):
+                theta_f, current = i * step, CurrentState(vw, j * step)
+                for ks in ((0, 1), (-1, -2)):
+                    path_type = PathType.LSL if ks[0] == 0 else PathType.RSR
+                    extents = [sweep_extent(region_span(path_type, k, theta_f, current, 1.0,
+                                                        TWO_PI)) for k in ks]
+                    ties += extents[0] == extents[1]
+                res = full_reachability_2pi(theta_f, current, 1.0)
+                assert res.satisfied_cases == full_reachability_2pi_per_case(
+                    theta_f, current, 1.0)
+                assert res.fully_reachable == (bool(res.satisfied_cases) or vw == 0.0)
+    assert ties > 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(theta_f=THETA_F, vw=st.floats(0.0, 1.0 - 1e-7), heading=st.floats(0.0, TWO_PI),
+       r=st.floats(0.3, 3.0))
+def test_full_reachability_matches_per_case_sectors_anywhere(theta_f, vw, heading, r):
+    current = CurrentState(vw, heading)
+    theta = normalize_angle(theta_f)
+    assert full_reachability_2pi(theta, current, r).satisfied_cases == (
+        full_reachability_2pi_per_case(theta, current, r))
+
+
+def test_grid_csv_bytes_match_cellwise_writer(tmp_path):
+    grid = reachability_map(EXAMPLE_THETA_F, EXAMPLE_CURRENT, bounds=(-6, 6, -6, 6.5),
+                            step=0.5, mode=ArcMode.TWO_PI)
+    assert 0 < grid.unreachable_count() < grid.dominant.size
+    signed_zero = ReachGrid(np.array([-0.0, 1e-300, 1e6 / 3]), np.array([-0.0, 0.1]),
+                            np.array([["LSL", "unreachable", "RSR"]] * 2, dtype=object),
+                            np.array([[1.0 / 3, np.nan, 2.5e-17], [np.inf, np.nan, 7.0]]))
+    for g in (grid, signed_zero):
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        g.write_csv(fast)
+        write_grid_csv_per_cell(g, slow)
+        assert fast.read_bytes() == slow.read_bytes()
