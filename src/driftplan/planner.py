@@ -285,10 +285,14 @@ def plan(
     Searches k in {0, 1} for LSL and {-1, -2} for RSR, which suffices for
     the minimum in both arc modes.  Ties break LSL before RSR, then smaller
     |k|.  four_pi mode always returns a solution for current slower than the
-    vehicle; two_pi mode may return None.
+    vehicle; two_pi mode may return None.  A goal whose squared offset from
+    the start overflows is refused.
     """
     mode = ArcMode(mode)
     local_goal, local_current = to_start_frame(start, goal, current)
+    if not math.isfinite(local_goal.x * local_goal.x + local_goal.y * local_goal.y):
+        raise ValueError(f"goal {goal!r} is too far from start {start!r}: "
+                         "the squared offset is not finite")
     best: PathSolution | None = None
     for path_type, ks in ((PathType.LSL, LSL_K_CANDIDATES), (PathType.RSR, RSR_K_CANDIDATES)):
         for k in ks:
@@ -383,10 +387,17 @@ def plan_goals(
     the goal heading and kappa the arc-range cap.  Follows solve_one and
     plan step for step, with plan's candidate order and 1e-12 tie-break.
     Returns per goal the winner's index in CLOSED_FORM_TYPES (-1 where no
-    path exists) and its travel time in seconds (NaN there).
+    path exists) and its travel time in seconds (NaN there).  Refuses the
+    call if any goal's squared offset overflows, as plan does.
     """
     theta = normalize_angle(theta_f)
     current, v = _normalize_problem(current, vehicle)
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = ~np.isfinite(x * x + y * y)
+    if far.any():
+        i = np.flatnonzero(far)[0]
+        raise ValueError(f"goal ({float(x.flat[i])!r}, {float(y.flat[i])!r}) is too far from "
+                         "the start: the squared offset is not finite")
     r = vehicle.turning_radius
     winner = np.full(x.shape, -1, dtype=np.int8)
     best = np.full(x.shape, np.nan)

@@ -418,6 +418,9 @@ def reachability_map(
     xs = np.arange(x_min, x_max + 0.5 * step, step)
     ys = np.arange(y_min, y_max + 0.5 * step, step)
     n = len(xs) * len(ys)
+    if n == 0:  # half a step vanished in rounding against the bounds
+        raise ValueError(f"step {step!r} is below the resolution of bounds {tuple(bounds)}: "
+                         "the grid has no cells")
     winner = np.empty(n, dtype=np.int8)
     times = np.empty(n)
     for lo in range(0, n, _BLOCK_CELLS):

@@ -12,9 +12,18 @@ the predicted post-drift pose.
 
 A plan is armed at an absolute time.  Flight is cut at every plan-segment
 end, current change and stop time; each piece between two cuts flies one
-turn rate and one current, both looked up at the piece midpoint, in steps
-of at most the recording spacing, the last of which lands exactly on the
-cut.
+turn rate and one current, both looked up at the piece midpoint.  Within a
+piece, flight is event-driven.  From each pose a safe step bounds how soon
+an arrival could happen: the heading error shrinks at most |u| per second,
+and the distance to the goal shrinks at most v + vw per second and bends
+down at most v|u| per second squared.  The vehicle jumps there with one
+closed-form step from the piece start, but never less than a floor of
+1e-3 of the recording spacing; a floor jump that lands on an arrival is
+bisected back to the entry, to 1e-9 of the spacing.  A mission thus ends
+at its first entry into the precision circle with an acceptable heading;
+only a pass shorter than the floor can be missed, and arrival is not
+checked while the vehicle drifts through a compute delay.  Samples at the
+recording spacing are computed only when the trajectory is recorded.
 """
 
 from __future__ import annotations
@@ -50,6 +59,11 @@ _DEFAULT_PROCESS_PERIODS = (30.0, 45.0, 60.0)
 
 # Before the first plan is armed the vehicle holds its heading.
 _NO_PLAN = ControlSchedule(())
+
+# Flight jumps at least this share of the recording spacing at a time, and
+# resolves an arrival's entry time to within the second share of it.
+_FLOOR_SHARE = 1e-3
+_RESOLUTION_SHARE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -320,26 +334,111 @@ class _Mission:
         the vehicle is inside the precision circle with an acceptable
         heading, whether or not the plan has finished.
         """
-        sc = self.sc
-        v = sc.vehicle.speed
-        spacing = self.recorder.spacing
         controls = self.plan_controls
-        for _, cut, u, cur in pieces(controls, self.schedule, self.armed_at, self.t, t_stop):
+        for start, cut, u, cur in pieces(controls, self.schedule, self.armed_at, self.t, t_stop):
             if u is None:
                 # plan exhausted mid-window: loiter on the final arc rather
                 # than fly off on a straight escape course
                 u = controls.segments[-1].turn_rate if controls.segments else 0.0
-            while self.t < cut:
-                left = cut - self.t
-                dt = min(left, spacing)
-                pose = self.pose
-                self.pose = Pose(*_advance(pose.x, pose.y, pose.theta, u, cur.wx, cur.wy, v, dt))
-                self.t = cut if dt == left else self.t + dt
-                self.recorder.add(self.t, self.pose)
-                if check_termination(self.pose, sc.goal, sc.precision_radius,
-                                     sc.heading_tolerance):
-                    self.converged = True
-                    return
+            origin = self.pose
+            flown, self.pose, self.converged = self._fly_piece(origin, cut - start, u, cur)
+            self.t = start + flown if self.converged else cut
+            if self.recorder.enabled:
+                self._record_piece(origin, start, self.t, u, cur)
+            self.recorder.add(self.t, self.pose)
+            if self.converged:
+                return
+
+    def _fly_piece(self, origin: Pose, span: float, u: float, cur: CurrentState):
+        """Fly one piece from origin for span seconds, stopping on arrival.
+
+        Returns (seconds flown, pose, arrived).  Each jump is one closed-form
+        `_advance` from origin.  A jump no longer than the safe step passes
+        no arrival; a floor jump that lands on one is bisected back to the
+        entry, at most 20 halvings.  So a piece takes at most
+        ceil(span / floor) + 20 calls.
+        """
+        sc = self.sc
+        v = sc.vehicle.speed
+        wx, wy = cur.wx, cur.wy
+        floor = _FLOOR_SHARE * self.recorder.spacing
+
+        def at(s: float) -> Pose:
+            return Pose(*_advance(origin.x, origin.y, origin.theta, u, wx, wy, v, s))
+
+        def arrived(pose: Pose) -> bool:
+            return check_termination(pose, sc.goal, sc.precision_radius, sc.heading_tolerance)
+
+        lo, pose = 0.0, origin
+        while True:
+            safe = self._safe_step(pose, u, cur)
+            hi = min(lo + max(safe, floor), span)
+            pose = at(hi)
+            if arrived(pose):
+                break
+            if hi == span:
+                return span, pose, False
+            lo = hi
+        # the first entry lies in (lo + safe, hi]
+        lo += safe
+        while hi - lo > _RESOLUTION_SHARE * self.recorder.spacing:
+            mid = 0.5 * (lo + hi)
+            probe = at(mid)
+            if arrived(probe):
+                hi, pose = mid, probe
+            else:
+                lo = mid
+        return hi, pose, True
+
+    def _safe_step(self, pose: Pose, u: float, cur: CurrentState) -> float:
+        """Time from pose before which no arrival can occur at turn rate u.
+
+        The heading error shrinks at most |u| per second.  The distance d to
+        the goal shrinks at most v + vw per second, and its second derivative
+        is at least -v|u| while d > 0, so d >= d0 + d0' t - v|u| t^2 / 2.
+        """
+        sc = self.sc
+        goal = sc.goal
+        v = sc.vehicle.speed
+        heading_gap = angle_difference(pose.theta, goal.theta) - sc.heading_tolerance
+        if heading_gap <= 0.0:
+            t_heading = 0.0
+        elif u == 0.0:
+            return math.inf
+        else:
+            t_heading = heading_gap / abs(u)
+        dx = pose.x - goal.x
+        dy = pose.y - goal.y
+        d = math.hypot(dx, dy)
+        gap = d - sc.precision_radius
+        if gap <= 0.0:
+            return t_heading
+        rate = (dx * (v * math.cos(pose.theta) + cur.wx)
+                + dy * (v * math.sin(pose.theta) + cur.wy)) / d
+        accel = v * abs(u)
+        root = math.sqrt(rate * rate + 2.0 * accel * gap)
+        if rate < 0.0:
+            t_curve = 2.0 * gap / (root - rate)
+        elif accel > 0.0:
+            t_curve = (rate + root) / accel
+        else:
+            t_curve = math.inf
+        return max(t_heading, gap / (v + cur.speed), t_curve)
+
+    def _record_piece(self, origin: Pose, start: float, end: float, u: float,
+                      cur: CurrentState) -> None:
+        """Sample a piece flown from start to end at the recording spacing.
+
+        Sample times are summed one spacing at a time, so the recorder keeps
+        the same times as it did when flight stepped by the spacing.
+        """
+        v = self.sc.vehicle.speed
+        spacing = self.recorder.spacing
+        t = start
+        while spacing < end - t:
+            t += spacing
+            self.recorder.add(t, Pose(*_advance(
+                origin.x, origin.y, origin.theta, u, cur.wx, cur.wy, v, t - start)))
 
     # --- planning ----------------------------------------------------------
 

@@ -111,20 +111,6 @@ def _advance(x, y, theta, u, wx, wy, v, h):
             theta1)
 
 
-def _step_rk4(x, y, theta, u, wx, wy, v, h):
-    """Classic fourth-order step; the heading component integrates exactly."""
-    def deriv(th):
-        return v * math.cos(th) + wx, v * math.sin(th) + wy
-
-    k1x, k1y = deriv(theta)
-    k2x, k2y = deriv(theta + 0.5 * h * u)
-    k3x, k3y = k2x, k2y
-    k4x, k4y = deriv(theta + h * u)
-    return (x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
-            y + h / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y),
-            theta + u * h)
-
-
 def pieces(controls: ControlSchedule, schedule: CurrentSchedule, armed_at: float,
            t0: float, t1: float):
     """Split [t0, t1] where a segment of the plan armed at armed_at ends or
@@ -152,16 +138,14 @@ def integrate_if(
 ) -> SampledTrajectory:
     """Integrate the drift kinematics in the inertial frame.
 
-    Steps never straddle a control-segment boundary or a current change.
-    method "exact" uses closed-form constant-turn updates (no curvature
-    drift on long arcs); "rk4" uses the classic fourth-order step and is the
-    reference oracle with O(h^4) position error.
+    Steps never straddle a control-segment boundary or a current change,
+    and each is the closed-form constant-turn update, so long arcs do not
+    drift.  "exact" is the only method.
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    if method not in ("exact", "rk4"):
+    if method != "exact":
         raise ValueError(f"unknown integration method {method!r}")
-    step = _advance if method == "exact" else _step_rk4
 
     v = vehicle.speed
     ts = [0.0]
@@ -174,7 +158,7 @@ def integrate_if(
         n = max(1, math.ceil(span / h))
         dt = span / n
         for i in range(n):
-            x, y, theta = step(x, y, theta, u, cur.wx, cur.wy, v, dt)
+            x, y, theta = _advance(x, y, theta, u, cur.wx, cur.wy, v, dt)
             ts.append(t0 + (i + 1) * dt)
             xs.append(x)
             ys.append(y)

@@ -2,8 +2,8 @@
 
 Everything here is deliberately separate from the library's solution path:
 classical no-wind Dubins closed forms, a brute-force bisection root finder,
-and a batched RK4 endpoint integrator for bulk solver validation.  The
-per-cell and per-case references at the end are earlier, slower forms of
+and RK4 integrators, one batched for bulk solver validation.  The per-cell,
+per-case and fixed-step references at the end are earlier, slower forms of
 library functions, kept to pin the faster ones to the same output.
 """
 
@@ -15,8 +15,11 @@ import math
 import numpy as np
 
 from driftplan import reachability as rc
+from driftplan import simulator as sim
+from driftplan.baseline import SolverConfig
 from driftplan.core import TWO_PI, Pose
 from driftplan.planner import PathSolution, PathType, plan
+from driftplan.trajectory import SampledTrajectory, _advance, pieces
 
 _SEGMENT_SIGNS = {
     PathType.LSL: (1, 0, 1),
@@ -243,6 +246,44 @@ def batch_endpoints_rk4(
     return np.stack([x, y, theta % TWO_PI], axis=1)
 
 
+def _step_rk4(x, y, theta, u, wx, wy, v, h):
+    """Classic fourth-order step; the heading component integrates exactly."""
+    def deriv(th):
+        return v * math.cos(th) + wx, v * math.sin(th) + wy
+
+    k1x, k1y = deriv(theta)
+    k2x, k2y = deriv(theta + 0.5 * h * u)
+    k3x, k3y = k2x, k2y
+    k4x, k4y = deriv(theta + h * u)
+    return (x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
+            y + h / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y),
+            theta + u * h)
+
+
+def integrate_rk4(start, controls, schedule, vehicle, h):
+    """`trajectory.integrate_if` with RK4 steps in place of the closed form.
+
+    The reference with O(h^4) position error; pieces are split and stepped
+    as integrate_if splits and steps them.
+    """
+    v = vehicle.speed
+    ts, xs, ys, thetas = [0.0], [start.x], [start.y], [start.theta]
+    x, y, theta = start.x, start.y, start.theta
+    for t0, t1, u, cur in pieces(controls, schedule, 0.0, 0.0, controls.total_duration):
+        n = max(1, math.ceil((t1 - t0) / h))
+        dt = (t1 - t0) / n
+        for i in range(n):
+            x, y, theta = _step_rk4(x, y, theta, u, cur.wx, cur.wy, v, dt)
+            ts.append(t0 + (i + 1) * dt)
+            xs.append(x)
+            ys.append(y)
+            thetas.append(_mod2pi(theta))
+        theta = _mod2pi(theta)
+    return SampledTrajectory(
+        np.asarray(ts), np.asarray(xs), np.asarray(ys), np.asarray(thetas), "inertial"
+    )
+
+
 def reachability_map_per_cell(theta_f, current, bounds, step, mode, vehicle):
     """Dominant type and travel time per cell, one scalar `plan` per cell.
 
@@ -303,3 +344,35 @@ def write_grid_csv_per_cell(grid, path) -> None:
                     str(grid.dominant[j, i]),
                     "" if math.isnan(t) else repr(float(t)),
                 ])
+
+
+class _SteppedMission(sim._Mission):
+    """A mission flown in fixed steps of the recording spacing, checking
+    arrival only at step ends, as the simulator flew before its flight
+    became event-driven."""
+
+    def _run_controls_until(self, t_stop):
+        sc = self.sc
+        v = sc.vehicle.speed
+        spacing = self.recorder.spacing
+        controls = self.plan_controls
+        for _, cut, u, cur in pieces(controls, self.schedule, self.armed_at, self.t, t_stop):
+            if u is None:
+                u = controls.segments[-1].turn_rate if controls.segments else 0.0
+            while self.t < cut:
+                left = cut - self.t
+                dt = min(left, spacing)
+                pose = self.pose
+                self.pose = Pose(*_advance(pose.x, pose.y, pose.theta, u, cur.wx, cur.wy, v, dt))
+                self.t = cut if dt == left else self.t + dt
+                self.recorder.add(self.t, self.pose)
+                if sim.check_termination(self.pose, sc.goal, sc.precision_radius,
+                                         sc.heading_tolerance):
+                    self.converged = True
+                    return
+
+
+def run_scenario_stepped(scenario, seed, run_index=0, record_trajectory=True,
+                         solver_cfg=SolverConfig()):
+    """`simulator.run_scenario` with the fixed-step flight loop."""
+    return _SteppedMission(scenario, seed, run_index, record_trajectory, solver_cfg).run()

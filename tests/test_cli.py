@@ -58,6 +58,17 @@ def test_plan_fast_current_exits_2(capsys):
     assert "current speed" in err
 
 
+@pytest.mark.parametrize("mode", ["4pi", "2pi", "dubins"])
+def test_plan_far_goal_exits_2(capsys, mode):
+    code, out, err = _run(capsys, [
+        "plan", "--start", "0,0,0", "--goal", "1e200,0,1.0", "--current", "0.5,1.0",
+        "--mode", mode,
+    ])
+    assert code == 2
+    assert out == ""
+    assert "goal Pose(x=1e+200" in err
+
+
 def test_plan_current_degrees(capsys):
     code_rad, out_rad, _ = _run(capsys, [
         "plan", "--start", "0,0,0", "--goal", "4,2,1", "--current",

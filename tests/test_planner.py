@@ -17,6 +17,7 @@ from driftplan.planner import (
     extended_k_solutions,
     feasible_range,
     plan,
+    plan_goals,
     solve_beta,
     solve_one,
     travel_time,
@@ -318,6 +319,33 @@ def test_speed_scaling():
 def test_plan_rejects_fast_current():
     with pytest.raises(ValueError):
         plan(ORIGIN, Pose(1, 1, 0), CurrentState(1.5, 0.0), UNIT, ArcMode.FOUR_PI)
+
+
+@pytest.mark.parametrize("start, goal, vw", [
+    (ORIGIN, Pose(1e200, 0.0, 1.0), 0.5),  # used to plan an infinite travel time
+    (ORIGIN, Pose(1e200, 0.0, 1.0), 0.0),  # used to fail as "angle must be finite"
+    (Pose(-1e308, 0.0, 0.0), Pose(1e308, 0.0, 1.0), 0.5),
+], ids=["current", "still", "offset-overflows"])
+def test_plan_refuses_a_goal_whose_squared_offset_overflows(start, goal, vw):
+    with pytest.raises(ValueError, match=r"^goal Pose\(x=1e\+(200|308), .* is too far"):
+        plan(start, goal, CurrentState(vw, 1.0), UNIT, ArcMode.FOUR_PI)
+
+
+def test_plan_goals_refuses_a_goal_whose_squared_offset_overflows():
+    x = np.array([1.0, 2.0, 1e200])
+    y = np.zeros(3)
+    with pytest.raises(ValueError, match=r"^goal \(1e\+200, 0\.0\) is too far"):
+        plan_goals(x, y, 1.0, CurrentState(0.5, 1.0), UNIT, FOUR_PI)
+
+
+@pytest.mark.parametrize("vw", [0.0, 0.5, 0.9])
+def test_plan_holds_just_below_the_overflow(vw):
+    goal = Pose(1.3e154, 0.0, 1.0)
+    sol = plan(ORIGIN, goal, CurrentState(vw, 1.0), UNIT, ArcMode.FOUR_PI)
+    assert math.isfinite(sol.travel_time)
+    _, times = plan_goals(np.array([goal.x]), np.array([goal.y]), goal.theta,
+                          CurrentState(vw, 1.0), UNIT, FOUR_PI)
+    assert times[0] == sol.travel_time
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

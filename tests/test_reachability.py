@@ -393,6 +393,15 @@ def test_library_rejects_reversed_bounds(bounds):
         reachability_map(1.0, CurrentState(0.3, 0.0), bounds=bounds, step=1.0)
 
 
+@pytest.mark.parametrize("bounds", [(1e17, 1e17, 0.0, 0.0), (0.0, 0.0, 1e17, 1e17)],
+                         ids=["x", "y"])
+def test_library_rejects_a_step_lost_in_rounding(bounds):
+    # half a step added to 1e17 rounds away, so np.arange gave no cells and
+    # an empty grid came back without error
+    with pytest.raises(ValueError, match=r"^step 1\.0 is below the resolution of bounds "):
+        reachability_map(1.0, CurrentState(0.5, 1.0), bounds=bounds, step=1.0)
+
+
 def test_scan_rejects_non_finite_current_speed():
     # refused where the current is built, not deep inside as a non-finite angle
     with pytest.raises(ValueError, match="^current speed must be finite"):

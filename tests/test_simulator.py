@@ -5,9 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from driftplan import simulator
 from driftplan.baseline import LatencyModel, SolverConfig
-from driftplan.core import CurrentSchedule, CurrentState, Pose, VehicleSpec, angle_difference
+from driftplan.core import (
+    TWO_PI,
+    CurrentSchedule,
+    CurrentState,
+    Pose,
+    VehicleSpec,
+    angle_difference,
+)
 from driftplan.planner import ArcMode, plan
 from driftplan.simulator import (
     NoiseModel,
@@ -20,7 +30,8 @@ from driftplan.simulator import (
     run_scenario,
     scenario_from_dict,
 )
-from driftplan.trajectory import controls_of, integrate_if
+from driftplan.trajectory import ControlSchedule, ControlSegment, controls_of, integrate_if, pieces
+from oracles import run_scenario_stepped
 
 UNIT = VehicleSpec(1.0, 1.0)
 
@@ -131,14 +142,22 @@ def test_steady_noise_free_run_matches_plan():
     assert planned.travel_time - slack <= result.total_time <= planned.travel_time + 1e-9
 
 
+def _truncated(controls: ControlSchedule, duration: float) -> ControlSchedule:
+    """The first `duration` seconds of a control schedule."""
+    kept = []
+    for seg, start in zip(controls.segments, (0.0, *controls.ends)):
+        kept.append(ControlSegment(seg.turn_rate, min(seg.duration, max(duration - start, 0.0))))
+    return ControlSchedule(tuple(kept))
+
+
 def test_replanned_flight_ends_on_the_integrated_plan():
     # Noise-free, one current change: the vehicle replans once, at the
-    # change, and flies the new plan to its very end (a 1e-6 rad heading
-    # tolerance admits only the last step).  The fast planner plans from the
-    # predicted post-drift pose and flies from the actual one, so the final
-    # pose is that plan integrated from the actual post-drift pose.  A step
-    # flown with the straight segment's turn rate at the start of the final
-    # arc, 80 s after arming, used to miss it by about 1e-3.
+    # change, and flies the new plan until its heading enters the 1e-6 rad
+    # tolerance, 1e-6 s before the plan ends.  The fast planner plans from
+    # the predicted post-drift pose and flies from the actual one, so the
+    # final pose is that plan integrated from the actual post-drift pose.
+    # A step flown with the straight segment's turn rate at the start of
+    # the final arc, 80 s after arming, used to miss it by about 1e-3.
     goal = Pose(86.7, 77.3, 3.92)
     after = CurrentState(0.5, 5.76)
     scenario = Scenario(
@@ -151,7 +170,8 @@ def test_replanned_flight_ends_on_the_integrated_plan():
     origin = drift_predict(drift.from_pose, drift.from_pose.theta, after,
                            result.compute_delays[0], UNIT)
     replanned = plan(origin, goal, after, UNIT, ArcMode.FOUR_PI)
-    expected = integrate_if(drift.to_pose, controls_of(replanned, UNIT),
+    flown = replanned.travel_time - scenario.heading_tolerance / UNIT.max_turn_rate
+    expected = integrate_if(drift.to_pose, _truncated(controls_of(replanned, UNIT), flown),
                             CurrentSchedule.constant(after), UNIT, 0.05).end_pose()
     final = result.trajectory.end_pose()
     assert result.converged
@@ -159,8 +179,132 @@ def test_replanned_flight_ends_on_the_integrated_plan():
     assert abs(final.y - expected.y) <= 1e-9
     assert angle_difference(final.theta, expected.theta) <= 1e-9
     armed_at = drift.t + result.compute_delays[0]
-    assert result.total_time == pytest.approx(armed_at + replanned.travel_time, abs=1e-9)
+    assert result.total_time == pytest.approx(armed_at + flown, abs=1e-9)
     assert result.replan_count == 1
+
+
+# Noise-free plans whose paths pass through the precision circle seconds
+# before they end.  The first dips 6 mm into it for 9 ms and enters by
+# distance; the second enters by heading and stays inside for 31 ms.
+# Fixed 0.05 s steps straddle both passes.
+GRAZES = {
+    "distance": (Pose(2.4533, 0.1463, 5.7549), CurrentState(0.1573, 6.0815), 0.1198, math.pi / 4),
+    "heading": (Pose(-0.14197045098503214, 1.4596132721937156, 2.6405748155240323),
+                CurrentState(0.8530970496445611, 2.997211413680598), 0.5060911141822468,
+                math.pi / 4),
+}
+
+
+def _graze_scenario(name):
+    goal, current, radius, tolerance = GRAZES[name]
+    return Scenario(
+        start=Pose(0, 0, 0), goal=goal, vehicle=UNIT,
+        current_process=CurrentSchedule.constant(current), precision_radius=radius,
+        heading_tolerance=tolerance, estimation_window=0.0,
+    )
+
+
+def _first_entry_by_scan(scenario, h):
+    """First arrival on the scenario's first plan: each piece scanned in
+    steps of h from its start pose, then the entry bisected to 1e-13 s."""
+    sc = scenario
+    v = sc.vehicle.speed
+    controls = controls_of(plan(sc.start, sc.goal, sc.current_process.entries[0][1],
+                                sc.vehicle, ArcMode.FOUR_PI), sc.vehicle)
+    pose = sc.start
+    for t0, t1, u, cur in pieces(controls, sc.current_process, 0.0, 0.0,
+                                 controls.total_duration):
+        def arrived(s, origin=pose, u=u, cur=cur):
+            at = Pose(*simulator._advance(origin.x, origin.y, origin.theta, u,
+                                          cur.wx, cur.wy, v, s))
+            return check_termination(at, sc.goal, sc.precision_radius, sc.heading_tolerance)
+
+        lo = 0.0
+        for i in range(1, math.ceil((t1 - t0) / h) + 1):
+            hi = min(i * h, t1 - t0)
+            if arrived(hi):
+                while hi - lo > 1e-13:
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (lo, mid) if arrived(mid) else (mid, hi)
+                return t0 + hi
+            lo = hi
+        pose = Pose(*simulator._advance(pose.x, pose.y, pose.theta, u, cur.wx, cur.wy, v,
+                                        t1 - t0))
+    return None
+
+
+@pytest.mark.parametrize("name", GRAZES)
+def test_grazing_pass_is_an_arrival(name):
+    scenario = _graze_scenario(name)
+    result = run_scenario(scenario, seed=0, record_trajectory=False)
+    stepped = run_scenario_stepped(scenario, seed=0, record_trajectory=False)
+    assert result.converged and stepped.converged
+    assert result.total_time < 3.0
+    assert stepped.total_time > result.total_time + 5.0  # the fixed steps flew through it
+    assert check_termination(result.trajectory.end_pose(), scenario.goal,
+                             scenario.precision_radius, scenario.heading_tolerance)
+
+
+@pytest.mark.parametrize("name", GRAZES)
+def test_entry_time_matches_a_fine_scan(name):
+    scenario = _graze_scenario(name)
+    result = run_scenario(scenario, seed=0, record_trajectory=False)
+    assert abs(result.total_time - _first_entry_by_scan(scenario, 1e-5)) <= 1e-9
+
+
+@pytest.mark.parametrize("turn_rate", [0.0, 0.1], ids=["straight", "arc"])
+def test_skimming_pass_stays_within_the_advance_bound(monkeypatch, turn_rate):
+    # The path passes 1e-9 outside the precision circle with the heading
+    # always acceptable; conservative steps slow down near the circle.
+    radius, span = 1.0, 20.0
+    miss = radius + 1e-9
+    if turn_rate == 0.0:
+        goal = Pose(10.0, miss, 0.0)
+    else:  # outside the turning circle, centred (0, 10), nearest at t = 10
+        rho = UNIT.speed / turn_rate
+        goal = Pose((rho + miss) * math.sin(1.0), rho - (rho + miss) * math.cos(1.0), 0.0)
+    scenario = Scenario(start=Pose(0, 0, 0), goal=goal, vehicle=UNIT,
+                        current_process=_steady(0.0, 0.0), precision_radius=radius,
+                        heading_tolerance=math.pi)
+    mission = simulator._Mission(scenario, 0, 0, False, SolverConfig())
+    advance = simulator._advance
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return advance(*args)
+
+    monkeypatch.setattr(simulator, "_advance", counting)
+    flown, pose, arrived = mission._fly_piece(scenario.start, span, turn_rate,
+                                              CurrentState(0.0, 0.0))
+    assert (flown, arrived) == (span, False)
+    end = Pose(*advance(0.0, 0.0, 0.0, turn_rate, 0.0, 0.0, UNIT.speed, span))
+    assert pose == end
+    floor = simulator._FLOOR_SHARE * mission.recorder.spacing
+    assert len(calls) <= math.ceil(span / floor) + 20  # the bound _fly_piece states
+    assert len(calls) <= 60  # fixed 0.05 s steps took 400
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x=st.floats(-20.0, 20.0), y=st.floats(-20.0, 20.0), theta=st.floats(0.0, TWO_PI),
+       speed=st.floats(0.5, 3.0), turning_radius=st.floats(0.5, 3.0),
+       vw=st.floats(0.0, 0.9), psi=st.floats(0.0, TWO_PI),
+       radius=st.floats(0.01, 2.0), tolerance=st.floats(1e-3, math.pi))
+def test_event_driven_arrival_never_later_than_stepped(x, y, theta, speed, turning_radius,
+                                                       vw, psi, radius, tolerance):
+    vehicle = VehicleSpec(speed, turning_radius)
+    scenario = Scenario(
+        start=Pose(0, 0, 0), goal=Pose(x, y, theta), vehicle=vehicle,
+        current_process=_steady(vw * speed, psi), precision_radius=radius,
+        heading_tolerance=tolerance, estimation_window=0.0,
+    )
+    result = run_scenario(scenario, seed=0, record_trajectory=False)
+    stepped = run_scenario_stepped(scenario, seed=0, record_trajectory=False)
+    assert result.converged and stepped.converged
+    # the entry is bisected to 1e-9 of the recording spacing
+    resolution = 1e-9 * 0.05 * turning_radius / speed
+    assert result.total_time <= stepped.total_time + resolution
+    assert check_termination(result.trajectory.end_pose(), scenario.goal, radius, tolerance)
 
 
 @pytest.mark.parametrize("goal, before, after, t_change", [

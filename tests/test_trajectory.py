@@ -22,6 +22,7 @@ from driftplan.trajectory import (
     endpoint_residual,
     integrate_if,
 )
+from oracles import integrate_rk4
 
 ORIGIN = Pose(0.0, 0.0, 0.0)
 UNIT = VehicleSpec(1.0, 1.0)
@@ -79,15 +80,18 @@ def test_samples_start_at_origin_and_increase():
     assert (np.diff(traj.t) > 0).all()
 
 
-@pytest.mark.parametrize("method", ["exact", "rk4"])
+INTEGRATORS = {"exact": integrate_if, "rk4": integrate_rk4}
+
+
+@pytest.mark.parametrize("method", INTEGRATORS)
 def test_planned_solutions_integrate_to_goal(method):
+    integrate = INTEGRATORS[method]
     rng = np.random.default_rng(5)
     for _ in range(40):
         goal = Pose(rng.uniform(-8, 8), rng.uniform(-8, 8), rng.uniform(0, TWO_PI))
         cur = CurrentState(rng.uniform(0, 0.9), rng.uniform(0, TWO_PI))
         sol = plan(ORIGIN, goal, cur, UNIT, ArcMode.FOUR_PI)
-        traj = integrate_if(ORIGIN, controls_of(sol, UNIT), _constant(cur), UNIT,
-                            h=1e-3, method=method)
+        traj = integrate(ORIGIN, controls_of(sol, UNIT), _constant(cur), UNIT, h=1e-3)
         end = traj.end_pose()
         assert math.hypot(end.x - goal.x, end.y - goal.y) <= 1e-4
         assert angle_difference(end.theta, goal.theta) <= 1e-6
@@ -97,10 +101,10 @@ def test_rk4_fourth_order_convergence():
     # a single smooth arc; halving h should shrink the endpoint error ~16x
     controls = ControlSchedule((ControlSegment(1.0, 2.0),))
     cur = CurrentState(0.4, 0.7)
-    ref = integrate_if(ORIGIN, controls, _constant(cur), UNIT, h=1e-5, method="exact").end_pose()
+    ref = integrate_if(ORIGIN, controls, _constant(cur), UNIT, h=1e-5).end_pose()
 
     def err(h):
-        end = integrate_if(ORIGIN, controls, _constant(cur), UNIT, h=h, method="rk4").end_pose()
+        end = integrate_rk4(ORIGIN, controls, _constant(cur), UNIT, h=h).end_pose()
         return math.hypot(end.x - ref.x, end.y - ref.y)
 
     e1, e2 = err(0.2), err(0.1)
@@ -110,9 +114,16 @@ def test_rk4_fourth_order_convergence():
 def test_exact_method_is_stepsize_independent():
     controls = ControlSchedule((ControlSegment(1.0, 2.0), ControlSegment(0.0, 3.0)))
     cur = CurrentState(0.4, 0.7)
-    a = integrate_if(ORIGIN, controls, _constant(cur), UNIT, h=0.5, method="exact").end_pose()
-    b = integrate_if(ORIGIN, controls, _constant(cur), UNIT, h=0.001, method="exact").end_pose()
+    a = integrate_if(ORIGIN, controls, _constant(cur), UNIT, h=0.5).end_pose()
+    b = integrate_if(ORIGIN, controls, _constant(cur), UNIT, h=0.001).end_pose()
     assert (a.x, a.y) == pytest.approx((b.x, b.y), abs=1e-10)
+
+
+def test_integrate_if_refuses_rk4():
+    # the RK4 reference lives in the test oracles, not in the library
+    controls = ControlSchedule((ControlSegment(0.0, 1.0),))
+    with pytest.raises(ValueError, match="^unknown integration method 'rk4'$"):
+        integrate_if(ORIGIN, controls, STILL, UNIT, h=0.1, method="rk4")
 
 
 def test_piecewise_current_split_at_epoch():
