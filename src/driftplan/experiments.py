@@ -66,6 +66,11 @@ def savings_percent(t_baseline: float, t_fourpi: float) -> float:
     return (t_baseline - t_fourpi) / t_baseline * 100.0
 
 
+def _number(x: float) -> str:
+    """A CSV field for a float or numpy float: its shortest round-trip repr."""
+    return repr(float(x))
+
+
 def _square_perimeter_points(half_side: float, n: int) -> list[tuple[float, float]]:
     """n points equally spaced along the boundary of [-R, R]^2."""
     perimeter = 8.0 * half_side
@@ -126,10 +131,9 @@ class StaticComparisonResult:
             w.writerow(["goal_x", "goal_y", "goal_theta", "vw", "thetaw",
                         "t_fourpi", "t_baseline", "compute_fourpi", "compute_baseline"])
             for i in self.instances:
-                w.writerow([repr(i.goal.x), repr(i.goal.y), repr(i.goal.theta),
-                            repr(i.current.speed), repr(i.current.heading),
-                            repr(i.t_fourpi), repr(i.t_baseline),
-                            repr(i.compute_fourpi), repr(i.compute_baseline)])
+                w.writerow([_number(x) for x in (
+                    i.goal.x, i.goal.y, i.goal.theta, i.current.speed, i.current.heading,
+                    i.t_fourpi, i.t_baseline, i.compute_fourpi, i.compute_baseline)])
 
 
 def static_comparison(
@@ -237,10 +241,10 @@ class SavingsStats:
                         "baseline_converged", "baseline_total_time", "savings_percent"])
             for r in self.runs:
                 w.writerow([
-                    r.run_index, repr(r.goal.x), repr(r.goal.y), repr(r.goal.theta),
-                    int(r.fourpi.converged), repr(r.fourpi.total_time),
-                    int(r.baseline.converged), repr(r.baseline.total_time),
-                    "" if r.savings is None else repr(r.savings),
+                    r.run_index, _number(r.goal.x), _number(r.goal.y), _number(r.goal.theta),
+                    int(r.fourpi.converged), _number(r.fourpi.total_time),
+                    int(r.baseline.converged), _number(r.baseline.total_time),
+                    "" if r.savings is None else _number(r.savings),
                 ])
 
 

@@ -18,11 +18,13 @@ import numpy as np
 
 from .core import TWO_PI, CurrentState, VehicleSpec, check_finite, normalize_angle
 from .planner import (
+    _FEASIBLE_ROWS,
     CLOSED_FORM_TYPES,
     ArcMode,
     LSL_K_CANDIDATES,
     PathType,
     RSR_K_CANDIDATES,
+    _normalize_angles,
     _normalize_problem,
     feasible_range,
     first_turn_sign,
@@ -39,8 +41,20 @@ FULL_REACH_CASES = ("1.1", "1.2", "2.1", "2.2", "3.1", "3.2", "4.1", "4.2")
 MAX_CELLS = 10**7
 
 # Cells per plan_goals call of reachability_map (about 20 rows of the
-# default 201-column grid), which bounds the kernel's temporaries.
+# default 201-column grid), and lattice rows per _coverage_rows call of
+# parametric_scan, which bounds the kernels' temporaries.
 _BLOCK_CELLS = 4096
+
+# _coverage_rows flags a comparison as fragile when its two sides lie within
+# this margin.  numpy's sin, cos and fmod give math's bits (the scan tests
+# pin every row to the scalar loop, so a platform where they do not fails
+# there); atan2 does not: np.arctan2 differs from math.atan2 in the last bit
+# on about 7% of inputs, by 1 ulp at most over 2*10^5 random inputs on
+# x86-64 with numpy 2.4.  Each side of a comparison is at most two atan2
+# values combined by at most six roundings at magnitudes below 4*pi, so it
+# differs between the two forms by under 1e-14 while atan2 stays within a
+# few ulp; sides further apart than the margin compare alike in both.
+_FRAGILE_MARGIN = 1e-9
 
 # Dominant label per plan_goals winner code; code -1 (no path) picks the last.
 _LABELS = np.array([t.value for t in CLOSED_FORM_TYPES] + ["unreachable"], dtype=object)
@@ -112,6 +126,12 @@ def center(
     )
 
 
+def _ray_terms(s: int, alpha, wx, wy, num):
+    """(y, x) whose atan2 is omega for first-turn sign s; num is math or
+    numpy, whose sin and cos it calls, so floats and arrays share it."""
+    return s * num.sin(alpha) + wy, num.cos(alpha) + wx
+
+
 def omega(path_type: PathType, alpha: float, current: CurrentState) -> float:
     """Rotation of the reachability ray at first-arc angle alpha, in [0, 2*pi).
 
@@ -119,9 +139,7 @@ def omega(path_type: PathType, alpha: float, current: CurrentState) -> float:
     for RSR whenever the current is slower than the vehicle.
     """
     s = first_turn_sign(path_type)
-    return normalize_angle(
-        math.atan2(s * math.sin(alpha) + current.wy, math.cos(alpha) + current.wx)
-    )
+    return normalize_angle(math.atan2(*_ray_terms(s, alpha, current.wx, current.wy, math)))
 
 
 def opposite(delta: float) -> float:
@@ -235,6 +253,22 @@ def _major_sectors(
     return out
 
 
+def _phi_terms(case: str, theta_f, wx, wy, num):
+    """(y, x) whose atan2 is phi for a case; num is math or numpy, as in
+    _ray_terms."""
+    if case in ("1.1", "2.1"):
+        return wy, wx
+    if case in ("1.2", "2.2"):
+        return -wy, -wx
+    if case in ("3.1", "3.2"):
+        return (num.cos(theta_f) - 1.0 + wy * (math.pi - theta_f),
+                -num.sin(theta_f) + wx * (math.pi - theta_f))
+    if case in ("4.1", "4.2"):
+        return (1.0 - num.cos(theta_f) - wy * (math.pi - theta_f),
+                num.sin(theta_f) - wx * (math.pi - theta_f))
+    raise ValueError(f"unknown case {case!r}")
+
+
 def phi(case: str, theta_f: float, current: CurrentState, r: float) -> float:
     """Rotation of the segment joining the major and minor sector centers.
 
@@ -242,25 +276,10 @@ def phi(case: str, theta_f: float, current: CurrentState, r: float) -> float:
     current (the centers coincide along the current direction).
     """
     wx, wy = current.wx, current.wy
-    if case in ("1.1", "2.1"):
-        if wx == 0.0 and wy == 0.0:
-            raise ValueError("phi is degenerate for zero current in cases 1 and 2")
-        return normalize_angle(math.atan2(wy, wx))
-    if case in ("1.2", "2.2"):
-        if wx == 0.0 and wy == 0.0:
-            raise ValueError("phi is degenerate for zero current in cases 1 and 2")
-        return normalize_angle(math.atan2(-wy, -wx))
-    if case in ("3.1", "3.2"):
-        return normalize_angle(math.atan2(
-            math.cos(theta_f) - 1.0 + wy * (math.pi - theta_f),
-            -math.sin(theta_f) + wx * (math.pi - theta_f),
-        ))
-    if case in ("4.1", "4.2"):
-        return normalize_angle(math.atan2(
-            1.0 - math.cos(theta_f) - wy * (math.pi - theta_f),
-            math.sin(theta_f) - wx * (math.pi - theta_f),
-        ))
-    raise ValueError(f"unknown case {case!r}")
+    terms = _phi_terms(case, theta_f, wx, wy, math)
+    if case in ("1.1", "1.2", "2.1", "2.2") and wx == 0.0 and wy == 0.0:
+        raise ValueError("phi is degenerate for zero current in cases 1 and 2")
+    return normalize_angle(math.atan2(*terms))
 
 
 # Per case: path type owning the major sector and the winding index the case
@@ -316,6 +335,63 @@ def full_reachability_2pi(
     return FullReachability(frozenset(satisfied), bool(satisfied))
 
 
+def _coverage_rows(
+    theta_f: np.ndarray, wx: np.ndarray, wy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """full_reachability_2pi over arrays of rows with a nonzero current.
+
+    Each row is a goal heading and a unit-speed current (wx, wy).  Builds
+    the four 2*pi sectors from the _FEASIBLE_ROWS bounds, picks each path
+    type's major, and tests its cases, with the scalar form's operation
+    order.  Returns per row whether a case is satisfied, and whether the
+    row is fragile: a comparison fed by atan2 lies within _FRAGILE_MARGIN
+    of its threshold and no case holds without one, so only the scalar
+    form can say how its rounding decides the row.
+    """
+    margin = _FRAGILE_MARGIN
+    reachable = np.zeros(theta_f.shape, dtype=bool)
+    fragile = np.zeros(theta_f.shape, dtype=bool)
+    sure = np.zeros(theta_f.shape, dtype=bool)  # a case holds with no fragile comparison
+    for path_type, ks in _SECTOR_KS.items():
+        s = first_turn_sign(path_type)
+        sectors = []
+        shaky = np.zeros(theta_f.shape, dtype=bool)  # the major or its width is fragile
+        for k in ks:
+            lower, upper, _ = _FEASIBLE_ROWS[(TWO_PI, path_type, k)]
+            lo, up = lower(theta_f), upper(theta_f)
+            full = (up - lo) >= TWO_PI - ANGLE_TOL
+            bounds = [_normalize_angles(np.arctan2(*_ray_terms(s, alpha, wx, wy, np)))
+                      for alpha in (lo, up)]
+            start, end = bounds if s > 0 else bounds[::-1]  # _ccw_bounds
+            extent = np.where(full, TWO_PI, _normalize_angles(end - start))
+            # Bounds at one alpha have equal rotations: an exactly empty sector.
+            shaky |= ~full & (lo != up) & ((extent <= margin) | (extent >= TWO_PI - margin))
+            sectors.append((start, end, extent))
+        (start0, end0, extent0), (start1, end1, extent1) = sectors
+        first = extent0 >= extent1  # _major_index
+        shaky |= np.abs(extent0 - extent1) <= margin
+        start, end = np.where(first, start0, start1), np.where(first, end0, end1)
+        wide = np.where(first, extent0, extent1) >= TWO_PI - ANGLE_TOL
+        shadow_start = _normalize_angles(end + math.pi)  # _shadow_interval
+        span = _normalize_angles(_normalize_angles(start + math.pi) - shadow_start)
+        span_shaky = (span <= margin) | (span >= TWO_PI - margin)
+        # One case per major winding index in each family, as _CASE_MAJOR pairs them.
+        by_major = [[c for c in FULL_REACH_CASES if _CASE_MAJOR[c] == (path_type, k)]
+                    for k in ks]
+        for case0, case1 in zip(*by_major):
+            (y0, x0), (y1, x1) = (_phi_terms(c, theta_f, wx, wy, np) for c in (case0, case1))
+            off = _normalize_angles(np.arctan2(np.where(first, y0, y1), np.where(first, x0, x1))
+                                    - shadow_start)
+            held = wide | (off <= span + ANGLE_TOL) | (off >= TWO_PI - ANGLE_TOL)
+            near = ~wide & (span_shaky | (np.abs(off - (span + ANGLE_TOL)) <= margin)
+                            | (np.abs(off - (TWO_PI - ANGLE_TOL)) <= margin))
+            reachable |= held
+            fragile |= near
+            sure |= held & ~near & ~shaky
+        fragile |= shaky
+    return reachable, fragile & ~sure
+
+
 def major_region_containment(
     theta_f: float, current: CurrentState, r: float
 ) -> tuple[bool, bool]:
@@ -352,7 +428,17 @@ def parametric_scan(
     v_w_values: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
     r: float = 1.0,
 ) -> list[tuple[float, float, float, bool]]:
-    """Sweep (theta_f, theta_w, v_w) and record where full coverage holds."""
+    """Sweep (theta_f, theta_w, v_w) and record where full coverage holds.
+
+    Rows run over v_w, then theta_f = i * theta_f_step, then theta_w =
+    j * theta_w_step, with i and j from 0 while the angle is below 2*pi;
+    each row's flag is full_reachability_2pi's.  `_coverage_rows` decides
+    the lattice a block of rows at a time.  Rows it reports fragile are
+    decided again by the scalar full_reachability_2pi: they hold a
+    comparison within _FRAGILE_MARGIN of its threshold, such as the exact
+    extent and boundary ties a lattice of fractions of pi meets, and there
+    the last bit of atan2, in which numpy and math differ, can decide.
+    """
     check_finite("theta_f_step", theta_f_step, positive=True)
     check_finite("theta_w_step", theta_w_step, positive=True)
     check_finite("r", r, positive=True)
@@ -362,17 +448,31 @@ def parametric_scan(
     _check_cells(len(v_w_values) * (TWO_PI / theta_f_step) * (TWO_PI / theta_w_step),
                  f"theta_f_step {theta_f_step!r}, theta_w_step {theta_w_step!r}"
                  f" and {len(v_w_values)} speeds")
-    rows = []
     n_f = int(math.ceil(TWO_PI / theta_f_step - ANGLE_TOL))
     n_w = int(math.ceil(TWO_PI / theta_w_step - ANGLE_TOL))
-    for vw in v_w_values:
-        for i in range(n_f):
-            theta_f = i * theta_f_step
-            for j in range(n_w):
-                theta_w = j * theta_w_step
-                res = full_reachability_2pi(theta_f, CurrentState(vw, theta_w), r)
-                rows.append((theta_f, theta_w, vw, res.fully_reachable))
-    return rows
+    theta_fs = [i * theta_f_step for i in range(n_f)]
+    theta_ws = [j * theta_w_step for j in range(n_w)]
+    f_axis = np.array(theta_fs, dtype=float)
+    headings = _normalize_angles(np.array(theta_ws, dtype=float))  # as CurrentState keeps them
+    speeds = np.array(v_w_values, dtype=float)
+    n = len(v_w_values) * n_f * n_w
+    reachable = np.empty(n, dtype=bool)
+    for lo in range(0, n, _BLOCK_CELLS):
+        rows = np.arange(lo, min(lo + _BLOCK_CELLS, n))
+        vw = speeds[rows // (n_f * n_w)]
+        heading = headings[rows % n_w]
+        ok, fragile = _coverage_rows(f_axis[rows // n_w % n_f],
+                                     vw * np.cos(heading), vw * np.sin(heading))
+        still = vw == 0.0  # zero current: degenerate and fully reachable
+        reachable[rows] = ok | still
+        for row in rows[fragile & ~still].tolist():
+            v, cell = divmod(row, n_f * n_w)
+            res = full_reachability_2pi(theta_fs[cell // n_w],
+                                        CurrentState(v_w_values[v], theta_ws[cell % n_w]), r)
+            reachable[row] = res.fully_reachable
+    flags = iter(reachable.tolist())
+    return [(theta_f, theta_w, vw, next(flags))
+            for vw in v_w_values for theta_f in theta_fs for theta_w in theta_ws]
 
 
 def write_scan_csv(rows, path) -> None:

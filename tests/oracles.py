@@ -3,8 +3,8 @@
 Everything here is deliberately separate from the library's solution path:
 classical no-wind Dubins closed forms, a brute-force bisection root finder,
 and RK4 integrators, one batched for bulk solver validation.  The per-cell,
-per-case and fixed-step references at the end are earlier, slower forms of
-library functions, kept to pin the faster ones to the same output.
+per-case, per-row and fixed-step references at the end are earlier, slower
+forms of library functions, kept to pin the faster ones to the same output.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from driftplan import reachability as rc
 from driftplan import simulator as sim
 from driftplan.baseline import SolverConfig
-from driftplan.core import TWO_PI, Pose
+from driftplan.core import TWO_PI, CurrentState, Pose
 from driftplan.planner import PathSolution, PathType, plan
 from driftplan.trajectory import SampledTrajectory, _advance, pieces
 
@@ -329,6 +329,22 @@ def full_reachability_2pi_per_case(theta_f, current, r):
         if rc._in_ccw_interval(start, end, rc.phi(case, theta_f, current, r)):
             satisfied.add(case)
     return frozenset(satisfied)
+
+
+def parametric_scan_per_row(theta_f_step, theta_w_step, v_w_values, r=1.0):
+    """`reachability.parametric_scan`'s rows, one scalar
+    `full_reachability_2pi` call per (theta_f, theta_w, v_w) triple."""
+    rows = []
+    n_f = int(math.ceil(TWO_PI / theta_f_step - rc.ANGLE_TOL))
+    n_w = int(math.ceil(TWO_PI / theta_w_step - rc.ANGLE_TOL))
+    for vw in v_w_values:
+        for i in range(n_f):
+            theta_f = i * theta_f_step
+            for j in range(n_w):
+                theta_w = j * theta_w_step
+                res = rc.full_reachability_2pi(theta_f, CurrentState(vw, theta_w), r)
+                rows.append((theta_f, theta_w, vw, res.fully_reachable))
+    return rows
 
 
 def write_grid_csv_per_cell(grid, path) -> None:

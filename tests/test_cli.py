@@ -6,6 +6,8 @@ import math
 import pytest
 
 from driftplan.cli import main
+from driftplan.reachability import write_scan_csv
+from oracles import parametric_scan_per_row
 
 
 def _run(capsys, argv):
@@ -254,6 +256,20 @@ def test_paramscan(capsys, tmp_path):
     assert 0 < doc["results"]["reachable_triples"] < doc["results"]["triples"]
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0] == "theta_f,theta_w,v_w,reachable"
+
+
+def test_paramscan_csv_bytes_match_the_per_row_scan(capsys, tmp_path):
+    step, speeds = math.pi / 10, (0.25, 0.75)
+    out_csv, reference = tmp_path / "scan.csv", tmp_path / "reference.csv"
+    code, out, _ = _run(capsys, [
+        "paramscan", "--theta-f-step", repr(step), "--theta-w-step", repr(step),
+        "--vw", ",".join(map(repr, speeds)), "--out", str(out_csv),
+    ])
+    assert code == 0
+    rows = parametric_scan_per_row(step, step, speeds)
+    write_scan_csv(rows, reference)
+    assert out_csv.read_bytes() == reference.read_bytes()
+    assert _envelope(out)["results"]["reachable_triples"] == sum(ok for *_, ok in rows)
 
 
 def test_paramscan_rejects_bad_speed(capsys):

@@ -1,5 +1,6 @@
 """Comparison studies: layout, savings accounting, and determinism."""
 
+import csv
 import math
 
 import numpy as np
@@ -86,6 +87,32 @@ def test_static_comparison_csv(tmp_path):
     result.write_csv(out)
     lines = out.read_text().strip().splitlines()
     assert len(lines) == len(result.instances) + 1
+
+
+def _assert_numeric_fields_parse(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows
+    for row in rows:
+        for field in row:
+            if field:  # an empty savings field means no savings
+                float(field)
+
+
+def test_csv_numeric_fields_parse_as_floats(tmp_path):
+    # Six-type travel times come from numpy roots; their fields were written
+    # as np.float64(...), which no CSV reader parses.
+    static = static_comparison(
+        seed=0, radii=(5.0,), points_per_square=2,
+        n_goal_headings=1, n_current_headings=2, cfg=SMALL_CFG,
+    )
+    assert any(isinstance(i.t_baseline, np.floating) for i in static.instances)
+    static.write_csv(tmp_path / "static.csv")
+    _assert_numeric_fields_parse(tmp_path / "static.csv")
+    stats = dynamic_monte_carlo(NAVAL, n_runs=2, seed=11, solver_cfg=SMALL_CFG)
+    assert any(isinstance(r.baseline.total_time, np.floating) for r in stats.runs)
+    stats.write_csv(tmp_path / "mc.csv")
+    _assert_numeric_fields_parse(tmp_path / "mc.csv")
 
 
 def test_dynamic_monte_carlo_paired_and_deterministic():

@@ -16,6 +16,7 @@ from driftplan.planner import (
 from driftplan.reachability import (
     FULL_REACH_CASES,
     ReachGrid,
+    _coverage_rows,
     center,
     classify_major_minor,
     contains,
@@ -31,6 +32,7 @@ from driftplan.reachability import (
 )
 from oracles import (
     full_reachability_2pi_per_case,
+    parametric_scan_per_row,
     reachability_map_per_cell,
     write_grid_csv_per_cell,
 )
@@ -330,6 +332,97 @@ def test_parametric_scan_monotone_in_current_speed():
     lo = sum(1 for r in rows if r[2] == 0.25 and r[3])
     hi = sum(1 for r in rows if r[2] == 0.75 and r[3])
     assert hi < lo
+
+
+BENCHMARK_SCAN_STEP = math.pi / 12
+BENCHMARK_SCAN_VW = (0.25, 0.5, 0.75)
+
+
+def test_scan_matches_per_row_on_the_benchmark_lattice():
+    rows = parametric_scan(BENCHMARK_SCAN_STEP, BENCHMARK_SCAN_STEP, BENCHMARK_SCAN_VW)
+    assert rows == parametric_scan_per_row(BENCHMARK_SCAN_STEP, BENCHMARK_SCAN_STEP,
+                                           BENCHMARK_SCAN_VW)
+    assert [type(ok) for *_, ok in rows] == [bool] * len(rows)
+    counts = {vw: sum(ok for _, _, v, ok in rows if v == vw) for vw in BENCHMARK_SCAN_VW}
+    assert counts == {0.25: 452, 0.5: 400, 0.75: 372}
+
+
+def test_scan_matches_per_row_on_the_criterion_11_lattice():
+    step, speeds = math.pi / 100, (0.25, 0.75)
+    assert parametric_scan(step, step, speeds) == parametric_scan_per_row(step, step, speeds)
+
+
+# Steps pi/n, whose lattices land on theta = pi exactly and hold the exact
+# extent and boundary ties, and any steps.
+SCAN_STEP = st.one_of(st.integers(1, 12).map(lambda n: math.pi / n), st.floats(0.25, 7.0))
+# Current speeds: zero (degenerate), nearly zero, up to 1 - 1e-7.
+SCAN_SPEED = st.one_of(st.sampled_from([0.0, 1e-4, 1.0 - 1e-7]), st.floats(0.0, 1.0 - 1e-7))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(theta_f_step=SCAN_STEP, theta_w_step=SCAN_STEP,
+       speeds=st.lists(SCAN_SPEED, min_size=1, max_size=3), r=st.floats(0.3, 3.0))
+@example(theta_f_step=math.pi / 12, theta_w_step=math.pi / 12, speeds=[0.0, 1e-4, 1.0 - 1e-7],
+         r=1.0)
+@example(theta_f_step=math.pi / 6, theta_w_step=math.pi / 4, speeds=[0.5, 0.999], r=2.0)
+def test_scan_matches_per_row_anywhere(theta_f_step, theta_w_step, speeds, r):
+    speeds = tuple(speeds)
+    assert parametric_scan(theta_f_step, theta_w_step, speeds, r) == parametric_scan_per_row(
+        theta_f_step, theta_w_step, speeds, r)
+
+
+def test_scan_keeps_the_two_thirds_pi_row_reachable():
+    # (2pi/3, 4pi/3, 0.5) sits on exact extent ties in both path types: the
+    # RSR extents differ by one ulp, and the last bit of atan2 picks the
+    # major sector.  Full coverage holds there.
+    step = BENCHMARK_SCAN_STEP
+    assert full_reachability_2pi(8 * step, CurrentState(0.5, 16 * step), 1.0).fully_reachable
+    rows = parametric_scan(step, step, (0.5,))
+    assert rows[8 * 24 + 16] == (8 * step, 16 * step, 0.5, True)
+
+
+def _nudged_arctan2(scale):
+    """np.arctan2 moved by -scale, 0 or +scale, keyed on the inputs' bits
+    so that the nudge differs from angle to angle."""
+    exact = np.arctan2
+
+    def nudged(y, x):
+        y, x = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(x, dtype=float))
+        key = (y.view(np.int64) ^ (x.view(np.int64) >> 7)) % 3 - 1
+        return exact(y, x) + scale * key
+    return nudged
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-10])
+def test_scan_rows_hold_when_array_atan2_is_off(monkeypatch, scale):
+    # The array atan2 off by far more than its last-bit difference from
+    # math.atan2, yet below the fragile margin: the rows it moves across a
+    # threshold are the fragile ones, and the scalar predicates decide them.
+    reference = parametric_scan_per_row(BENCHMARK_SCAN_STEP, BENCHMARK_SCAN_STEP,
+                                        BENCHMARK_SCAN_VW)
+    monkeypatch.setattr(np, "arctan2", _nudged_arctan2(scale))
+    assert parametric_scan(BENCHMARK_SCAN_STEP, BENCHMARK_SCAN_STEP,
+                           BENCHMARK_SCAN_VW) == reference
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-12, 1e-10])
+def test_coverage_rows_flag_every_row_they_may_decide_wrongly(monkeypatch, scale):
+    # Goal headings within 1e-12 of 0 and of 2pi, where a 2pi sector is
+    # within the 1e-12 tolerance of a full circle, so the width test and the
+    # gap test sit on their thresholds.  With np.arctan2 nudged, every row
+    # that _coverage_rows does not flag still carries the scalar decision.
+    rng = np.random.default_rng(30)
+    edge = 1e-12 + 2e-13 * np.arange(-5, 6)
+    theta_f = np.repeat(np.concatenate([edge, TWO_PI - edge]), 100)
+    heading = np.tile(rng.uniform(0.0, TWO_PI, 100), 22)
+    vw = np.tile(rng.uniform(0.05, 0.99, 100), 22)
+    truth = [full_reachability_2pi(f, CurrentState(v, h), 1.0).fully_reachable
+             for f, h, v in zip(theta_f.tolist(), heading.tolist(), vw.tolist())]
+    if scale:
+        monkeypatch.setattr(np, "arctan2", _nudged_arctan2(scale))
+    reachable, fragile = _coverage_rows(theta_f, vw * np.cos(heading), vw * np.sin(heading))
+    assert not (~fragile & (reachable != np.array(truth))).any()
+    assert 0 < fragile.sum() < fragile.size
 
 
 def test_reachability_map_four_pi_complete():
