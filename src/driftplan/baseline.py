@@ -11,7 +11,10 @@ middle segment.  Roots are found by a seeded, batched, damped-Newton
 multistart, which stands in for the generic nonlinear solvers such
 planners traditionally rely on.  A word and its mirror run as rows of one
 array, one block of rows per (word, winding branch), and Newton uses the
-residual's closed-form Jacobian.
+residual's closed-form Jacobian.  Newton works on an index array of the
+rows still searching, and each iteration's line search makes at most two
+residual calls: the full step on every searching row, then all smaller
+dampings at once for the rows the full step did not improve.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ _ARC_SLACK = 1e-9
 # many iterations.
 RESIDUAL_TOLERANCE = 1e-10
 MAX_ITERATIONS = 25
+# Line-search dampings tried after the full Newton step, in order.
+_DAMPING = 0.5 ** np.arange(1, 6)
+# Newton's working sets are padded to a multiple of this many rows.
+_PAD_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -149,53 +156,96 @@ def _batched_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def multi_start_solve(
-    residual_fn: Callable[[np.ndarray], np.ndarray],
+    residual_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     bounds: np.ndarray,
     cfg: SolverConfig,
     branches: int = 1,
-    jacobian_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+    jacobian_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> list[tuple[int, np.ndarray]]:
     """Deduplicated (branch, root) pairs of a batched residual.
 
-    residual_fn maps an (n, d) array of parameter rows to an (n, d) array of
-    residual rows, and jacobian_fn, if given, maps it to the (n, d, d)
-    Jacobians; without it central differences are used.  The
-    low-discrepancy starts are tiled once per branch, so row
-    b*n_initial_guesses + i is start i of branch b, and the residual may
-    read each row's branch from its position.  All rows iterate in lockstep
-    with damped Newton steps, and a converged or stalled row stops moving;
-    the returned pairs are deterministic for a fixed config.
+    The low-discrepancy starts are tiled once per branch, so row
+    b*n_initial_guesses + i is start i of branch b.  residual_fn(u, rows)
+    maps an (n, d) array of parameter rows to an (n, d) array of residual
+    rows, where rows[k] is the position of u[k] among the tiled starts, so
+    the residual may read each row's branch from it.  jacobian_fn(u, rows),
+    if given, returns the (n, d, d) Jacobians; without it central
+    differences are used.
+
+    Damped Newton works on an index array of the rows still searching; a
+    converged or stalled row leaves it and stops moving.  Each iteration
+    makes at most two residual calls (see `_line_search`).  Every step is
+    computed row by row, so the result is float for float that of moving
+    all rows in lockstep and trying one damping per call.  The returned
+    pairs are deterministic for a fixed config.
     """
     bounds = np.asarray(bounds, dtype=float)
     x = np.tile(_low_discrepancy_starts(cfg.n_initial_guesses, bounds, cfg.seed), (branches, 1))
-    f = residual_fn(x)
+    rows = np.arange(len(x))
+    f = residual_fn(x, rows)
     fnorm = _max_abs(f)
-    active = fnorm > RESIDUAL_TOLERANCE  # neither converged nor stalled
+    rows = rows[fnorm > RESIDUAL_TOLERANCE]  # the searching rows
+    if jacobian_fn is None:
+        def jacobian_fn(u, rows):
+            return _batched_jacobian(lambda v: residual_fn(v, rows), u)
     for _ in range(MAX_ITERATIONS):
-        if not active.any():
+        if not rows.size:
             break
-        jac = jacobian_fn(x) if jacobian_fn else _batched_jacobian(residual_fn, x)
-        step = _batched_solve(jac, -f)
+        n = len(rows)
+        rows = _padded(rows)
+        xs, fs, norms = x[rows], f[rows], fnorm[rows]
+        step = _batched_solve(jacobian_fn(xs, rows), -fs)
         # cap absurd steps so one bad Jacobian cannot fling a start away
         step *= (10.0 / np.maximum(_max_abs(step), 10.0))[:, None]
-        todo = active.copy()
-        lam = 1.0
-        for _ in range(6):
-            trial = x + lam * step
-            ft = residual_fn(trial)
-            fn = _max_abs(ft)
-            improve = todo & (fn < fnorm)
-            x[improve], f[improve], fnorm[improve] = trial[improve], ft[improve], fn[improve]
-            todo &= ~improve
-            if not todo.any():
-                break
-            lam *= 0.5
-        active &= ~todo & (fnorm > RESIDUAL_TOLERANCE)  # drop converged and stalled rows
+        improve, xs, fs, norms = _line_search(residual_fn, rows, xs, fs, norms, step)
+        x[rows], f[rows], fnorm[rows] = xs, fs, norms
+        # a row that no damping improved has stalled
+        rows = rows[:n][(improve & (norms > RESIDUAL_TOLERANCE))[:n]]
     roots = []
     n, dims = cfg.n_initial_guesses, bounds.shape[0]
     for b, (xs, norms) in enumerate(zip(x.reshape(branches, n, dims), fnorm.reshape(branches, n))):
         roots.extend((b, row) for row in _distinct_rows(xs[norms <= RESIDUAL_TOLERANCE]))
     return roots
+
+
+def _padded(rows: np.ndarray) -> np.ndarray:
+    """rows repeated cyclically up to a multiple of _PAD_ROWS entries.
+
+    A repeated row computes exactly what its first copy does, so padding
+    changes no result.  It bounds the number of array sizes a solve makes:
+    numpy keeps up to 7 freed blocks of each size under 1 KiB for reuse,
+    and unpadded working sets, of every size from 1 to 600 rows, left about
+    1 MB of such blocks resident after 200 benchmark solves.
+    """
+    return np.resize(rows, -(-len(rows) // _PAD_ROWS) * _PAD_ROWS)
+
+
+def _line_search(residual_fn, rows, x, f, fnorm, step):
+    """Newton's line search on the searching rows, in at most two residual
+    calls.
+
+    The first call tries the full step on every row.  The second tries the
+    dampings in `_DAMPING` together, for only the rows whose residual norm
+    the full step did not lower, and each of those rows takes its first
+    damping that lowers it.  Returns the mask of rows that improved and
+    every row's point, residual and norm after the search.
+    """
+    trial = x + step
+    ft = residual_fn(trial, rows)
+    norm = _max_abs(ft)
+    improve = norm < fnorm
+    back = np.flatnonzero(~improve)
+    if back.size:
+        back = _padded(back)
+        damped = x[back] + _DAMPING[:, None, None] * step[back]
+        fd = residual_fn(damped.reshape(-1, x.shape[1]), np.tile(rows[back], len(_DAMPING)))
+        nd = _max_abs(fd).reshape(len(_DAMPING), -1)
+        better = nd < fnorm[back]
+        pick = better.argmax(axis=0), np.arange(len(back))  # each row's first improving damping
+        trial[back], ft[back], norm[back] = damped[pick], fd.reshape(damped.shape)[pick], nd[pick]
+        improve[back] = better.any(axis=0)
+    keep = improve[:, None]
+    return improve, np.where(keep, trial, x), np.where(keep, ft, f), np.where(improve, norm, fnorm)
 
 
 def _distinct_rows(rows: np.ndarray) -> list[np.ndarray]:
@@ -281,8 +331,12 @@ def _branch_residual(
         gamma = _gamma(ccc, s, alpha, delta, theta_f, m)
         closure = t - r * (alpha + delta + gamma)  # the straight length on CSC
         px, py = _endpoint(ccc, s, alpha, delta if ccc else closure, theta_f, r)
-        rows = [px - (goal.x - wx * t), py - (goal.y - wy * t)]
-        return np.stack(rows + [closure] if ccc else rows, axis=1)
+        out = np.empty((len(u), 3 if ccc else 2))
+        np.subtract(px, goal.x - wx * t, out=out[:, 0])
+        np.subtract(py, goal.y - wy * t, out=out[:, 1])
+        if ccc:
+            out[:, 2] = closure
+        return out
     return fn
 
 
@@ -414,8 +468,13 @@ def _solve_words(
     n = cfg.n_initial_guesses
     s = np.repeat([float(SEGMENT_SIGNS[word][0]) for word, _ in branches], n)
     m = np.repeat([m for _, m in branches], n)
-    fn = _branch_residual(ccc, s, m, goal, scaled, r)
-    jac = _branch_jacobian(ccc, s, m, goal, scaled, r)
+
+    def fn(u, rows):
+        return _branch_residual(ccc, s[rows], m[rows], goal, scaled, r)(u)
+
+    def jac(u, rows):
+        return _branch_jacobian(ccc, s[rows], m[rows], goal, scaled, r)(u)
+
     roots = multi_start_solve(fn, bounds, cfg, len(branches), jac)
     return _roots_to_solutions(branches, roots, goal, r, t_bound, v)
 

@@ -475,12 +475,32 @@ def parametric_scan(
             for vw in v_w_values for theta_f in theta_fs for theta_w in theta_ws]
 
 
+class _Reprs(dict):
+    """repr of each (type, number) key, computed on its first lookup.
+
+    The type is part of the key because 0.5 == np.float64(0.5) while their
+    reprs differ.  Zeros are not kept, because 0.0 == -0.0.
+    """
+
+    def __missing__(self, key):
+        text = repr(key[1])
+        if key[1]:
+            self[key] = text
+        return text
+
+
 def write_scan_csv(rows, path) -> None:
+    """Write scan rows as CSV, each number as its repr.
+
+    A lattice repeats each axis value thousands of times, so each distinct
+    value is converted once.
+    """
+    text = _Reprs()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["theta_f", "theta_w", "v_w", "reachable"])
-        for theta_f, theta_w, vw, ok in rows:
-            writer.writerow([repr(theta_f), repr(theta_w), repr(vw), int(ok)])
+        writer.writerows([text[type(theta_f), theta_f], text[type(theta_w), theta_w],
+                          text[type(vw), vw], int(ok)] for theta_f, theta_w, vw, ok in rows)
 
 
 def reachability_map(

@@ -3,17 +3,20 @@
 Everything here is deliberately separate from the library's solution path:
 classical no-wind Dubins closed forms, a brute-force bisection root finder,
 and RK4 integrators, one batched for bulk solver validation.  The per-cell,
-per-case, per-row and fixed-step references at the end are earlier, slower
-forms of library functions, kept to pin the faster ones to the same output.
+per-case, per-row and fixed-step references at the end, and the lockstep
+multistart, are earlier, slower forms of library functions, kept to pin the
+faster ones to the same output.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 
+from driftplan import baseline
 from driftplan import reachability as rc
 from driftplan import simulator as sim
 from driftplan.baseline import SolverConfig
@@ -392,3 +395,60 @@ def run_scenario_stepped(scenario, seed, run_index=0, record_trajectory=True,
                          solver_cfg=SolverConfig()):
     """`simulator.run_scenario` with the fixed-step flight loop."""
     return _SteppedMission(scenario, seed, run_index, record_trajectory, solver_cfg).run()
+
+
+def multi_start_solve_lockstep(residual_fn, bounds, cfg, branches=1, jacobian_fn=None):
+    """`baseline.multi_start_solve` with every row in lockstep.
+
+    residual_fn and jacobian_fn take the whole (n, d) array of rows.  Every
+    Newton step, Jacobian and line-search trial covers all rows, and the
+    dampings 1, 1/2 ... 1/32 are tried one residual call at a time; a
+    converged or stalled row stops moving but is still evaluated.
+    """
+    bounds = np.asarray(bounds, dtype=float)
+    x = np.tile(baseline._low_discrepancy_starts(cfg.n_initial_guesses, bounds, cfg.seed),
+                (branches, 1))
+    f = residual_fn(x)
+    fnorm = baseline._max_abs(f)
+    active = fnorm > baseline.RESIDUAL_TOLERANCE  # neither converged nor stalled
+    for _ in range(baseline.MAX_ITERATIONS):
+        if not active.any():
+            break
+        jac = jacobian_fn(x) if jacobian_fn else baseline._batched_jacobian(residual_fn, x)
+        step = baseline._batched_solve(jac, -f)
+        step *= (10.0 / np.maximum(baseline._max_abs(step), 10.0))[:, None]
+        todo = active.copy()
+        lam = 1.0
+        for _ in range(6):
+            trial = x + lam * step
+            ft = residual_fn(trial)
+            fn = baseline._max_abs(ft)
+            improve = todo & (fn < fnorm)
+            x[improve], f[improve], fnorm[improve] = trial[improve], ft[improve], fn[improve]
+            todo &= ~improve
+            if not todo.any():
+                break
+            lam *= 0.5
+        active &= ~todo & (fnorm > baseline.RESIDUAL_TOLERANCE)
+    roots = []
+    n, dims = cfg.n_initial_guesses, bounds.shape[0]
+    for b, (xs, norms) in enumerate(zip(x.reshape(branches, n, dims), fnorm.reshape(branches, n))):
+        roots.extend((b, row) for row in
+                     baseline._distinct_rows(xs[norms <= baseline.RESIDUAL_TOLERANCE]))
+    return roots
+
+
+def _on_every_row(fn):
+    """A (u, rows) function of `multi_start_solve` as one over all rows."""
+    return lambda u: fn(u, np.arange(len(u)))
+
+
+def solve_words_lockstep(words, goal, current, vehicle, cfg):
+    """`baseline._solve_words` with its multistart run by
+    `multi_start_solve_lockstep` on the same residual and Jacobian."""
+    def lockstep(residual_fn, bounds, cfg, branches=1, jacobian_fn=None):
+        return multi_start_solve_lockstep(_on_every_row(residual_fn), bounds, cfg, branches,
+                                          jacobian_fn and _on_every_row(jacobian_fn))
+
+    with mock.patch.object(baseline, "multi_start_solve", lockstep):
+        return baseline._solve_words(words, goal, current, vehicle, cfg)

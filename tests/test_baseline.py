@@ -17,12 +17,17 @@ from driftplan.baseline import (
     solve_hard_type,
     solve_six,
 )
-from driftplan.core import TWO_PI, CurrentSchedule, CurrentState, Pose, VehicleSpec
-from driftplan.experiments import AERIAL, NAVAL
+from driftplan.core import TWO_PI, CurrentSchedule, CurrentState, Pose, VehicleSpec, to_start_frame
+from driftplan.experiments import AERIAL, NAVAL, _square_perimeter_points, monte_carlo_goals
 from driftplan.planner import SEGMENT_SIGNS, ArcMode, PathType, plan
 from driftplan.trajectory import controls_of, integrate_if
 
-from oracles import classical_dubins_candidates, classical_dubins_shortest, virtual_target_roots
+from oracles import (
+    classical_dubins_candidates,
+    classical_dubins_shortest,
+    solve_words_lockstep,
+    virtual_target_roots,
+)
 
 ORIGIN = Pose(0.0, 0.0, 0.0)
 UNIT = VehicleSpec(1.0, 1.0)
@@ -45,7 +50,7 @@ def test_latency_model_defaults():
 
 def test_multi_start_on_synthetic_quadratic():
     # residual (x^2 - 1, y - 2) has exactly the roots (+/-1, 2)
-    def fn(u):
+    def fn(u, rows):
         return np.stack([u[:, 0] ** 2 - 1.0, u[:, 1] - 2.0], axis=1)
 
     pairs = multi_start_solve(fn, np.array([[-3.0, 3.0], [0.0, 4.0]]),
@@ -58,7 +63,7 @@ def test_multi_start_on_synthetic_quadratic():
 
 
 def test_multi_start_deterministic():
-    def fn(u):
+    def fn(u, rows):
         return np.stack([np.sin(u[:, 0]), u[:, 1] ** 2 - 2.0], axis=1)
 
     bounds = np.array([[0.0, 7.0], [0.0, 3.0]])
@@ -73,7 +78,10 @@ def test_multi_start_lockstep_matches_one_call_per_branch():
     # Rows carry their branch's parameter p by position; p = -1 has no root.
     # Each branch must keep exactly the roots that a run on p alone keeps.
     def residual_for(p):
-        return lambda u: np.stack([u[:, 0] ** 2 - p, u[:, 1] ** 3 + u[:, 1] - p], axis=1)
+        def fn(u, rows):
+            q = p[rows] if np.ndim(p) else p
+            return np.stack([u[:, 0] ** 2 - q, u[:, 1] ** 3 + u[:, 1] - q], axis=1)
+        return fn
 
     params = (-1.0, 0.25, 2.0, 9.0)
     bounds = np.array([[-4.0, 4.0], [-1.0, 3.0]])
@@ -87,6 +95,98 @@ def test_multi_start_lockstep_matches_one_call_per_branch():
         assert repr([row.tolist() for _, row in alone]) == \
             repr([row.tolist() for i, row in lockstep if i == b])
     assert {b for b, _ in lockstep} == {1, 2, 3}
+
+
+def _pairs_match_lockstep(start, goal, current, vehicle, cfg):
+    """Assert that both mirror pairs of a solve_six instance solve to the
+    lockstep oracle's list; returns how many solutions they hold."""
+    local_goal, local_current = to_start_frame(start, goal, current)
+    found = 0
+    for words in baseline._MIRROR_PAIRS:
+        args = (words, local_goal, local_current, vehicle, cfg)
+        out = baseline._solve_words(*args)
+        assert repr(out) == repr(solve_words_lockstep(*args)), args
+        found += len(out)
+    return found
+
+
+def test_solve_words_match_lockstep_on_criterion_13_goals():
+    # the 1000 zero-current goals of criterion 13, drawn the same way
+    rng = np.random.default_rng(2026 + 2)
+    cfg = SolverConfig(n_initial_guesses=24, seed=int(rng.integers(2**16)))
+    found = 0
+    for _ in range(1000):
+        goal = Pose(rng.uniform(-8, 8), rng.uniform(-8, 8), rng.uniform(0, TWO_PI))
+        found += _pairs_match_lockstep(ORIGIN, goal, CurrentState(0, 0), UNIT, cfg)
+    assert found > 1000
+
+
+def test_solve_words_match_lockstep_on_criterion_14_instances():
+    # 40 of criterion 14's 576 static-comparison instances, in its order
+    vehicle = VehicleSpec()
+    cfg = SolverConfig(seed=2026)
+    vw = 0.5 * vehicle.speed
+    instances = [
+        (Pose(gx, gy, 2.0 * math.pi * hm / 6), CurrentState(vw, 2.0 * math.pi * wm / 6))
+        for radius in (5.0, 10.0) for gx, gy in _square_perimeter_points(radius, 8)
+        for hm in range(6) for wm in range(6)
+    ]
+    assert len(instances) == 576
+    found = sum(_pairs_match_lockstep(ORIGIN, goal, cur, vehicle, cfg)
+                for goal, cur in (instances[i] for i in np.linspace(0, 575, 40).astype(int)))
+    assert found > 40
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    pair=st.sampled_from(baseline._MIRROR_PAIRS),
+    x=st.floats(-10.0, 10.0), y=st.floats(-10.0, 10.0), theta_f=st.floats(0.0, TWO_PI),
+    ring=st.none() | st.integers(0, 35),
+    vw=st.sampled_from((0.0, 0.5, 0.99, 1 - 1e-7)) | st.floats(0.0, 1 - 1e-7),
+    psi=st.floats(0.0, TWO_PI), speed=st.floats(0.5, 30.0), radius=st.floats(0.3, 30.0),
+    starts=st.integers(1, 100), seed=st.integers(0, 2**16),
+)
+def test_solve_words_match_lockstep_anywhere(pair, x, y, theta_f, ring, vw, psi, speed, radius,
+                                             starts, seed):
+    # goals within +-10r of the start, or on the 100 m Monte-Carlo ring
+    vehicle = VehicleSpec(speed, radius)
+    goal = Pose(x * radius, y * radius, theta_f) if ring is None else monte_carlo_goals()[ring]
+    args = (pair, goal, CurrentState(vw * speed, psi), vehicle,
+            SolverConfig(n_initial_guesses=starts, seed=seed))
+    assert repr(baseline._solve_words(*args)) == repr(solve_words_lockstep(*args))
+
+
+def test_solve_six_makes_two_residual_calls_per_newton_iteration(monkeypatch):
+    # Counts each residual closure's calls and rows, wrapping the factory
+    # as the benchmark tracer does, on one aerial instance at the 100 m ring.
+    calls = []
+    factory = baseline._branch_residual
+
+    def counting_factory(*args):
+        fn = factory(*args)
+
+        def counted(u):
+            calls.append(len(u))
+            return fn(u)
+        return counted
+
+    monkeypatch.setattr(baseline, "_branch_residual", counting_factory)
+    goal, cur = monte_carlo_goals()[7], CurrentState(0.8 * AERIAL.vehicle.speed, 2.0)
+    local_goal, local_current = to_start_frame(ORIGIN, goal, cur)
+    cfg = SolverConfig(seed=4)
+    for words in baseline._MIRROR_PAIRS:
+        args = (words, local_goal, local_current, AERIAL.vehicle, cfg)
+        calls.clear()
+        out = baseline._solve_words(*args)
+        searched = list(calls)
+        calls.clear()
+        assert repr(solve_words_lockstep(*args)) == repr(out)
+        assert len(searched) <= 1 + 2 * baseline.MAX_ITERATIONS
+        assert len(searched) < len(calls)
+        assert sum(searched) < sum(calls)
+    calls.clear()
+    assert solve_six(ORIGIN, goal, cur, AERIAL.vehicle, cfg) is not None
+    assert len(calls) <= 2 * (1 + 2 * baseline.MAX_ITERATIONS)
 
 
 def test_distinct_rows_matches_greedy_loop():

@@ -60,6 +60,7 @@ def test_plan_fast_current_exits_2(capsys):
     assert "current speed" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mode", ["4pi", "2pi", "dubins"])
 def test_plan_far_goal_exits_2(capsys, mode):
     code, out, err = _run(capsys, [
