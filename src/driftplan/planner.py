@@ -7,6 +7,10 @@ closed-form candidates indexed by a winding index k.  Arc angles may be
 capped at 2*pi (classical) or extended to 4*pi, which restores full
 reachability and often shortens the interception time.  `plan_goals` is
 `plan` over arrays of goals that share one heading and current, for grids.
+Each closed form (coeffs, solve_beta, interception_residual, and interval
+membership) is written once and takes floats or arrays, calling math or
+numpy by its argument's type, so `plan` and `plan_goals` share every
+formula.
 """
 
 from __future__ import annotations
@@ -27,9 +31,6 @@ from .core import (
     to_start_frame,
 )
 
-# Winding indices searched per path type; larger |k| never improves the time.
-LSL_K_CANDIDATES = (0, 1)
-RSR_K_CANDIDATES = (-1, -2)
 LSL_K_EXTENDED = (0, 1, 2, 3)
 RSR_K_EXTENDED = (-1, -2, -3, -4)
 
@@ -57,6 +58,18 @@ SEGMENT_SIGNS = {
     PathType.LRL: (1, -1, 1),
     PathType.RLR: (-1, 1, -1),
 }
+
+
+# The closed-form path types in plan's tie-break order, each with the winding
+# indices searched; larger |k| never improves the time.  plan_goals's winner
+# codes index this order, and the 2*pi sectors of reachability are its rows.
+WINDING_CANDIDATES = {PathType.LSL: (0, 1), PathType.RSR: (-1, -2)}
+
+
+def _num(x):
+    """math for a float, numpy for an array: the module a closed form
+    calls on x."""
+    return np if isinstance(x, np.ndarray) else math
 
 
 class ArcMode(str, enum.Enum):
@@ -98,15 +111,9 @@ class ParamInterval:
     upper: float
     closed: bool  # both ends, or neither
 
-    def contains(self, x: float) -> bool:
+    def contains(self, x):
         """Membership with RANGE_SLACK, widening a closed interval and
-        narrowing an open one."""
-        if self.closed:
-            return self.lower - RANGE_SLACK <= x <= self.upper + RANGE_SLACK
-        return self.lower + RANGE_SLACK < x < self.upper - RANGE_SLACK
-
-    def mask(self, x: np.ndarray) -> np.ndarray:
-        """`contains` applied elementwise to an array."""
+        narrowing an open one; elementwise for an array."""
         if self.closed:
             return (self.lower - RANGE_SLACK <= x) & (x <= self.upper + RANGE_SLACK)
         return (self.lower + RANGE_SLACK < x) & (x < self.upper - RANGE_SLACK)
@@ -154,10 +161,11 @@ def first_turn_sign(path_type: PathType) -> int:
     return SEGMENT_SIGNS[path_type][0]
 
 
-def coeffs(
-    path_type: PathType, k: int, goal: Pose, current: CurrentState, r: float
-) -> tuple[float, float]:
-    """Constants (A, B) of the interception equations for winding index k."""
+def coeffs(path_type: PathType, k: int, goal: Pose, current: CurrentState, r: float):
+    """Constants (A, B) of the interception equations for winding index k.
+
+    goal.x and goal.y may be arrays of one shape, giving arrays A and B.
+    """
     s = first_turn_sign(path_type)
     turn = TWO_PI * k + goal.theta
     a = goal.x - s * r * math.sin(goal.theta) - s * current.wx * r * turn
@@ -165,40 +173,37 @@ def coeffs(
     return a, b
 
 
-def solve_beta(a: float, b: float, current: CurrentState) -> float:
+def solve_beta(a, b, current: CurrentState):
     """Non-negative root of (1-vw^2) b^2 + 2(A wx + B wy) b - (A^2+B^2) = 0.
 
     The root product is -(A^2+B^2)/(1-vw^2) <= 0, so for current speed below
-    the (normalized) vehicle speed the positive branch always exists.
+    the (normalized) vehicle speed the positive branch always exists.  A and
+    B are floats or arrays of one shape.
     """
     vw = current.speed
     if vw >= 1.0:
         raise ValueError("current speed must be below the normalized vehicle speed")
     dot = a * current.wx + b * current.wy
     disc = dot * dot + (a * a + b * b) * (1.0 - vw * vw)
-    return (math.sqrt(disc) - dot) / (1.0 - vw * vw)
+    return (_num(dot).sqrt(disc) - dot) / (1.0 - vw * vw)
 
 
 def interception_residual(
-    path_type: PathType,
-    alpha: float,
-    beta: float,
-    goal: Pose,
-    current: CurrentState,
-    r: float,
-    travel_time: float,
-) -> float:
+    path_type: PathType, alpha, beta, goal: Pose, current: CurrentState, r: float, travel_time
+):
     """Position defect of the LSL/RSR interception equations, in meters.
 
     Compares the goal displaced by the current drift over travel_time with
-    the arc-line-arc endpoint; goal in the start frame.
+    the arc-line-arc endpoint; goal in the start frame.  alpha, beta,
+    travel_time, goal.x and goal.y are floats or arrays of one shape.
     """
     s = first_turn_sign(path_type)
+    num = _num(alpha)
     xf = goal.x - current.wx * travel_time
     yf = goal.y - current.wy * travel_time
-    ex = s * r * math.sin(goal.theta) + beta * math.cos(alpha)
-    ey = s * (r * (1.0 - math.cos(goal.theta)) + beta * math.sin(alpha))
-    return math.hypot(xf - ex, yf - ey)
+    ex = s * r * math.sin(goal.theta) + beta * num.cos(alpha)
+    ey = s * (r * (1.0 - math.cos(goal.theta)) + beta * num.sin(alpha))
+    return num.hypot(xf - ex, yf - ey)
 
 
 def _normalize_problem(
@@ -282,10 +287,10 @@ def plan(
 ) -> PathSolution | None:
     """Minimum-time LSL/RSR path from start to goal under a steady current.
 
-    Searches k in {0, 1} for LSL and {-1, -2} for RSR, which suffices for
-    the minimum in both arc modes.  Ties break LSL before RSR, then smaller
-    |k|.  four_pi mode always returns a solution for current slower than the
-    vehicle; two_pi mode may return None.  A goal whose squared offset from
+    Searches the WINDING_CANDIDATES, k in {0, 1} for LSL and {-1, -2} for
+    RSR, which suffices for the minimum in both arc modes.  Ties break LSL
+    before RSR, then smaller |k|.  four_pi mode always returns a solution
+    for current slower than the vehicle; two_pi mode may return None.  A goal whose squared offset from
     the start overflows is refused.
     """
     mode = ArcMode(mode)
@@ -294,7 +299,7 @@ def plan(
         raise ValueError(f"goal {goal!r} is too far from start {start!r}: "
                          "the squared offset is not finite")
     best: PathSolution | None = None
-    for path_type, ks in ((PathType.LSL, LSL_K_CANDIDATES), (PathType.RSR, RSR_K_CANDIDATES)):
+    for path_type, ks in WINDING_CANDIDATES.items():
         for k in ks:
             sol = solve_one(path_type, k, local_goal, local_current, vehicle, mode.kappa)
             if sol is None:
@@ -302,10 +307,6 @@ def plan(
             if best is None or sol.travel_time < best.travel_time - 1e-12:
                 best = sol
     return best
-
-
-# Path types of plan_goals's winner codes, in plan's candidate order.
-CLOSED_FORM_TYPES = (PathType.LSL, PathType.RSR)
 
 
 def _normalize_angles(a: np.ndarray) -> np.ndarray:
@@ -336,15 +337,8 @@ def _goals_reached(
     arc_sum = s * (TWO_PI * k + theta)
     if arc_sum < 0.0:
         return np.zeros(x.shape, dtype=bool), np.zeros(x.shape)
-    wx, wy, vw = current.wx, current.wy, current.speed
-    # coeffs, then solve_beta, as whole-array expressions with the same
-    # operation order.
-    turn = TWO_PI * k + theta
-    a = x - s * r * math.sin(theta) - s * wx * r * turn
-    b = y - s * r * (1.0 - math.cos(theta)) - s * wy * r * turn
-    dot = a * wx + b * wy
-    disc = dot * dot + (a * a + b * b) * (1.0 - vw * vw)
-    beta = (np.sqrt(disc) - dot) / (1.0 - vw * vw)
+    a, b = coeffs(path_type, k, Pose(x, y, theta), current, r)
+    beta = solve_beta(a, b, current)
     travel = r * arc_sum + beta
 
     scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
@@ -352,11 +346,9 @@ def _goals_reached(
     # At the rotation center the symmetric split decides alone.
     reached = at_center & interval.contains(0.5 * arc_sum)
 
-    base = _normalize_angles(np.arctan2(s * (b - beta * wy), a - beta * wx))
-    terms = np.abs(x) + np.abs(y) + vw * travel + r + beta
+    base = _normalize_angles(np.arctan2(s * (b - beta * current.wy), a - beta * current.wx))
+    terms = np.abs(x) + np.abs(y) + current.speed * travel + r + beta
     tol = 1e-9 * np.maximum(1.0, terms)
-    xf = x - wx * travel
-    yf = y - wy * travel
     # Every representative gives the same travel, so a goal is reached when
     # any of them passes; taking them smallest first changes only the split.
     for j in range(int(kappa / TWO_PI) + 1):
@@ -364,11 +356,10 @@ def _goals_reached(
         gamma = arc_sum - alpha
         gamma = np.where((-RANGE_SLACK < gamma) & (gamma < 0.0), 0.0, gamma)
         # The residual is needed only where the split is feasible.
-        i = np.flatnonzero(~at_center & ~reached & interval.mask(alpha) & (gamma >= 0.0)
-                           & interval.mask(gamma))
-        ex = s * r * math.sin(theta) + beta[i] * np.cos(alpha[i])
-        ey = s * (r * (1.0 - math.cos(theta)) + beta[i] * np.sin(alpha[i]))
-        defect = np.hypot(xf[i] - ex, yf[i] - ey)
+        i = np.flatnonzero(~at_center & ~reached & interval.contains(alpha) & (gamma >= 0.0)
+                           & interval.contains(gamma))
+        defect = interception_residual(path_type, alpha[i], beta[i], Pose(x[i], y[i], theta),
+                                       current, r, travel[i])
         reached[i] = ~(defect > tol[i])
     return reached & ~(beta < 0.0), travel
 
@@ -386,7 +377,7 @@ def plan_goals(
     x and y are goal positions in the start frame, of one shape; theta_f is
     the goal heading and kappa the arc-range cap.  Follows solve_one and
     plan step for step, with plan's candidate order and 1e-12 tie-break.
-    Returns per goal the winner's index in CLOSED_FORM_TYPES (-1 where no
+    Returns per goal the winner's index in WINDING_CANDIDATES (-1 where no
     path exists) and its travel time in seconds (NaN there).  Refuses the
     call if any goal's squared offset overflows, as plan does.
     """
@@ -401,10 +392,9 @@ def plan_goals(
     r = vehicle.turning_radius
     winner = np.full(x.shape, -1, dtype=np.int8)
     best = np.full(x.shape, np.nan)
-    for code, ks in enumerate((LSL_K_CANDIDATES, RSR_K_CANDIDATES)):
+    for code, (path_type, ks) in enumerate(WINDING_CANDIDATES.items()):
         for k in ks:
-            reached, travel = _goals_reached(
-                CLOSED_FORM_TYPES[code], k, x, y, theta, current, r, kappa)
+            reached, travel = _goals_reached(path_type, k, x, y, theta, current, r, kappa)
             time = travel / v
             take = reached & ((winner < 0) | (time < best - 1e-12))
             winner[take] = code

@@ -19,11 +19,9 @@ import numpy as np
 from .core import TWO_PI, CurrentState, VehicleSpec, check_finite, normalize_angle
 from .planner import (
     _FEASIBLE_ROWS,
-    CLOSED_FORM_TYPES,
+    WINDING_CANDIDATES,
     ArcMode,
-    LSL_K_CANDIDATES,
     PathType,
-    RSR_K_CANDIDATES,
     _normalize_angles,
     _normalize_problem,
     feasible_range,
@@ -57,7 +55,7 @@ _BLOCK_CELLS = 4096
 _FRAGILE_MARGIN = 1e-9
 
 # Dominant label per plan_goals winner code; code -1 (no path) picks the last.
-_LABELS = np.array([t.value for t in CLOSED_FORM_TYPES] + ["unreachable"], dtype=object)
+_LABELS = np.array([t.value for t in WINDING_CANDIDATES] + ["unreachable"], dtype=object)
 
 
 def _check_cells(cells: float, request: str) -> None:
@@ -212,10 +210,6 @@ def contains(region: RegionDescriptor, point: tuple[float, float]) -> bool:
     return _in_ccw_interval(*_ccw_bounds(region), normalize_angle(math.atan2(dy, dx)))
 
 
-# Winding indices of the two 2*pi sectors per path type, in tie-break order.
-_SECTOR_KS = {PathType.LSL: LSL_K_CANDIDATES, PathType.RSR: RSR_K_CANDIDATES}
-
-
 def _major_index(extents: list[float]) -> int:
     """Position of the larger of two sector extents; a tie picks the first."""
     return 0 if extents[0] >= extents[1] else 1
@@ -229,7 +223,7 @@ def classify_major_minor(
     Ties (isolated theta_f values) resolve toward k=0 for LSL and k=-1 for
     RSR for determinism.
     """
-    ks = _SECTOR_KS[path_type]
+    ks = WINDING_CANDIDATES[path_type]
     major = _major_index([
         sweep_extent(region_span(path_type, k, theta_f, current, r, TWO_PI)) for k in ks
     ])
@@ -245,7 +239,7 @@ def _major_sectors(
     classify_major_minor's.
     """
     out = {}
-    for path_type, ks in _SECTOR_KS.items():
+    for path_type, ks in WINDING_CANDIDATES.items():
         regions = [region_span(path_type, k, theta_f, current, r, TWO_PI) for k in ks]
         extents = [sweep_extent(region) for region in regions]
         major = _major_index(extents)
@@ -352,7 +346,7 @@ def _coverage_rows(
     reachable = np.zeros(theta_f.shape, dtype=bool)
     fragile = np.zeros(theta_f.shape, dtype=bool)
     sure = np.zeros(theta_f.shape, dtype=bool)  # a case holds with no fragile comparison
-    for path_type, ks in _SECTOR_KS.items():
+    for path_type, ks in WINDING_CANDIDATES.items():
         s = first_turn_sign(path_type)
         sectors = []
         shaky = np.zeros(theta_f.shape, dtype=bool)  # the major or its width is fragile

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from driftplan.core import FOUR_PI, TWO_PI, CurrentState, Pose, VehicleSpec, to_start_frame
 from driftplan.planner import (
-    LSL_K_CANDIDATES,
     LSL_K_EXTENDED,
+    WINDING_CANDIDATES,
     ArcMode,
     PathType,
     coeffs,
@@ -350,7 +350,7 @@ def test_plan_holds_just_below_the_overflow(vw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    row=st.sampled_from([(k, TWO_PI) for k in LSL_K_CANDIDATES]
+    row=st.sampled_from([(k, TWO_PI) for k in WINDING_CANDIDATES[PathType.LSL]]
                         + [(k, FOUR_PI) for k in LSL_K_EXTENDED]),
     x=st.floats(-20.0, 20.0), y=st.floats(-20.0, 20.0), theta_f=st.floats(1e-6, TWO_PI - 1e-6),
     vw=st.floats(0.0, 0.95), psi=st.floats(0.0, TWO_PI),
