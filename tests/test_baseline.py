@@ -137,7 +137,7 @@ def test_solve_words_match_lockstep_on_criterion_14_instances():
     assert found > 40
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(
     pair=st.sampled_from(baseline._MIRROR_PAIRS),
     x=st.floats(-10.0, 10.0), y=st.floats(-10.0, 10.0), theta_f=st.floats(0.0, TWO_PI),
@@ -411,7 +411,7 @@ def test_solve_six_reports_wall_clock():
     assert elapsed > 0.0
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(
     pair=st.sampled_from(((PathType.LSR, PathType.RSL), (PathType.LRL, PathType.RLR))),
     x=st.floats(-10.0, 10.0), y=st.floats(-10.0, 10.0), theta_f=st.floats(1e-3, TWO_PI - 1e-3),

@@ -359,7 +359,7 @@ SCAN_STEP = st.one_of(st.integers(1, 12).map(lambda n: math.pi / n), st.floats(0
 SCAN_SPEED = st.one_of(st.sampled_from([0.0, 1e-4, 1.0 - 1e-7]), st.floats(0.0, 1.0 - 1e-7))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(theta_f_step=SCAN_STEP, theta_w_step=SCAN_STEP,
        speeds=st.lists(SCAN_SPEED, min_size=1, max_size=3), r=st.floats(0.3, 3.0))
 @example(theta_f_step=math.pi / 12, theta_w_step=math.pi / 12, speeds=[0.0, 1e-4, 1.0 - 1e-7],
@@ -501,7 +501,7 @@ def test_scan_rejects_non_finite_current_speed():
         parametric_scan(1.0, 1.0, v_w_values=(math.nan,))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(k=st.sampled_from((0, 1)), theta_f=st.floats(1e-6, TWO_PI - 1e-6),
        vw=st.floats(0.0, 0.95), psi=st.floats(0.0, TWO_PI), r=st.floats(0.3, 3.0),
        alpha=st.floats(0.0, FOUR_PI))
@@ -564,7 +564,7 @@ VEHICLE = st.builds(VehicleSpec, st.floats(0.5, 3.0), st.floats(0.3, 3.0))
 MODE = st.sampled_from([ArcMode.TWO_PI, ArcMode.FOUR_PI])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(theta_f=THETA_F, share=SPEED_SHARE, heading=st.floats(0.0, TWO_PI), vehicle=VEHICLE,
        mode=MODE, x0=st.one_of(st.floats(-12.0, 12.0), st.floats(-1.1e6, 1.1e6)),
        y0=st.one_of(st.floats(-12.0, 12.0), st.floats(-1.1e6, 1.1e6)),
@@ -585,7 +585,7 @@ def test_reachability_map_matches_per_cell_plan(theta_f, share, heading, vehicle
                                                       vehicle))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(theta_f=THETA_F, share=SPEED_SHARE, heading=st.floats(0.0, TWO_PI), vehicle=VEHICLE)
 def test_reachability_map_at_rotation_centers(theta_f, share, heading, vehicle):
     # A one-cell grid on each sector's rotation center, where beta is ~0 and
@@ -628,7 +628,7 @@ def test_full_reachability_matches_per_case_sectors():
     assert ties > 0
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(theta_f=THETA_F, vw=st.floats(0.0, 1.0 - 1e-7), heading=st.floats(0.0, TWO_PI),
        r=st.floats(0.3, 3.0))
 def test_full_reachability_matches_per_case_sectors_anywhere(theta_f, vw, heading, r):

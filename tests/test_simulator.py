@@ -285,7 +285,7 @@ def test_skimming_pass_stays_within_the_advance_bound(monkeypatch, turn_rate):
     assert len(calls) <= 60  # fixed 0.05 s steps took 400
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(x=st.floats(-20.0, 20.0), y=st.floats(-20.0, 20.0), theta=st.floats(0.0, TWO_PI),
        speed=st.floats(0.5, 3.0), turning_radius=st.floats(0.5, 3.0),
        vw=st.floats(0.0, 0.9), psi=st.floats(0.0, TWO_PI),
