@@ -7,10 +7,9 @@ closed-form candidates indexed by a winding index k.  Arc angles may be
 capped at 2*pi (classical) or extended to 4*pi, which restores full
 reachability and often shortens the interception time.  `plan_goals` is
 `plan` over arrays of goals that share one heading and current, for grids.
-Each closed form (coeffs, solve_beta, interception_residual, and interval
-membership) is written once and takes floats or arrays, calling math or
-numpy by its argument's type, so `plan` and `plan_goals` share every
-formula.
+Each closed form is written once for floats and arrays, calling math or
+numpy by its argument's type, so both share every formula; solve_beta's
+root does not cancel, which keeps 4*pi plans complete near unit current.
 """
 
 from __future__ import annotations
@@ -67,8 +66,7 @@ WINDING_CANDIDATES = {PathType.LSL: (0, 1), PathType.RSR: (-1, -2)}
 
 
 def _num(x):
-    """math for a float, numpy for an array: the module a closed form
-    calls on x."""
+    """The module a closed form calls on x: numpy for an array, else math."""
     return np if isinstance(x, np.ndarray) else math
 
 
@@ -179,13 +177,24 @@ def solve_beta(a, b, current: CurrentState):
     The root product is -(A^2+B^2)/(1-vw^2) <= 0, so for current speed below
     the (normalized) vehicle speed the positive branch always exists.  A and
     B are floats or arrays of one shape.
+
+    With dot = A wx + B wy the root is (sqrt(disc) - dot)/(1-vw^2), which
+    cancels where dot > 0 (current towards the goal), with a relative error
+    like eps/(1-vw): at vw = 1 - 1e-9 that rejects valid plans.  There the
+    root is (A^2+B^2)/(sqrt(disc) + dot), the root product over the
+    other root, whose sum does not cancel (Goldberg, 1991).
     """
     vw = current.speed
     if vw >= 1.0:
         raise ValueError("current speed must be below the normalized vehicle speed")
     dot = a * current.wx + b * current.wy
-    disc = dot * dot + (a * a + b * b) * (1.0 - vw * vw)
-    return (_num(dot).sqrt(disc) - dot) / (1.0 - vw * vw)
+    norm2 = a * a + b * b
+    # sqrt(disc) + |dot| is sqrt(disc) - dot wherever dot <= 0.
+    t = _num(dot).sqrt(dot * dot + norm2 * (1.0 - vw * vw)) + abs(dot)
+    if isinstance(t, np.ndarray):
+        with np.errstate(invalid="ignore"):  # 0/0 on the unused side where A = B = 0
+            return np.where(dot > 0.0, norm2 / t, t / (1.0 - vw * vw))
+    return norm2 / t if dot > 0.0 else t / (1.0 - vw * vw)
 
 
 def interception_residual(

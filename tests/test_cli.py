@@ -44,6 +44,21 @@ def test_plan_two_pi_unreachable(capsys):
     assert doc["results"]["solution"] == "unreachable"
 
 
+def test_plan_four_pi_near_unit_current(capsys):
+    # A goal where the textbook root for beta cancels enough to reject every
+    # candidate.
+    code, out, _ = _run(capsys, [
+        "plan", "--start", "0,0,0",
+        "--goal", "7.835019561209485,8.236577218416308,1.3087976796265908",
+        "--current", "0.999999999,0.7858888904132798", "--mode", "4pi",
+    ])
+    assert code == 0
+    sol = _envelope(out)["results"]["solution"]
+    assert sol != "unreachable"
+    assert sol["path_type"] in ("LSL", "RSR")
+    assert math.isfinite(sol["travel_time"])
+
+
 def test_plan_malformed_start_exits_2(capsys):
     code, _, err = _run(capsys, [
         "plan", "--start", "0,0", "--goal", "1,1,0", "--current", "0.1,0",

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftplan.core import (
@@ -353,9 +353,13 @@ def _terms(goal, vehicle, travel_time):
 
 @settings(max_examples=200)
 @given(x=st.floats(-10.0, 10.0), y=st.floats(-10.0, 10.0), theta_f=st.floats(0.0, TWO_PI),
-       psi=st.floats(0.0, TWO_PI))
-def test_four_pi_complete_at_near_unit_current(x, y, theta_f, psi):
-    goal, current = Pose(x, y, theta_f), CurrentState(1.0 - 1e-7, psi)
+       psi=st.floats(0.0, TWO_PI), vw=st.sampled_from([1.0 - 1e-7, 1.0 - 1e-8, 1.0 - 1e-9]))
+# The CLI plan example, where the textbook root for beta cancels enough to
+# reject every candidate.
+@example(x=7.835019561209485, y=8.236577218416308, theta_f=1.3087976796265908,
+         psi=0.7858888904132798, vw=1.0 - 1e-9)
+def test_four_pi_complete_at_near_unit_current(x, y, theta_f, psi, vw):
+    goal, current = Pose(x, y, theta_f), CurrentState(vw, psi)
     sol = plan(ORIGIN, goal, current, UNIT, ArcMode.FOUR_PI)
     assert sol is not None
     position, heading = endpoint_residual(sol, goal, current, UNIT)
