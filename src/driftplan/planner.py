@@ -189,12 +189,12 @@ def solve_beta(a, b, current: CurrentState):
         raise ValueError("current speed must be below the normalized vehicle speed")
     dot = a * current.wx + b * current.wy
     norm2 = a * a + b * b
-    # sqrt(disc) + |dot| is sqrt(disc) - dot wherever dot <= 0.
-    t = _num(dot).sqrt(dot * dot + norm2 * (1.0 - vw * vw)) + abs(dot)
-    if isinstance(t, np.ndarray):
-        with np.errstate(invalid="ignore"):  # 0/0 on the unused side where A = B = 0
-            return np.where(dot > 0.0, norm2 / t, t / (1.0 - vw * vw))
-    return norm2 / t if dot > 0.0 else t / (1.0 - vw * vw)
+    num = _num(dot)
+    root = num.sqrt(dot * dot + norm2 * (1.0 - vw * vw))
+    if num is np:
+        beta = (root - dot) / (1.0 - vw * vw)
+        return np.divide(norm2, root + dot, out=beta, where=dot > 0.0)
+    return norm2 / (root + dot) if dot > 0.0 else (root - dot) / (1.0 - vw * vw)
 
 
 def interception_residual(
@@ -299,8 +299,8 @@ def plan(
     Searches the WINDING_CANDIDATES, k in {0, 1} for LSL and {-1, -2} for
     RSR, which suffices for the minimum in both arc modes.  Ties break LSL
     before RSR, then smaller |k|.  four_pi mode always returns a solution
-    for current slower than the vehicle; two_pi mode may return None.  A goal whose squared offset from
-    the start overflows is refused.
+    for current slower than the vehicle; two_pi mode may return None.  A
+    goal whose squared offset from the start overflows is refused.
     """
     mode = ArcMode(mode)
     local_goal, local_current = to_start_frame(start, goal, current)
@@ -364,12 +364,14 @@ def _goals_reached(
         alpha = base + TWO_PI * j
         gamma = arc_sum - alpha
         gamma = np.where((-RANGE_SLACK < gamma) & (gamma < 0.0), 0.0, gamma)
-        # The residual is needed only where the split is feasible.
+        # The residual is needed only where the split is feasible, and the
+        # last representative rarely is anywhere.
         i = np.flatnonzero(~at_center & ~reached & interval.contains(alpha) & (gamma >= 0.0)
                            & interval.contains(gamma))
-        defect = interception_residual(path_type, alpha[i], beta[i], Pose(x[i], y[i], theta),
-                                       current, r, travel[i])
-        reached[i] = ~(defect > tol[i])
+        if i.size:
+            defect = interception_residual(path_type, alpha[i], beta[i],
+                                           Pose(x[i], y[i], theta), current, r, travel[i])
+            reached[i] = ~(defect > tol[i])
     return reached & ~(beta < 0.0), travel
 
 
