@@ -405,6 +405,7 @@ def test_residuals_of_returned_solutions(instance, mode):
     position, heading = endpoint_residual(sol, local_goal, local_current, vehicle)
     assert position <= tol
     assert heading <= 1e-9
+    assert heading <= 1e-9
     # Flown from the start in the world frame, one closed-form step per
     # segment, the controls land on the goal.
     x, y, theta = start.x, start.y, start.theta
