@@ -115,9 +115,6 @@ class CurrentSchedule:
     def constant(state: CurrentState) -> "CurrentSchedule":
         return CurrentSchedule(((0.0, state),))
 
-    def change_times(self) -> tuple[float, ...]:
-        return self.starts[1:]
-
 
 def current_at(schedule: CurrentSchedule, t: float) -> CurrentState:
     """Current state in effect at time t (right-continuous lookup)."""

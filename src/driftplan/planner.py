@@ -413,11 +413,6 @@ def plan_goals(
     return winner, best
 
 
-def travel_time(sol: PathSolution, vehicle: VehicleSpec) -> float:
-    """Travel time (r*(alpha+gamma) + beta) / v of a solution."""
-    return (vehicle.turning_radius * (sol.alpha + sol.gamma) + sol.beta) / vehicle.speed
-
-
 def extended_k_solutions(
     path_type: PathType,
     goal: Pose,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, CurrentState, VehicleSpec, check_finite, normalize_angle
+from .core import TWO_PI, CurrentState, Pose, VehicleSpec, check_finite, normalize_angle
 from .planner import (
     _FEASIBLE_ROWS,
     WINDING_CANDIDATES,
@@ -24,6 +24,7 @@ from .planner import (
     PathType,
     _normalize_angles,
     _normalize_problem,
+    coeffs,
     feasible_range,
     first_turn_sign,
     plan_goals,
@@ -115,13 +116,13 @@ class FullReachability:
 def center(
     path_type: PathType, k: int, theta_f: float, current: CurrentState, r: float
 ) -> tuple[float, float]:
-    """Rotation center of the reachability ray for one (path type, k)."""
-    s = first_turn_sign(path_type)
-    turn = TWO_PI * k + theta_f
-    return (
-        s * (r * math.sin(theta_f) + current.wx * r * turn),
-        s * (r * (1.0 - math.cos(theta_f)) + current.wy * r * turn),
-    )
+    """Rotation center of the reachability ray for one (path type, k).
+
+    It is -(A, B) of `coeffs` for a goal at the origin; theta_f is
+    normalized to [0, 2*pi), as Pose does it.
+    """
+    a, b = coeffs(path_type, k, Pose(0.0, 0.0, theta_f), current, r)
+    return -a, -b
 
 
 def _ray_terms(s: int, alpha, wx, wy, num):
@@ -210,11 +211,6 @@ def contains(region: RegionDescriptor, point: tuple[float, float]) -> bool:
     return _in_ccw_interval(*_ccw_bounds(region), normalize_angle(math.atan2(dy, dx)))
 
 
-def _major_index(extents: list[float]) -> int:
-    """Position of the larger of two sector extents; a tie picks the first."""
-    return 0 if extents[0] >= extents[1] else 1
-
-
 def classify_major_minor(
     path_type: PathType, theta_f: float, current: CurrentState, r: float
 ) -> tuple[int, int]:
@@ -223,11 +219,9 @@ def classify_major_minor(
     Ties (isolated theta_f values) resolve toward k=0 for LSL and k=-1 for
     RSR for determinism.
     """
-    ks = WINDING_CANDIDATES[path_type]
-    major = _major_index([
-        sweep_extent(region_span(path_type, k, theta_f, current, r, TWO_PI)) for k in ks
-    ])
-    return ks[major], ks[1 - major]
+    major = _major_sectors(theta_f, current, r)[path_type][0].k
+    (minor,) = (k for k in WINDING_CANDIDATES[path_type] if k != major)
+    return major, minor
 
 
 def _major_sectors(
@@ -235,14 +229,14 @@ def _major_sectors(
 ) -> dict[PathType, tuple[RegionDescriptor, float]]:
     """Each path type's major 2*pi sector and its sweep extent.
 
-    Builds each of the four sectors once; the choice of major is
-    classify_major_minor's.
+    Builds each of the four sectors once; a tie picks the first winding
+    index.
     """
     out = {}
     for path_type, ks in WINDING_CANDIDATES.items():
         regions = [region_span(path_type, k, theta_f, current, r, TWO_PI) for k in ks]
         extents = [sweep_extent(region) for region in regions]
-        major = _major_index(extents)
+        major = 0 if extents[0] >= extents[1] else 1
         out[path_type] = regions[major], extents[major]
     return out
 
@@ -362,7 +356,7 @@ def _coverage_rows(
             shaky |= ~full & (lo != up) & ((extent <= margin) | (extent >= TWO_PI - margin))
             sectors.append((start, end, extent))
         (start0, end0, extent0), (start1, end1, extent1) = sectors
-        first = extent0 >= extent1  # _major_index
+        first = extent0 >= extent1  # _major_sectors
         shaky |= np.abs(extent0 - extent1) <= margin
         start, end = np.where(first, start0, start1), np.where(first, end0, end1)
         wide = np.where(first, extent0, extent1) >= TWO_PI - ANGLE_TOL

@@ -12,7 +12,8 @@ the predicted post-drift pose.
 
 A plan is armed at an absolute time.  Flight is cut at every plan-segment
 end, current change and stop time; each piece between two cuts flies one
-turn rate and one current, both looked up at the piece midpoint.  Within a
+turn rate and one current, both looked up at the piece midpoint; a compute
+drift is flown as pieces at turn rate 0 with the heading frozen.  Within a
 piece, flight is event-driven.  From each pose a safe step bounds how soon
 an arrival could happen: the heading error shrinks at most |u| per second,
 and the distance to the goal shrinks at most v + vw per second and bends
@@ -20,10 +21,10 @@ down at most v|u| per second squared.  The vehicle jumps there with one
 closed-form step from the piece start, but never less than a floor of
 1e-3 of the recording spacing; a floor jump that lands on an arrival is
 bisected back to the entry, to 1e-9 of the spacing.  A mission thus ends
-at its first entry into the precision circle with an acceptable heading;
-only a pass shorter than the floor can be missed, and arrival is not
-checked while the vehicle drifts through a compute delay.  Samples at the
-recording spacing are computed only when the trajectory is recorded.
+at its first entry into the precision circle with an acceptable heading,
+also during a compute drift; only a pass shorter than the floor can be
+missed.  Samples at the recording spacing are computed only when the
+trajectory is recorded.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .core import (
     normalize_angle,
 )
 from .planner import ArcMode, plan
-from .trajectory import ControlSchedule, SampledTrajectory, _advance, controls_of, pieces
+from .trajectory import ControlSchedule, SampledTrajectory, _advance, _sample, controls_of, pieces
 
 PLANNER_KINDS = ("analytic_4pi", "dubins_six")
 
@@ -57,7 +58,8 @@ _CHANNELS = {"process": 0, "gps": 1, "compass": 2, "vw": 3, "thetaw": 4}
 _DEFAULT_PROCESS_HEADINGS = tuple(m * math.pi / 6 for m in range(12))
 _DEFAULT_PROCESS_PERIODS = (30.0, 45.0, 60.0)
 
-# Before the first plan is armed the vehicle holds its heading.
+# No segments: flown at turn rate 0, holding the heading, before the first
+# plan is armed and through every compute drift.
 _NO_PLAN = ControlSchedule(())
 
 # Flight jumps at least this share of the recording spacing at a time, and
@@ -327,15 +329,16 @@ class _Mission:
     def _mark_epochs_handled(self) -> None:
         self.unhandled = bisect_right(self.schedule.starts, self.t + 1e-9)
 
-    def _run_controls_until(self, t_stop: float):
-        """Fly the current plan (or loiter) up to t_stop.
+    def _fly(self, controls: ControlSchedule, armed_at: float, t_stop: float):
+        """Fly controls armed at armed_at (or loiter) up to t_stop.
 
-        Arrival is monitored continuously: the mission succeeds the moment
-        the vehicle is inside the precision circle with an acceptable
-        heading, whether or not the plan has finished.
+        Plan pieces and compute drifts both fly here; a drift flies
+        _NO_PLAN, which holds the heading at turn rate 0.  Arrival is
+        monitored continuously: the mission succeeds the moment the vehicle
+        is inside the precision circle with an acceptable heading, whether
+        or not the plan or the drift has finished.
         """
-        controls = self.plan_controls
-        for start, cut, u, cur in pieces(controls, self.schedule, self.armed_at, self.t, t_stop):
+        for start, cut, u, cur in pieces(controls, self.schedule, armed_at, self.t, t_stop):
             if u is None:
                 # plan exhausted mid-window: loiter on the final arc rather
                 # than fly off on a straight escape course
@@ -432,13 +435,15 @@ class _Mission:
         Sample times are summed one spacing at a time, so the recorder keeps
         the same times as it did when flight stepped by the spacing.
         """
-        v = self.sc.vehicle.speed
         spacing = self.recorder.spacing
+        times = []
         t = start
         while spacing < end - t:
             t += spacing
-            self.recorder.add(t, Pose(*_advance(
-                origin.x, origin.y, origin.theta, u, cur.wx, cur.wy, v, t - start)))
+            times.append(t)
+        offsets = [t - start for t in times]
+        for t, pose in zip(times, _sample(origin, u, cur, self.sc.vehicle.speed, offsets)):
+            self.recorder.add(t, pose)
 
     # --- planning ----------------------------------------------------------
 
@@ -470,14 +475,11 @@ class _Mission:
         return sol, delay
 
     def _drift_through(self, duration: float):
-        """Drift along the net velocity (heading frozen) across epochs."""
+        """Drift along the net velocity (heading frozen) across epochs,
+        stopping on arrival."""
         start_pose = self.pose
         start_t = self.t
-        t_end = min(self.t + duration, self.sc.t_max)
-        for t0, t1, _, cur in pieces(_NO_PLAN, self.schedule, 0.0, self.t, t_end):
-            self.pose = drift_predict(self.pose, self.pose.theta, cur, t1 - t0, self.sc.vehicle)
-            self.t = t1
-            self.recorder.add(self.t, self.pose)
+        self._fly(_NO_PLAN, 0.0, min(self.t + duration, self.sc.t_max))
         # a plan left armed (the replan failed) resumes where it paused
         self.armed_at += self.t - start_t
         if duration > 0.0:
@@ -507,7 +509,7 @@ class _Mission:
         sc = self.sc
         window = min(sc.estimation_window, sc.t_max - self.t)
         t0 = self.t
-        self._run_controls_until(t0 + window)
+        self._fly(self.plan_controls, self.armed_at, t0 + window)
         if self.converged:
             return
         self.believed = self._window_estimate(t0, window)
@@ -569,7 +571,7 @@ class _Mission:
             plan_end = max(self.armed_at + self.plan_controls.total_duration, self.t)
             refine_due = self.refine_at[0] if self.refine_at else math.inf
             t_stop = min(plan_end, self._next_unhandled_epoch(), refine_due, sc.t_max)
-            self._run_controls_until(t_stop)
+            self._fly(self.plan_controls, self.armed_at, t_stop)
             if self.converged:
                 break
             if self.refine_at and self.t >= self.refine_at[0] - 1e-9:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain
 
 import numpy as np
@@ -25,6 +25,8 @@ from .core import (
     normalize_angle,
 )
 from .planner import SEGMENT_SIGNS, PathSolution, first_turn_sign, interception_residual
+
+_STILL = CurrentSchedule.constant(CurrentState(0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -128,6 +130,29 @@ def pieces(controls: ControlSchedule, schedule: CurrentSchedule, armed_at: float
             yield a, b, controls.turn_rate_at(mid - armed_at), current_at(schedule, mid)
 
 
+def _segment_pieces(controls: ControlSchedule, schedule: CurrentSchedule):
+    """Cut each control segment only at the current changes inside it; yield
+    (start time, duration, turn rate, current) per piece.
+
+    A segment with no change inside is one piece of exactly its own
+    duration, so a long plan keeps its heading to rounding.  The current is
+    looked up at the piece midpoint.
+    """
+    for seg, t0 in zip(controls.segments, (0.0, *controls.ends)):
+        inside = (t - t0 for t in schedule.starts if t0 < t < t0 + seg.duration)
+        bounds = [0.0, *inside, seg.duration]
+        for a, b in zip(bounds, bounds[1:]):
+            if a < b:
+                yield t0 + a, b - a, seg.turn_rate, current_at(schedule, t0 + 0.5 * (a + b))
+
+
+def _sample(origin: Pose, u: float, cur: CurrentState, v: float, offsets) -> list[Pose]:
+    """Poses flown from origin at turn rate u under one current, one per
+    offset in seconds; each is one closed-form `_advance` from origin."""
+    wx, wy = cur.wx, cur.wy
+    return [Pose(*_advance(origin.x, origin.y, origin.theta, u, wx, wy, v, s)) for s in offsets]
+
+
 def integrate_if(
     start: Pose,
     controls: ControlSchedule,
@@ -136,36 +161,28 @@ def integrate_if(
     h: float,
     method: str = "exact",
 ) -> SampledTrajectory:
-    """Integrate the drift kinematics in the inertial frame.
+    """Fly a control schedule through a current schedule in the inertial frame.
 
-    Steps never straddle a control-segment boundary or a current change,
-    and each is the closed-form constant-turn update, so long arcs do not
-    drift.  "exact" is the only method.
+    Each control segment is flown for exactly its own duration, cut only at
+    the current changes inside it.  A piece is sampled at most h apart, and
+    every sample is one closed-form constant-turn `_advance` from the piece
+    start, so neither long arcs nor small h accumulate error; h may be
+    infinite, giving the piece ends only.  "exact" is the only method.
     """
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
+    if not h > 0.0:
+        raise ValueError(f"h must be positive, got {h!r}")
     if method != "exact":
         raise ValueError(f"unknown integration method {method!r}")
-
-    v = vehicle.speed
     ts = [0.0]
-    xs = [start.x]
-    ys = [start.y]
-    thetas = [start.theta]
-    x, y, theta = start.x, start.y, start.theta
-    for t0, t1, u, cur in pieces(controls, schedule, 0.0, 0.0, controls.total_duration):
-        span = t1 - t0
+    poses = [start]
+    for t0, span, u, cur in _segment_pieces(controls, schedule):
         n = max(1, math.ceil(span / h))
-        dt = span / n
-        for i in range(n):
-            x, y, theta = _advance(x, y, theta, u, cur.wx, cur.wy, v, dt)
-            ts.append(t0 + (i + 1) * dt)
-            xs.append(x)
-            ys.append(y)
-            thetas.append(normalize_angle(theta))
-        theta = normalize_angle(theta)
+        offsets = [span * i / n for i in range(1, n)] + [span]
+        poses += _sample(poses[-1], u, cur, vehicle.speed, offsets)
+        ts += [t0 + s for s in offsets]
     return SampledTrajectory(
-        np.asarray(ts), np.asarray(xs), np.asarray(ys), np.asarray(thetas), "inertial"
+        np.asarray(ts), np.array([p.x for p in poses]), np.array([p.y for p in poses]),
+        np.array([p.theta for p in poses]), "inertial",
     )
 
 
@@ -175,37 +192,16 @@ def cf_path(
     start: Pose = Pose(0.0, 0.0, 0.0),
     h: float | None = None,
 ) -> SampledTrajectory:
-    """Closed-form arc-line-arc samples in the drift frame.
+    """Arc-line-arc samples in the drift frame: `integrate_if` on a still
+    current, labelled "current".
 
-    No integration: each sample comes from exact circle/line geometry, so
-    the endpoint equals the goal displaced by -w*T when the solution is
-    valid.
+    The endpoint equals the goal displaced by -w*T when the solution is
+    valid.  h defaults to 1e-3 r/v.
     """
     if h is None:
         h = 1e-3 * vehicle.turning_radius / vehicle.speed
-    controls = controls_of(sol, vehicle)
-    v = vehicle.speed
-    ts = [0.0]
-    xs = [start.x]
-    ys = [start.y]
-    thetas = [start.theta]
-    x0, y0, th0 = start.x, start.y, start.theta
-    for seg, t0 in zip(controls.segments, (0.0, *controls.ends)):
-        if seg.duration <= 0.0:
-            continue
-        n = max(1, math.ceil(seg.duration / h))
-        for i in range(1, n + 1):
-            dt = seg.duration * i / n
-            x, y, th = _advance(x0, y0, th0, seg.turn_rate, 0.0, 0.0, v, dt)
-            ts.append(t0 + dt)
-            xs.append(x)
-            ys.append(y)
-            thetas.append(normalize_angle(th))
-        x0, y0 = xs[-1], ys[-1]
-        th0 = th0 + seg.turn_rate * seg.duration
-    return SampledTrajectory(
-        np.asarray(ts), np.asarray(xs), np.asarray(ys), np.asarray(thetas), "current"
-    )
+    traj = integrate_if(start, controls_of(sol, vehicle), _STILL, vehicle, h)
+    return replace(traj, frame="current")
 
 
 def endpoint_residual(

@@ -22,7 +22,7 @@ from driftplan import simulator as sim
 from driftplan.baseline import SolverConfig
 from driftplan.core import TWO_PI, CurrentState, Pose
 from driftplan.planner import PathSolution, PathType, plan
-from driftplan.trajectory import SampledTrajectory, _advance, pieces
+from driftplan.trajectory import SampledTrajectory, _advance, _segment_pieces, pieces
 
 _SEGMENT_SIGNS = {
     PathType.LSL: (1, 0, 1),
@@ -266,15 +266,16 @@ def _step_rk4(x, y, theta, u, wx, wy, v, h):
 def integrate_rk4(start, controls, schedule, vehicle, h):
     """`trajectory.integrate_if` with RK4 steps in place of the closed form.
 
-    The reference with O(h^4) position error; pieces are split and stepped
-    as integrate_if splits and steps them.
+    The reference with O(h^4) position error; each segment is split as
+    integrate_if splits it, at the current changes inside it, and each
+    piece is stepped from its start in n equal steps of at most h.
     """
     v = vehicle.speed
     ts, xs, ys, thetas = [0.0], [start.x], [start.y], [start.theta]
     x, y, theta = start.x, start.y, start.theta
-    for t0, t1, u, cur in pieces(controls, schedule, 0.0, 0.0, controls.total_duration):
-        n = max(1, math.ceil((t1 - t0) / h))
-        dt = (t1 - t0) / n
+    for t0, span, u, cur in _segment_pieces(controls, schedule):
+        n = max(1, math.ceil(span / h))
+        dt = span / n
         for i in range(n):
             x, y, theta = _step_rk4(x, y, theta, u, cur.wx, cur.wy, v, dt)
             ts.append(t0 + (i + 1) * dt)
@@ -367,15 +368,14 @@ def write_grid_csv_per_cell(grid, path) -> None:
 
 class _SteppedMission(sim._Mission):
     """A mission flown in fixed steps of the recording spacing, checking
-    arrival only at step ends, as the simulator flew before its flight
-    became event-driven."""
+    arrival only at step ends, as the simulator flew plan pieces before its
+    flight became event-driven; compute drifts are stepped the same way."""
 
-    def _run_controls_until(self, t_stop):
+    def _fly(self, controls, armed_at, t_stop):
         sc = self.sc
         v = sc.vehicle.speed
         spacing = self.recorder.spacing
-        controls = self.plan_controls
-        for _, cut, u, cur in pieces(controls, self.schedule, self.armed_at, self.t, t_stop):
+        for _, cut, u, cur in pieces(controls, self.schedule, armed_at, self.t, t_stop):
             if u is None:
                 u = controls.segments[-1].turn_rate if controls.segments else 0.0
             while self.t < cut:

@@ -23,7 +23,6 @@ from driftplan.planner import (
     plan_goals,
     solve_beta,
     solve_one,
-    travel_time,
 )
 from driftplan.trajectory import _advance, controls_of, endpoint_residual
 
@@ -196,8 +195,9 @@ def test_cost_map_example_instance():
 def test_travel_time_formula():
     sol = plan(ORIGIN, Pose(6, 3, 7 * math.pi / 4), CurrentState(0.5, math.pi / 3), UNIT,
                ArcMode.FOUR_PI)
-    assert travel_time(sol, UNIT) == pytest.approx(sol.travel_time)
-    # identity T = r*(alpha+gamma) + beta, here about 10.045
+    # identity T = (r*(alpha+gamma) + beta)/v, here about 10.045
+    r, v = UNIT.turning_radius, UNIT.speed
+    assert (r * (sol.alpha + sol.gamma) + sol.beta) / v == pytest.approx(sol.travel_time)
     assert sol.travel_time == pytest.approx(2.25 * math.pi + 2.976, abs=0.01)
 
 

@@ -17,7 +17,9 @@ from driftplan.core import (
     Pose,
     VehicleSpec,
     angle_difference,
+    current_at,
 )
+from driftplan.experiments import AERIAL
 from driftplan.planner import ArcMode, plan
 from driftplan.simulator import (
     NoiseModel,
@@ -115,7 +117,7 @@ def test_realize_schedule_random_process():
     proc = RandomCurrentProcess(CurrentState(2.0, 0.0))
     rng = np.random.default_rng(42)
     sched = realize_schedule(proc, 300.0, rng)
-    times = sched.change_times()
+    times = sched.starts[1:]
     assert times
     assert all(t2 - t1 in (30.0, 45.0, 60.0) for t1, t2 in
                zip((0.0,) + times, times))
@@ -250,6 +252,38 @@ def test_entry_time_matches_a_fine_scan(name):
     scenario = _graze_scenario(name)
     result = run_scenario(scenario, seed=0, record_trajectory=False)
     assert abs(result.total_time - _first_entry_by_scan(scenario, 1e-5)) <= 1e-9
+
+
+def test_arrival_during_a_compute_drift():
+    # Benchmark missions input 125 at seed 1: the last compute drift passes
+    # into the precision circle, and the mission ends at the entry instead
+    # of at the drift's end, 1.7e-4 s later.
+    scenario = Scenario(
+        start=Pose(0, 0, 0), goal=Pose(100.0, 0.0, 2 * math.pi / 3), vehicle=AERIAL.vehicle,
+        current_process=RandomCurrentProcess(CurrentState(8.0, 0.2139147023420923)),
+        noise=AERIAL.noise, precision_radius=1.5, planner="analytic_4pi",
+        initial_compute_latency=True,
+    )
+    seed, run_index = 1302466207, 125
+    result = run_scenario(scenario, seed, run_index=run_index, record_trajectory=False)
+    drift, delay = result.drift_segments[-1], result.compute_delays[-1]
+    schedule = simulator._Mission(scenario, seed, run_index, False, SolverConfig()).schedule
+    cur = current_at(schedule, drift.t)
+    assert current_at(schedule, drift.t + delay) == cur
+
+    def arrived(s):
+        pose = drift_predict(drift.from_pose, drift.from_pose.theta, cur, s, scenario.vehicle)
+        return check_termination(pose, scenario.goal, scenario.precision_radius,
+                                 scenario.heading_tolerance)
+
+    lo, hi = 0.0, delay
+    assert not arrived(lo) and arrived(hi)
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if arrived(mid) else (mid, hi)
+    assert result.converged
+    assert abs(result.total_time - (drift.t + hi)) <= 1e-9
+    assert drift.to_pose == result.trajectory.end_pose()
 
 
 @pytest.mark.parametrize("turn_rate", [0.0, 0.1], ids=["straight", "arc"])

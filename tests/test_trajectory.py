@@ -126,6 +126,34 @@ def test_integrate_if_refuses_rk4():
         integrate_if(ORIGIN, controls, STILL, UNIT, h=0.1, method="rk4")
 
 
+@pytest.mark.parametrize("h", [math.nan, 0.0, -1.0, -math.inf])
+def test_integrate_if_refuses_a_bad_step(h):
+    controls = ControlSchedule((ControlSegment(0.0, 1.0),))
+    with pytest.raises(ValueError, match=f"^h must be positive, got {h!r}$"):
+        integrate_if(ORIGIN, controls, STILL, UNIT, h=h)
+
+
+@pytest.mark.parametrize("h", [math.nan, 0.0, -1.0, -math.inf])
+def test_cf_path_refuses_a_bad_step(h):
+    sol = plan(ORIGIN, Pose(3, 2, 1.0), CurrentState(0.3, 1.0), UNIT, ArcMode.FOUR_PI)
+    with pytest.raises(ValueError, match=f"^h must be positive, got {h!r}$"):
+        cf_path(sol, UNIT, h=h)
+
+
+@pytest.mark.parametrize("h", [math.inf, 1e6])
+def test_long_plan_keeps_its_heading(h):
+    # An LSL k = 1 plan with T = 2.34e7 s.  Each segment flies its own
+    # duration; cut at absolute end times near T, the last arc carried
+    # ulp(T) and the heading missed the goal's by 1e-9 rad.
+    goal = Pose(0.0, 1047498.0, 0.0)
+    cur = CurrentState(0.999, 0.0)
+    sol = plan(ORIGIN, goal, cur, UNIT, ArcMode.TWO_PI)
+    assert (sol.path_type, sol.k) == (PathType.LSL, 1)
+    assert sol.travel_time == pytest.approx(2.34e7, rel=0.01)
+    end = integrate_if(ORIGIN, controls_of(sol, UNIT), _constant(cur), UNIT, h=h).end_pose()
+    assert angle_difference(end.theta, goal.theta) < 1e-12
+
+
 def test_piecewise_current_split_at_epoch():
     # one straight segment under a current that flips halfway
     controls = ControlSchedule((ControlSegment(0.0, 2.0),))
