@@ -24,7 +24,16 @@ bisected back to the entry, to 1e-9 of the spacing.  A mission thus ends
 at its first entry into the precision circle with an acceptable heading,
 also during a compute drift; only a pass shorter than the floor can be
 missed.  Samples at the recording spacing are computed only when the
-trajectory is recorded.
+trajectory is recorded; each is kept, so recorded samples lie one spacing
+apart except before a cut and at the end.
+
+A random current process is realised lazily: the schedule is extended, in
+chunks that double, only past the latest time flight, sensing or the event
+loop reads.  Only the schedule draws from the process stream, so drawing
+ahead changes nothing, and a mission's cost does not grow with t_max.
+Sensing reads a batch of times at once, with one array draw per noise
+channel; the draws, clamps and sums give the values per-sample scalar
+draws give, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -44,7 +54,6 @@ from .core import (
     VehicleSpec,
     angle_difference,
     check_finite,
-    current_at,
     normalize_angle,
 )
 from .planner import ArcMode, plan
@@ -209,6 +218,19 @@ def check_termination(
             and angle_difference(pose.theta, goal.theta) <= heading_tolerance)
 
 
+def _epochs(process: RandomCurrentProcess, horizon: float, rng: np.random.Generator):
+    """Yield the (start, state) current changes of a random process up to
+    horizon, in order, drawing each hold period and heading as it goes."""
+    periods, headings = process.periods, process.headings
+    t = 0.0
+    while True:
+        t += float(periods[rng.integers(0, len(periods))])
+        if t > horizon:
+            return
+        heading = float(headings[rng.integers(0, len(headings))])
+        yield t, CurrentState(process.initial.speed, heading)
+
+
 def realize_schedule(
     process: CurrentSchedule | RandomCurrentProcess,
     horizon: float,
@@ -217,19 +239,12 @@ def realize_schedule(
     """Materialize the current history over [0, horizon]."""
     if isinstance(process, CurrentSchedule):
         return process
-    entries = [(0.0, process.initial)]
-    t = 0.0
-    while True:
-        t += float(rng.choice(process.periods))
-        if t > horizon:
-            break
-        heading = float(rng.choice(process.headings))
-        entries.append((t, CurrentState(process.initial.speed, heading)))
-    return CurrentSchedule(tuple(entries))
+    return CurrentSchedule(((0.0, process.initial), *_epochs(process, horizon, rng)))
 
 
 class _Recorder:
-    """Accumulates (t, pose) samples, thinning to a minimum spacing."""
+    """Accumulates (t, pose) samples in time order; when disabled, only
+    forced ones."""
 
     def __init__(self, start: Pose, spacing: float, enabled: bool):
         self.ts = [0.0]
@@ -240,9 +255,7 @@ class _Recorder:
         self.enabled = enabled
 
     def add(self, t: float, pose: Pose, force: bool = False):
-        if not force and (not self.enabled or t - self.ts[-1] < self.spacing):
-            return
-        if t <= self.ts[-1]:
+        if not (self.enabled or force) or t <= self.ts[-1]:
             return
         self.ts.append(t)
         self.xs.append(pose.x)
@@ -268,9 +281,14 @@ class _Mission:
             name: np.random.default_rng(np.random.SeedSequence((seed, run_index, cid)))
             for name, cid in _CHANNELS.items()
         }
-        self.schedule = realize_schedule(
-            scenario.current_process, scenario.t_max, self.rngs["process"]
-        )
+        process = scenario.current_process
+        if isinstance(process, CurrentSchedule):
+            self._future = None
+            self.schedule = process
+        else:
+            # realised lazily: only the schedule reads the process stream
+            self._future = _epochs(process, scenario.t_max, self.rngs["process"])
+            self.schedule = CurrentSchedule(((0.0, process.initial),))
         self.solver_cfg = solver_cfg
         self.t = 0.0
         self.pose = scenario.start
@@ -278,7 +296,7 @@ class _Mission:
         self.armed_at = 0.0
         # the deployment pose is surveyed, but the initial current is known
         # only through one instantaneous (noisy) reading
-        self.believed = self._measure_current(0.0)
+        self.believed = self._reading(0.0)
         self.drift_segments: list[DriftSegment] = []
         self.compute_delays: list[float] = []
         self.replans = -1  # first planner call is the initial plan
@@ -302,24 +320,53 @@ class _Mission:
             self.pose.theta + (compass.normal(0.0, n.sigma_heading) if n.sigma_heading else 0.0),
         )
 
-    def _measure_current(self, t: float) -> CurrentState:
-        true = current_at(self.schedule, t)
+    def _measure_currents(self, times) -> tuple[list[float], list[float]]:
+        """Noisy (speeds, headings) readings of the true current at each of
+        times, given in order; each noise channel draws once per call.
+
+        The readings equal those of one scalar draw per channel and time:
+        normal(0, s) draws 0 + s * z, and numpy takes a slow broadcasting
+        path for an array of scales s, so the product is taken here.
+        """
+        self._schedule_through(times[-1])
         n = self.sc.noise
-        vw = true.speed
+        entries, starts = self.schedule.entries, self.schedule.starts
+        true = [entries[bisect_right(starts, t) - 1][1] for t in times]
+        vw = [s.speed for s in true]
+        heading = [s.heading for s in true]
         if n.sigma_vw_relative:
-            vw += self.rngs["vw"].normal(0.0, n.sigma_vw_relative * true.speed)
-        heading = true.heading
+            z = self.rngs["vw"].standard_normal(len(true)).tolist()
+            vw = [v + (0.0 + n.sigma_vw_relative * v * e) for v, e in zip(vw, z)]
         if n.sigma_thetaw:
-            heading += self.rngs["thetaw"].normal(0.0, n.sigma_thetaw)
-        return self._clamped_current(vw, heading)
+            noise = self.rngs["thetaw"].normal(0.0, n.sigma_thetaw, size=len(true)).tolist()
+            heading = [h + e for h, e in zip(heading, noise)]
+        cap = 0.99 * self.sc.vehicle.speed
+        return [min(max(v, 0.0), cap) for v in vw], [normalize_angle(h) for h in heading]
+
+    def _reading(self, t: float) -> CurrentState:
+        """One noisy instantaneous reading of the current at t."""
+        (vw,), (heading,) = self._measure_currents((t,))
+        return CurrentState(vw, heading)
 
     def _clamped_current(self, vw: float, heading: float) -> CurrentState:
         vw = min(max(vw, 0.0), 0.99 * self.sc.vehicle.speed)
         return CurrentState(vw, normalize_angle(heading))
 
+    def _schedule_through(self, t: float) -> None:
+        """Realise the schedule past t: every epoch starting by t, and the
+        next one if there is one.  Epochs are drawn in chunks as large as the
+        schedule so far, so rebuilding it costs linear time in all."""
+        while self._future is not None and self.schedule.starts[-1] <= t:
+            size = len(self.schedule.entries)
+            chunk = tuple(islice(self._future, size))
+            if len(chunk) < size:
+                self._future = None
+            self.schedule = CurrentSchedule(self.schedule.entries + chunk)
+
     # --- motion ------------------------------------------------------------
 
     def _next_unhandled_epoch(self) -> float:
+        self._schedule_through(self.t + 1e-9)
         starts = self.schedule.starts
         return starts[self.unhandled] if self.unhandled < len(starts) else math.inf
 
@@ -327,6 +374,7 @@ class _Mission:
         return self._next_unhandled_epoch() <= self.t + 1e-9
 
     def _mark_epochs_handled(self) -> None:
+        self._schedule_through(self.t + 1e-9)
         self.unhandled = bisect_right(self.schedule.starts, self.t + 1e-9)
 
     def _fly(self, controls: ControlSchedule, armed_at: float, t_stop: float):
@@ -338,6 +386,7 @@ class _Mission:
         is inside the precision circle with an acceptable heading, whether
         or not the plan or the drift has finished.
         """
+        self._schedule_through(t_stop)
         for start, cut, u, cur in pieces(controls, self.schedule, armed_at, self.t, t_stop):
             if u is None:
                 # plan exhausted mid-window: loiter on the final arc rather
@@ -432,8 +481,9 @@ class _Mission:
                       cur: CurrentState) -> None:
         """Sample a piece flown from start to end at the recording spacing.
 
-        Sample times are summed one spacing at a time, so the recorder keeps
-        the same times as it did when flight stepped by the spacing.
+        Sample times are summed one spacing at a time from the piece start,
+        the times at which flight once stepped; each is recorded, so samples
+        lie one spacing apart except before a cut and at the end.
         """
         spacing = self.recorder.spacing
         times = []
@@ -486,23 +536,20 @@ class _Mission:
             self.drift_segments.append(DriftSegment(start_t, start_pose, self.pose))
 
     def _window_estimate(self, t_from: float, window: float) -> CurrentState:
-        """Circular-mean MLE from samples over (t_from, t_from + window]."""
+        """Circular-mean MLE from samples over (t_from, t_from + window].
+
+        Samples are sample_rate apart; a window too short for one takes a
+        single sample at its end.  The sums run in order with math's sin and
+        cos, as estimate_heading_mle takes them.
+        """
         sc = self.sc
-        heading_samples = []
-        speed_samples = []
-        n_samples = int(math.floor(window * sc.noise.sample_rate))
-        for i in range(1, n_samples + 1):
-            m = self._measure_current(min(t_from + i / sc.noise.sample_rate, sc.t_max))
-            heading_samples.append(m.heading)
-            speed_samples.append(m.speed)
-        if not heading_samples:
-            m = self._measure_current(min(t_from + window, sc.t_max))
-            heading_samples.append(m.heading)
-            speed_samples.append(m.speed)
-        return self._clamped_current(
-            sum(speed_samples) / len(speed_samples),
-            estimate_heading_mle(heading_samples),
-        )
+        rate = sc.noise.sample_rate
+        n_samples = int(math.floor(window * rate))
+        times = [min(t_from + i / rate, sc.t_max) for i in range(1, n_samples + 1)]
+        if not times:
+            times = [min(t_from + window, sc.t_max)]
+        speeds, headings = self._measure_currents(times)
+        return self._clamped_current(sum(speeds) / len(speeds), estimate_heading_mle(headings))
 
     def _hold_and_estimate(self):
         """Fly the stale plan for the estimation window, then adopt the MLE."""
@@ -548,7 +595,7 @@ class _Mission:
         sc = self.sc
         epoch = self._next_unhandled_epoch()
         if sc.planner == "analytic_4pi":
-            self.believed = self._measure_current(min(self.t, sc.t_max))
+            self.believed = self._reading(min(self.t, sc.t_max))
             self._mark_epochs_handled()
             if sc.estimation_window > 0.0:
                 self.refine_at = (epoch + sc.estimation_window, epoch)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain
 
@@ -113,6 +113,12 @@ def _advance(x, y, theta, u, wx, wy, v, h):
             theta1)
 
 
+def _starts_inside(schedule: CurrentSchedule, t0: float, t1: float) -> tuple[float, ...]:
+    """The schedule's start times strictly between t0 and t1, by bisection."""
+    starts = schedule.starts
+    return starts[bisect_right(starts, t0):bisect_left(starts, t1)]
+
+
 def pieces(controls: ControlSchedule, schedule: CurrentSchedule, armed_at: float,
            t0: float, t1: float):
     """Split [t0, t1] where a segment of the plan armed at armed_at ends or
@@ -122,7 +128,7 @@ def pieces(controls: ControlSchedule, schedule: CurrentSchedule, armed_at: float
     past the plan's last segment.
     """
     ends = (armed_at + e for e in controls.ends)
-    cuts = sorted({t for t in chain(ends, schedule.starts) if t0 < t < t1})
+    cuts = sorted({t for t in chain(ends, _starts_inside(schedule, t0, t1)) if t0 < t < t1})
     bounds = [t0, *cuts, t1]
     for a, b in zip(bounds, bounds[1:]):
         if a < b:
@@ -139,7 +145,7 @@ def _segment_pieces(controls: ControlSchedule, schedule: CurrentSchedule):
     looked up at the piece midpoint.
     """
     for seg, t0 in zip(controls.segments, (0.0, *controls.ends)):
-        inside = (t - t0 for t in schedule.starts if t0 < t < t0 + seg.duration)
+        inside = (t - t0 for t in _starts_inside(schedule, t0, t0 + seg.duration))
         bounds = [0.0, *inside, seg.duration]
         for a, b in zip(bounds, bounds[1:]):
             if a < b:

@@ -3,9 +3,9 @@
 Everything here is deliberately separate from the library's solution path:
 classical no-wind Dubins closed forms, a brute-force bisection root finder,
 and RK4 integrators, one batched for bulk solver validation.  The per-cell,
-per-case, per-row and fixed-step references at the end, and the lockstep
-multistart, are earlier, slower forms of library functions, kept to pin the
-faster ones to the same output.
+per-case, per-row and fixed-step references at the end, the per-sample
+sensing mission and the lockstep multistart, are earlier, slower forms of
+library functions, kept to pin the faster ones to the same output.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from driftplan import baseline
 from driftplan import reachability as rc
 from driftplan import simulator as sim
 from driftplan.baseline import SolverConfig
-from driftplan.core import TWO_PI, CurrentState, Pose
+from driftplan.core import TWO_PI, CurrentSchedule, CurrentState, Pose, current_at
 from driftplan.planner import PathSolution, PathType, plan
 from driftplan.trajectory import SampledTrajectory, _advance, _segment_pieces, pieces
 
@@ -375,6 +375,7 @@ class _SteppedMission(sim._Mission):
         sc = self.sc
         v = sc.vehicle.speed
         spacing = self.recorder.spacing
+        self._schedule_through(t_stop)
         for _, cut, u, cur in pieces(controls, self.schedule, armed_at, self.t, t_stop):
             if u is None:
                 u = controls.segments[-1].turn_rate if controls.segments else 0.0
@@ -395,6 +396,76 @@ def run_scenario_stepped(scenario, seed, run_index=0, record_trajectory=True,
                          solver_cfg=SolverConfig()):
     """`simulator.run_scenario` with the fixed-step flight loop."""
     return _SteppedMission(scenario, seed, run_index, record_trajectory, solver_cfg).run()
+
+
+def realize_schedule_by_choice(process, horizon, rng):
+    """`simulator.realize_schedule` drawn eagerly with `rng.choice`: two
+    scalar draws per current epoch, all the way to the horizon."""
+    if isinstance(process, CurrentSchedule):
+        return process
+    entries = [(0.0, process.initial)]
+    t = 0.0
+    while True:
+        t += float(rng.choice(process.periods))
+        if t > horizon:
+            break
+        heading = float(rng.choice(process.headings))
+        entries.append((t, CurrentState(process.initial.speed, heading)))
+    return CurrentSchedule(tuple(entries))
+
+
+class _PerSampleMission(sim._Mission):
+    """A mission whose current schedule is realised up to t_max before it
+    flies, by `realize_schedule_by_choice`, and whose sensing reads the
+    current one sample at a time with scalar noise draws, as the simulator
+    did before it realised the schedule lazily and drew noise per call."""
+
+    def _schedule_through(self, t):
+        if self._future is not None:
+            self._future = None
+            self.schedule = realize_schedule_by_choice(
+                self.sc.current_process, self.sc.t_max, self.rngs["process"])
+
+    def _measure_current(self, t):
+        self._schedule_through(t)
+        true = current_at(self.schedule, t)
+        n = self.sc.noise
+        vw = true.speed
+        if n.sigma_vw_relative:
+            vw += self.rngs["vw"].normal(0.0, n.sigma_vw_relative * true.speed)
+        heading = true.heading
+        if n.sigma_thetaw:
+            heading += self.rngs["thetaw"].normal(0.0, n.sigma_thetaw)
+        return self._clamped_current(vw, heading)
+
+    def _measure_currents(self, times):
+        readings = [self._measure_current(t) for t in times]
+        return [m.speed for m in readings], [m.heading for m in readings]
+
+    def _window_estimate(self, t_from, window):
+        sc = self.sc
+        heading_samples = []
+        speed_samples = []
+        n_samples = int(math.floor(window * sc.noise.sample_rate))
+        for i in range(1, n_samples + 1):
+            m = self._measure_current(min(t_from + i / sc.noise.sample_rate, sc.t_max))
+            heading_samples.append(m.heading)
+            speed_samples.append(m.speed)
+        if not heading_samples:
+            m = self._measure_current(min(t_from + window, sc.t_max))
+            heading_samples.append(m.heading)
+            speed_samples.append(m.speed)
+        return self._clamped_current(
+            sum(speed_samples) / len(speed_samples),
+            sim.estimate_heading_mle(heading_samples),
+        )
+
+
+def run_scenario_per_sample(scenario, seed, run_index=0, record_trajectory=True,
+                            solver_cfg=SolverConfig()):
+    """`simulator.run_scenario` with the schedule realised up front and
+    sensing taken one sample at a time."""
+    return _PerSampleMission(scenario, seed, run_index, record_trajectory, solver_cfg).run()
 
 
 def multi_start_solve_lockstep(residual_fn, bounds, cfg, branches=1, jacobian_fn=None):

@@ -299,6 +299,7 @@ def test_criterion_12_major_sector_containment():
     _report("12", f"exactly one containment flag on the {n}x{n} grid")
 
 
+@pytest.mark.slow
 def test_criterion_13_zero_current_classical_oracle():
     rng = np.random.default_rng(ACCEPTANCE_SEED + 2)
     cfg = SolverConfig(n_initial_guesses=24, seed=int(rng.integers(2**16)))
@@ -314,6 +315,7 @@ def test_criterion_13_zero_current_classical_oracle():
     _report("13", f"1000 pose pairs, worst length gap {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_14_static_comparison():
     result = static_comparison(
         seed=ACCEPTANCE_SEED, radii=(5.0, 10.0), points_per_square=8,
@@ -341,6 +343,7 @@ def test_criterion_15_timing():
                   f"baseline {result.mean_baseline*1e3:.1f} ms, ratio {result.ratio:.0f}x")
 
 
+@pytest.mark.slow
 def test_criterion_16_monte_carlo():
     t0 = time.perf_counter()
     naval = dynamic_monte_carlo(NAVAL, n_runs=60, seed=ACCEPTANCE_SEED)

@@ -110,6 +110,7 @@ def _pairs_match_lockstep(start, goal, current, vehicle, cfg):
     return found
 
 
+@pytest.mark.slow
 def test_solve_words_match_lockstep_on_criterion_13_goals():
     # the 1000 zero-current goals of criterion 13, drawn the same way
     rng = np.random.default_rng(2026 + 2)

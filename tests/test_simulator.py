@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftplan import simulator
@@ -19,7 +19,7 @@ from driftplan.core import (
     angle_difference,
     current_at,
 )
-from driftplan.experiments import AERIAL
+from driftplan.experiments import AERIAL, NAVAL
 from driftplan.planner import ArcMode, plan
 from driftplan.simulator import (
     NoiseModel,
@@ -33,7 +33,7 @@ from driftplan.simulator import (
     scenario_from_dict,
 )
 from driftplan.trajectory import ControlSchedule, ControlSegment, controls_of, integrate_if, pieces
-from oracles import run_scenario_stepped
+from oracles import realize_schedule_by_choice, run_scenario_per_sample, run_scenario_stepped
 
 UNIT = VehicleSpec(1.0, 1.0)
 
@@ -125,6 +125,20 @@ def test_realize_schedule_random_process():
     headings = {s.heading for _, s in sched.entries[1:]}
     allowed = {m * math.pi / 6 for m in range(12)}
     assert headings <= allowed
+
+
+@pytest.mark.parametrize("periods, headings", [
+    ((0.5,), (1.0,)), ((30.0, 45.0, 60.0), (-1.0, 7.0)), ((2.0, 3.5), tuple(range(12))),
+])
+def test_realize_schedule_draws_as_choice_does(periods, headings):
+    # indexing the tuples with integers(0, n) takes the element rng.choice
+    # takes, from the same stream, for 1-element tuples too
+    proc = RandomCurrentProcess(CurrentState(0.7, 0.0), headings=headings, periods=periods)
+    for seed in range(50):
+        rng, by_choice = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert realize_schedule(proc, 200.0, rng) == realize_schedule_by_choice(proc, 200.0,
+                                                                                by_choice)
+        assert rng.random() == by_choice.random()
 
 
 def test_steady_noise_free_run_matches_plan():
@@ -267,7 +281,8 @@ def test_arrival_during_a_compute_drift():
     seed, run_index = 1302466207, 125
     result = run_scenario(scenario, seed, run_index=run_index, record_trajectory=False)
     drift, delay = result.drift_segments[-1], result.compute_delays[-1]
-    schedule = simulator._Mission(scenario, seed, run_index, False, SolverConfig()).schedule
+    process_rng = np.random.default_rng(np.random.SeedSequence((seed, run_index, 0)))
+    schedule = realize_schedule(scenario.current_process, scenario.t_max, process_rng)
     cur = current_at(schedule, drift.t)
     assert current_at(schedule, drift.t + delay) == cur
 
@@ -454,6 +469,135 @@ def test_trajectory_recording():
     assert traj.frame == "inertial"
     # final sample is inside the precision circle
     assert math.hypot(traj.x[-1] - 5, traj.y[-1] - 8.5) <= 1.0 + 1e-9
+
+
+NOISY = NoiseModel(0.3, math.radians(0.5), 0.0075, math.radians(0.67), 1.0)
+
+
+@pytest.mark.parametrize("process, noise", [
+    (FIG_SCHEDULE, NoiseModel()),
+    (RandomCurrentProcess(CurrentState(0.6, 0.0), periods=(3.0, 5.0)), NOISY),
+], ids=["figure", "noisy"])
+def test_recorded_samples_lie_one_spacing_apart(monkeypatch, process, noise):
+    # Within a piece the recorded samples are one spacing apart; a gap is
+    # shorter only before a cut and at the end.  The recorder used to drop
+    # each sample whose summed time rounded to just under one spacing after
+    # the last, leaving about a third of the gaps two spacings wide.
+    scenario = Scenario(start=Pose(0, 0, 0), goal=Pose(5, 8.5, 3 * math.pi / 4), vehicle=UNIT,
+                        current_process=process, noise=noise, estimation_window=2.0)
+    fly_piece = simulator._Mission._fly_piece
+    flown = []
+
+    def counting(self, *args):
+        flown.append(args)
+        return fly_piece(self, *args)
+
+    monkeypatch.setattr(simulator._Mission, "_fly_piece", counting)
+    result = run_scenario(scenario, seed=3)
+    spacing = 0.05 * UNIT.turning_radius / UNIT.speed
+    gaps = np.diff(result.trajectory.t)
+    assert len(gaps) > 200
+    assert (gaps <= spacing * (1 + 1e-9)).all()
+    short = gaps < spacing * (1 - 1e-9)
+    assert short.sum() <= len(flown)
+
+
+def _exactly(result):
+    """A RunResult's repr with its trajectory's every float."""
+    traj = result.trajectory
+    return repr(result), [a.tolist() for a in (traj.t, traj.x, traj.y, traj.theta)]
+
+
+def _schedules(draw, speed):
+    """An explicit schedule whose speed and heading change at up to three
+    times, or a random process with one to three hold periods."""
+    fraction = st.floats(0.0, 0.9)
+    if draw(st.booleans()):
+        starts = [0.0]
+        for _ in range(draw(st.integers(0, 3))):
+            starts.append(starts[-1] + draw(st.floats(0.05, 25.0)))
+        return CurrentSchedule(tuple(
+            (t, CurrentState(draw(fraction) * speed, draw(st.floats(0.0, TWO_PI))))
+            for t in starts))
+    periods = draw(st.lists(st.floats(0.3, 40.0), min_size=1, max_size=3))
+    headings = draw(st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=4))
+    return RandomCurrentProcess(CurrentState(draw(fraction) * speed, draw(st.floats(0.0, TWO_PI))),
+                                tuple(headings), tuple(periods))
+
+
+@st.composite
+def missions(draw):
+    vehicle = VehicleSpec(draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0)))
+    sigma = st.floats(0.0, 0.2).map(lambda s: 0.0 if s < 0.05 else s)  # zero and non-zero
+    planner = draw(st.sampled_from(["analytic_4pi", "analytic_4pi", "dubins_six"]))
+    scenario = Scenario(
+        start=Pose(0, 0, 0),
+        goal=Pose(draw(st.floats(-30.0, 30.0)), draw(st.floats(-30.0, 30.0)),
+                  draw(st.floats(0.0, TWO_PI))),
+        vehicle=vehicle,
+        current_process=_schedules(draw, vehicle.speed),
+        # some rates give a window no sample; a zero rate is refused
+        noise=NoiseModel(draw(sigma), draw(sigma), draw(sigma), draw(sigma),
+                         draw(st.sampled_from([0.05, 0.4, 1.0, 2.5]))),
+        precision_radius=draw(st.floats(0.3, 3.0)),
+        # t_max can cut an estimation window short
+        t_max=draw(st.floats(1.0, 120.0)),
+        estimation_window=draw(st.floats(0.0, 15.0)),
+        latency=LatencyModel(dubins_six=draw(st.floats(0.0, 10.0))),
+        planner=planner,
+        initial_compute_latency=draw(st.booleans()),
+    )
+    return scenario, draw(st.integers(0, 2**31)), draw(st.integers(0, 400)), draw(st.booleans())
+
+
+# solve_six on few starts: dubins_six is the only planner that holds its
+# plan through the window and reads the window's estimate at its end
+_SMALL_SOLVER = SolverConfig(n_initial_guesses=8)
+
+
+def _held_window(sample_rate, t_max):
+    """dubins_six holds its plan through a 10 s window opening at the change
+    at 3 s, with a speed change inside it at 5 s."""
+    return Scenario(
+        start=Pose(0, 0, 0), goal=Pose(12.0, 9.0, 1.0), vehicle=UNIT,
+        current_process=CurrentSchedule(((0.0, CurrentState(0.2, 1.0)),
+                                         (3.0, CurrentState(0.3, 2.0)),
+                                         (5.0, CurrentState(0.6, 2.5)))),
+        noise=NoiseModel(0.1, 0.01, 0.05, 0.1, sample_rate), t_max=t_max,
+        estimation_window=10.0, latency=LatencyModel(dubins_six=1.0), planner="dubins_six",
+    )
+
+
+@settings(max_examples=200)
+@given(mission=missions())
+@example(mission=(_held_window(0.05, 100.0), 7, 0, True))  # no sample: one at the window end
+@example(mission=(_held_window(2.5, 100.0), 7, 0, False))  # 25 samples
+@example(mission=(_held_window(1.0, 9.5), 7, 0, False))  # t_max cuts the window to 6.5 s
+def test_batched_sensing_and_lazy_schedule_match_per_sample_oracle(mission):
+    scenario, seed, run_index, record = mission
+    result = run_scenario(scenario, seed, run_index, record, _SMALL_SOLVER)
+    oracle = run_scenario_per_sample(scenario, seed, run_index, record, _SMALL_SOLVER)
+    assert _exactly(result) == _exactly(oracle)
+
+
+def test_mission_cost_does_not_grow_with_t_max():
+    # The schedule is realised only as far as the mission reads it; realised
+    # up to t_max, this mission drew 2e5 epochs at t_max 1e5 and ended at
+    # 135.8 s.  Realising in doubling chunks at most doubles what it needs.
+    period = 0.5
+    results, epochs = [], []
+    for t_max in (1e3, 1e5):
+        scenario = Scenario(
+            start=Pose(0, 0, 0), goal=Pose(100, 0, 1), vehicle=NAVAL.vehicle, noise=NAVAL.noise,
+            current_process=RandomCurrentProcess(CurrentState(1.0, 0.3), periods=(period,)),
+            t_max=t_max,
+        )
+        mission = simulator._Mission(scenario, 1, 0, False, SolverConfig())
+        results.append(mission.run())
+        epochs.append(len(mission.schedule.entries))
+    assert repr(results[0]) == repr(results[1])
+    assert results[0].converged
+    assert epochs[0] == epochs[1] <= 2 * (results[0].total_time / period + 2)
 
 
 def test_scenario_validation():
