@@ -12,11 +12,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from .baseline import SolverConfig, solve_six
-from .core import CurrentSchedule, CurrentState, Pose, VehicleSpec
+from .core import CurrentSchedule, CurrentState, Pose, VehicleSpec, angle_input
 from .experiments import PROFILES, dynamic_monte_carlo, timing_bench
-from .planner import ArcMode, PathSolution, plan
+from .planner import ArcMode, plan
 from .reachability import parametric_scan, reachability_map, write_scan_csv
 from .simulator import load_scenario, run_scenario
 from .trajectory import cf_path, controls_of, integrate_if
@@ -25,10 +26,6 @@ SCHEMA_VERSION = "1"
 
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
-
-
-class ValidationError(ValueError):
-    """Bad command-line input; `main` maps it, like any ValueError, to exit 2."""
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -57,13 +54,13 @@ def _parse_floats(text: str, name: str, fields: str | None = None) -> tuple[floa
     (any count when fields is None)."""
     parts = text.split(",")
     if fields is not None and len(parts) != len(fields.split(",")):
-        raise ValidationError(f"{name} must be {fields}")
+        raise ValueError(f"{name} must be {fields}")
     try:
         values = tuple(float(p) for p in parts)
     except ValueError:
-        raise ValidationError(f"{name} must be numeric: got {text!r}")
+        raise ValueError(f"{name} must be numeric: got {text!r}")
     if not all(math.isfinite(v) for v in values):
-        raise ValidationError(f"{name} must be finite: got {text!r}")
+        raise ValueError(f"{name} must be finite: got {text!r}")
     return values
 
 
@@ -72,45 +69,10 @@ def _parse_current(text: str, degrees: bool) -> CurrentState:
     return CurrentState(vw, math.radians(thetaw) if degrees else thetaw)
 
 
-def _angle_arg(args, name: str) -> float:
-    """Resolve an angle flag with its _deg alternative."""
-    flag = f"--{name.replace('_', '-')}"
-    rad = getattr(args, name)
-    deg = getattr(args, f"{name}_deg")
-    if rad is not None and deg is not None:
-        raise ValidationError(f"{flag} given twice (radians and degrees)")
-    if rad is None and deg is None:
-        raise ValidationError(f"missing {flag}")
-    value, given = (rad, flag) if deg is None else (deg, f"{flag}-deg")
-    if not math.isfinite(value):
-        raise ValidationError(f"{given} must be finite, got {value!r}")
-    return rad if deg is None else math.radians(deg)
-
-
 def _check_step(value: float | None, flag: str) -> None:
     """A step flag, when given, must be finite and positive."""
     if value is not None and not (math.isfinite(value) and value > 0.0):
-        raise ValidationError(f"{flag} must be finite and positive, got {value!r}")
-
-
-def _add_angle_flag(parser, name: str, help_text: str):
-    parser.add_argument(f"--{name}", type=float, default=None, dest=name.replace("-", "_"),
-                        help=f"{help_text} (radians)")
-    parser.add_argument(f"--{name}-deg", type=float, default=None,
-                        dest=f"{name.replace('-', '_')}_deg",
-                        help=f"{help_text} (degrees)")
-
-
-def _solution_dict(sol: PathSolution) -> dict:
-    return {
-        "path_type": sol.path_type.value,
-        "k": sol.k,
-        "alpha": sol.alpha,
-        "beta": sol.beta,
-        "gamma": sol.gamma,
-        "kappa": sol.kappa,
-        "travel_time": sol.travel_time,
-    }
+        raise ValueError(f"{flag} must be finite and positive, got {value!r}")
 
 
 def cmd_plan(args) -> None:
@@ -118,8 +80,6 @@ def cmd_plan(args) -> None:
     goal = Pose(*_parse_floats(args.goal, "--goal", "x,y,theta"))
     current = _parse_current(args.current, args.current_deg)
     vehicle = VehicleSpec(args.speed, args.radius)
-    if current.speed >= vehicle.speed:
-        raise ValidationError("current speed must be less than vehicle speed")
     inputs = {
         "start": [start.x, start.y, start.theta],
         "goal": [goal.x, goal.y, goal.theta],
@@ -134,14 +94,14 @@ def cmd_plan(args) -> None:
             print("no six-type solution converged", file=sys.stderr)
             sys.exit(EXIT_RUNTIME)
         sol, elapsed = solved
-        results = {"solution": _solution_dict(sol), "compute_time_seconds": elapsed}
+        results = {"solution": asdict(sol), "compute_time_seconds": elapsed}
     else:
         mode = ArcMode.TWO_PI if args.mode == "2pi" else ArcMode.FOUR_PI
         sol = plan(start, goal, current, vehicle, mode)
         if sol is None:
             results = {"solution": "unreachable"}
         else:
-            results = {"solution": _solution_dict(sol)}
+            results = {"solution": asdict(sol)}
     traj_path = _resolve_out(args.traj)
     if traj_path and sol is not None:
         controls = controls_of(sol, vehicle)
@@ -158,18 +118,16 @@ def cmd_plan(args) -> None:
 
 def cmd_grid(args) -> None:
     """reachmap and costmap: both write the same dominant-type/travel-time grid."""
-    theta_f = _angle_arg(args, "theta_f")
+    theta_f = angle_input(args.theta_f, args.theta_f_deg, "--theta-f", "--theta-f-deg")
     _check_step(args.step, "--step")
     current = _parse_current(args.current, args.current_deg)
     vehicle = VehicleSpec(args.speed, args.radius)
-    if current.speed >= vehicle.speed:
-        raise ValidationError("current speed must be less than vehicle speed")
     mode = ArcMode.TWO_PI if args.mode == "2pi" else ArcMode.FOUR_PI
     bounds = None
     if args.bounds:
         bounds = _parse_floats(args.bounds, "--bounds", "xmin,xmax,ymin,ymax")
         if bounds[0] > bounds[1] or bounds[2] > bounds[3]:
-            raise ValidationError(f"--bounds must not be empty: got {args.bounds!r}")
+            raise ValueError(f"--bounds must not be empty: got {args.bounds!r}")
     grid = reachability_map(theta_f, current, bounds, args.step, mode, vehicle)
     out_path = _resolve_out(args.out)
     grid.write_csv(out_path)
@@ -190,7 +148,7 @@ def cmd_paramscan(args) -> None:
     _check_step(args.theta_w_step, "--theta-w-step")
     vws = _parse_floats(args.vw, "--vw")
     if any(not (0.0 < v < 1.0) for v in vws):
-        raise ValidationError("--vw speeds must lie in (0, 1)")
+        raise ValueError("--vw speeds must lie in (0, 1)")
     rows = parametric_scan(args.theta_f_step, args.theta_w_step, vws)
     out_path = _resolve_out(args.out)
     write_scan_csv(rows, out_path)
@@ -205,8 +163,8 @@ def cmd_paramscan(args) -> None:
 def cmd_simulate(args) -> None:
     try:
         scenario = load_scenario(args.scenario)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"bad scenario file: {exc}")
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"bad scenario file: {exc}")
     result = run_scenario(scenario, args.seed)
     if args.traj:
         result.trajectory.write_csv(_resolve_out(args.traj))
@@ -215,10 +173,8 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_montecarlo(args) -> None:
-    if args.profile not in PROFILES:
-        raise ValidationError(f"unknown profile {args.profile!r}")
     if args.runs < 1:
-        raise ValidationError(f"--runs must be at least 1, got {args.runs}")
+        raise ValueError(f"--runs must be at least 1, got {args.runs}")
     stats = dynamic_monte_carlo(PROFILES[args.profile], n_runs=args.runs, seed=args.seed)
     if args.out:
         stats.write_csv(_resolve_out(args.out))
@@ -258,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("reachmap", "costmap"):
         p = sub.add_parser(name, help=f"rasterize a {name} CSV grid")
-        _add_angle_flag(p, "theta-f", "goal heading")
+        p.add_argument("--theta-f", type=float, help="goal heading (radians)")
+        p.add_argument("--theta-f-deg", type=float, help="goal heading (degrees)")
         p.add_argument("--current", required=True, help="vw,thetaw")
         p.add_argument("--current-deg", action="store_true")
         p.add_argument("--speed", type=float, default=1.0)
@@ -284,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("montecarlo", help="paired dynamic-current study")
-    p.add_argument("--profile", required=True, help="naval or aerial")
+    p.add_argument("--profile", required=True, choices=sorted(PROFILES))
     p.add_argument("--runs", type=int, default=360)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="per-run CSV")

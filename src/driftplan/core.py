@@ -30,6 +30,24 @@ def check_finite(name: str, value: float, positive: bool = False) -> None:
         raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
 
 
+def angle_input(radians, degrees, name: str, degrees_name: str):
+    """An angle given either in radians or in degrees (the other None), in
+    radians.  The one given, a float or a tuple of floats, must be finite;
+    messages name it as given, say --theta-f-deg or goal theta.
+    """
+    if radians is not None and degrees is not None:
+        raise ValueError(f"give either {name} or {degrees_name}, not both")
+    if radians is None and degrees is None:
+        raise ValueError(f"missing {name}")
+    value, given = (radians, name) if degrees is None else (degrees, degrees_name)
+    for v in value if isinstance(value, tuple) else (value,):
+        if not math.isfinite(v):
+            raise ValueError(f"{given} must be finite, got {v!r}")
+    if degrees is None:
+        return radians
+    return tuple(map(math.radians, degrees)) if isinstance(degrees, tuple) else math.radians(degrees)
+
+
 def angle_difference(a: float, b: float) -> float:
     """Minimal circular distance between two angles, in [0, pi]."""
     d = math.fmod(a - b, TWO_PI)
@@ -74,8 +92,7 @@ class CurrentState:
     heading: float
 
     def __post_init__(self):
-        if not 0.0 <= self.speed < math.inf:
-            raise ValueError(f"current speed must be finite and non-negative, got {self.speed!r}")
+        check_finite("current speed", self.speed)
         object.__setattr__(self, "heading", normalize_angle(self.heading))
 
     @property

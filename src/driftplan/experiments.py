@@ -114,8 +114,8 @@ class StaticComparisonResult:
         """Share of instances where travel + compute favors the four-arc plan.
 
         With baseline_delay None the measured wall-clock times are used;
-        passing 8.72 reproduces the reference-hardware comparison, which
-        charges the four-arc plan no compute time.
+        passing LatencyModel().dubins_six reproduces the reference-hardware
+        comparison, which charges the four-arc plan no compute time.
         """
         wins = 0
         for inst in self.instances:

@@ -151,11 +151,11 @@ def _ccw_offset(start: float, x: float) -> float:
     return normalize_angle(x - start)
 
 
-def _in_ccw_interval(start: float, end: float, x: float, tol: float = ANGLE_TOL) -> bool:
+def _in_ccw_interval(start: float, end: float, x: float) -> bool:
     """Whether x lies in the closed ccw interval from start to end."""
     span = _ccw_offset(start, end)
     off = _ccw_offset(start, x)
-    return off <= span + tol or off >= TWO_PI - tol
+    return off <= span + ANGLE_TOL or off >= TWO_PI - ANGLE_TOL
 
 
 def region_span(
@@ -414,13 +414,13 @@ def parametric_scan(
     theta_f_step: float = math.pi / 100,
     theta_w_step: float = math.pi / 100,
     v_w_values: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-    r: float = 1.0,
 ) -> list[tuple[float, float, float, bool]]:
     """Sweep (theta_f, theta_w, v_w) and record where full coverage holds.
 
     Rows run over v_w, then theta_f = i * theta_f_step, then theta_w =
     j * theta_w_step, with i and j from 0 while the angle is below 2*pi;
-    each row's flag is full_reachability_2pi's.  `_coverage_rows` decides
+    each row's flag is full_reachability_2pi's, which no turning radius
+    changes, so r = 1 stands for all.  `_coverage_rows` decides
     the lattice a block of rows at a time.  Rows it reports fragile are
     decided again by the scalar full_reachability_2pi: they hold a
     comparison within _FRAGILE_MARGIN of its threshold, such as the exact
@@ -429,7 +429,6 @@ def parametric_scan(
     """
     check_finite("theta_f_step", theta_f_step, positive=True)
     check_finite("theta_w_step", theta_w_step, positive=True)
-    check_finite("r", r, positive=True)
     for vw in v_w_values:  # current speeds relative to the vehicle's
         if not 0.0 <= vw < 1.0:
             raise ValueError(f"current speed must be finite and in [0, 1): v_w_values holds {vw!r}")
@@ -456,7 +455,7 @@ def parametric_scan(
         for row in rows[fragile & ~still].tolist():
             v, cell = divmod(row, n_f * n_w)
             res = full_reachability_2pi(theta_fs[cell // n_w],
-                                        CurrentState(v_w_values[v], theta_ws[cell % n_w]), r)
+                                        CurrentState(v_w_values[v], theta_ws[cell % n_w]), 1.0)
             reachable[row] = res.fully_reachable
     flags = iter(reachable.tolist())
     return [(theta_f, theta_w, vw, next(flags))
@@ -464,16 +463,15 @@ def parametric_scan(
 
 
 class _Reprs(dict):
-    """repr of each (type, number) key, computed on its first lookup.
+    """repr(float(x)) of each number key x, computed on its first lookup.
 
-    The type is part of the key because 0.5 == np.float64(0.5) while their
-    reprs differ.  Zeros are not kept, because 0.0 == -0.0.
+    Zeros are not kept, because 0.0 == -0.0 while their reprs differ.
     """
 
-    def __missing__(self, key):
-        text = repr(key[1])
-        if key[1]:
-            self[key] = text
+    def __missing__(self, x):
+        text = repr(float(x))
+        if x:
+            self[x] = text
         return text
 
 
@@ -487,8 +485,8 @@ def write_scan_csv(rows, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["theta_f", "theta_w", "v_w", "reachable"])
-        writer.writerows([text[type(theta_f), theta_f], text[type(theta_w), theta_w],
-                          text[type(vw), vw], int(ok)] for theta_f, theta_w, vw, ok in rows)
+        writer.writerows([text[theta_f], text[theta_w], text[vw], int(ok)]
+                         for theta_f, theta_w, vw, ok in rows)
 
 
 def reachability_map(

@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import islice
 
 import numpy as np
@@ -53,6 +53,7 @@ from .core import (
     Pose,
     VehicleSpec,
     angle_difference,
+    angle_input,
     check_finite,
     normalize_angle,
 )
@@ -63,9 +64,6 @@ PLANNER_KINDS = ("analytic_4pi", "dubins_six")
 
 # Fixed ids deriving one independent RNG stream per noise channel.
 _CHANNELS = {"process": 0, "gps": 1, "compass": 2, "vw": 3, "thetaw": 4}
-
-_DEFAULT_PROCESS_HEADINGS = tuple(m * math.pi / 6 for m in range(12))
-_DEFAULT_PROCESS_PERIODS = (30.0, 45.0, 60.0)
 
 # No segments: flown at turn rate 0, holding the heading, before the first
 # plan is armed and through every compute drift.
@@ -98,8 +96,8 @@ class RandomCurrentProcess:
     """Current that re-draws its heading after random hold periods."""
 
     initial: CurrentState
-    headings: tuple[float, ...] = _DEFAULT_PROCESS_HEADINGS
-    periods: tuple[float, ...] = _DEFAULT_PROCESS_PERIODS
+    headings: tuple[float, ...] = tuple(m * math.pi / 6 for m in range(12))
+    periods: tuple[float, ...] = (30.0, 45.0, 60.0)
 
     def __post_init__(self):
         for name in ("headings", "periods"):
@@ -657,71 +655,99 @@ def run_scenario(
 # --- scenario (de)serialization ---------------------------------------------
 
 
-def _angle_from(d: dict, key: str, default: float | None = None) -> float:
-    """Read an angle field, accepting a *_deg variant converted exactly."""
-    if key in d and f"{key}_deg" in d:
-        raise ValueError(f"give either {key} or {key}_deg, not both")
-    if key in d:
-        return float(d[key])
-    if f"{key}_deg" in d:
-        return math.radians(float(d[f"{key}_deg"]))
-    if default is None:
-        raise ValueError(f"missing angle field {key}")
-    return default
+# Fields that hold angles; a document may give each in degrees as <name>_deg.
+_ANGLE_FIELDS = frozenset(
+    ("theta", "heading", "headings", "heading_tolerance", "sigma_heading", "sigma_thetaw"))
 
 
-def _pose_from(d: dict) -> Pose:
-    return Pose(float(d["x"]), float(d["y"]), _angle_from(d, "theta"))
+def _object(doc, where: str) -> dict:
+    """A copy of a JSON object; anything else is refused by name."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be an object, got {doc!r}")
+    return dict(doc)
+
+
+def _value(kind: str, value, name: str):
+    """A document value as a field annotated kind takes it, numbers through
+    float(); a value of the wrong shape is refused by name."""
+    if kind == "tuple[float, ...]":
+        if not isinstance(value, list):
+            raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+        return tuple(_value("float", v, name) for v in value)
+    if kind == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if kind == "bool" and not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return float(value) if kind == "float" else value
+
+
+def _read(cls, doc, where: str, **built):
+    """cls from a JSON object: the fields built from it plus those it holds.
+
+    Only the fields the object holds are passed, so the others take cls's
+    defaults and cls's own checks judge every value.  The caller removes
+    the keys it built from; a key that no other field takes is refused.
+    """
+    doc, kwargs, keys = _object(doc, where), dict(built), set()
+    for f in (f for f in fields(cls) if f.name not in built):
+        name, deg = f.name, f"{f.name}_deg"
+        required = f.default is MISSING
+        keys.add(name)
+        if name in _ANGLE_FIELDS:
+            keys.add(deg)
+            if required or name in doc or deg in doc:
+                given = (_value(f.type, doc[k], f"{where} {k}") if k in doc else None
+                         for k in (name, deg))
+                kwargs[name] = angle_input(*given, f"{where} {name}", f"{where} {deg}")
+        elif name in doc:
+            kwargs[name] = _value(f.type, doc[name], f"{where} {name}")
+        elif required:
+            raise ValueError(f"missing {where} {name}")
+    unknown = sorted(doc.keys() - keys)
+    if unknown:
+        raise ValueError(f"{where} has no field {unknown[0]!r}")
+    return cls(**kwargs)
+
+
+def _schedule_entry(doc, where: str) -> tuple[float, CurrentState]:
+    state = _object(doc, where)
+    t_start = _value("float", state.pop("t_start", None), f"{where} t_start")
+    return t_start, _read(CurrentState, state, where)
+
+
+def _process(doc) -> RandomCurrentProcess:
+    rest = _object(doc, "current_process")
+    initial = {} if "heading_deg" in rest else {"heading": 0.0}  # the one default no type holds
+    initial.update({k: rest.pop(k) for k in ("speed", "heading", "heading_deg") if k in rest})
+    return _read(RandomCurrentProcess, rest, "current_process",
+                 initial=_read(CurrentState, initial, "current_process"))
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    """Build a Scenario from its JSON document form."""
-    vehicle = VehicleSpec(float(d["vehicle"]["speed"]),
-                          float(d["vehicle"]["turning_radius"]))
-    if "current_schedule" in d:
-        entries = tuple(
-            (float(e["t_start"]), CurrentState(float(e["speed"]), _angle_from(e, "heading")))
-            for e in d["current_schedule"]
-        )
-        process: CurrentSchedule | RandomCurrentProcess = CurrentSchedule(entries)
-    elif "current_process" in d:
-        p = d["current_process"]
-        initial = CurrentState(float(p["speed"]), _angle_from(p, "heading", 0.0))
-        headings = tuple(
-            math.radians(h) for h in p["headings_deg"]
-        ) if "headings_deg" in p else tuple(
-            float(h) for h in p.get("headings", _DEFAULT_PROCESS_HEADINGS)
-        )
-        periods = tuple(float(x) for x in p.get("periods", _DEFAULT_PROCESS_PERIODS))
-        process = RandomCurrentProcess(initial, headings, periods)
+    """Build a Scenario from its JSON document form.
+
+    The document mirrors the types: each object passes its type only the
+    fields it holds, and an angle field may be given in degrees as
+    <name>_deg.  The current is a current_schedule, a list of entries
+    {t_start, speed, heading}, or a current_process {speed, heading,
+    headings, periods}, whose heading is 0 unless given.
+    """
+    doc = _object(d, "scenario")
+    if ("current_schedule" in doc) == ("current_process" in doc):
+        raise ValueError("scenario needs one of current_schedule and current_process")
+    if "current_process" in doc:
+        built = {"current_process": _process(doc.pop("current_process"))}
     else:
-        raise ValueError("scenario needs current_schedule or current_process")
-    noise_d = d.get("noise", {})
-    noise = NoiseModel(
-        sigma_position=float(noise_d.get("sigma_position", 0.0)),
-        sigma_heading=_angle_from(noise_d, "sigma_heading", 0.0),
-        sigma_vw_relative=float(noise_d.get("sigma_vw_relative", 0.0)),
-        sigma_thetaw=_angle_from(noise_d, "sigma_thetaw", 0.0),
-        sample_rate=float(noise_d.get("sample_rate", 1.0)),
-    )
-    latency_d = d.get("latency", {})
-    latency = LatencyModel(
-        dubins_six=float(latency_d.get("dubins_six", 8.72)),
-        analytic_4pi=float(latency_d.get("analytic_4pi", 6.4e-4)),
-    )
-    return Scenario(
-        start=_pose_from(d["start"]),
-        goal=_pose_from(d["goal"]),
-        vehicle=vehicle,
-        current_process=process,
-        noise=noise,
-        precision_radius=float(d.get("precision_radius", 1.0)),
-        heading_tolerance=_angle_from(d, "heading_tolerance", math.radians(5.0)),
-        t_max=float(d.get("t_max", 1000.0)),
-        estimation_window=float(d.get("estimation_window", 12.0)),
-        latency=latency,
-        planner=d.get("planner", "analytic_4pi"),
-    )
+        entries = doc.pop("current_schedule")
+        if not isinstance(entries, list):
+            raise ValueError(f"current_schedule must be a list, got {entries!r}")
+        built = {"current_process": CurrentSchedule(tuple(
+            _schedule_entry(e, f"current_schedule[{i}]") for i, e in enumerate(entries)))}
+    for name, cls in (("start", Pose), ("goal", Pose), ("vehicle", VehicleSpec),
+                      ("noise", NoiseModel), ("latency", LatencyModel)):
+        if name in doc:
+            built[name] = _read(cls, doc.pop(name), name)
+    return _read(Scenario, doc, "scenario", **built)
 
 
 def load_scenario(path) -> Scenario:

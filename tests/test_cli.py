@@ -221,6 +221,8 @@ def test_grid_rejects_bad_bounds(capsys, tmp_path, command, bounds):
     (["reachmap", "--theta-f", "1", "--step", "nan"], "--step"),
     (["costmap", "--theta-f", "1", "--step", "0"], "--step"),
     (["reachmap", "--theta-f", "1", "--step", "-0.5"], "--step"),
+    (["reachmap", "--theta-f", "1", "--theta-f-deg", "5"], "--theta-f-deg"),
+    (["costmap"], "missing --theta-f"),
 ])
 def test_grid_rejects_bad_angle_or_step(capsys, tmp_path, argv, flag):
     out_csv = tmp_path / "grid.csv"
@@ -342,6 +344,10 @@ def test_simulate_scenario_file(capsys, tmp_path):
     ("t_max", {"t_max": math.nan}),
     ("sample_rate", {"noise": {"sample_rate": math.nan}}),
     ("latency dubins_six", {"latency": {"dubins_six": math.nan}}),
+    # used to read "angle must be finite, got nan", which named no field
+    ("goal theta", {"goal": {"x": 5, "y": 8.5, "theta": math.nan}}),
+    ("current_schedule[0] heading_deg", {
+        "current_schedule": [{"t_start": 0, "speed": 0.5, "heading_deg": math.inf}]}),
 ])
 def test_simulate_rejects_non_finite_scenario_field(capsys, tmp_path, field, patch):
     doc = {
@@ -373,6 +379,36 @@ def test_simulate_rejects_bad_process_headings(capsys, tmp_path, headings, messa
     scen.write_text(json.dumps(doc))
     code, _, err = _run(capsys, ["simulate", "--scenario", str(scen)])
     assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("patch, message", [
+    # a misspelt key used to run at the default precision radius
+    ({"precison_radius": 3.0}, "scenario has no field 'precison_radius'"),
+    ({"noise": {"sample_rate": 2.0, "sigma_headng": 0.1}}, "noise has no field 'sigma_headng'"),
+    # used to exit 3 as a runtime error
+    ({"vehicle": 5}, "vehicle must be an object, got 5"),
+    ({"t_max": "100"}, "scenario t_max must be a number, got '100'"),
+    ({"initial_compute_latency": 1}, "scenario initial_compute_latency must be true or false"),
+    ({"goal": {"x": 5, "y": 8.5, "theta": 2.0, "theta_deg": 90.0}},
+     "give either goal theta or goal theta_deg, not both"),
+    ({"goal": {"x": 5, "y": 8.5}}, "missing goal theta"),
+    ({"current_process": {"speed": 0.5}}, "one of current_schedule and current_process"),
+], ids=["misspelt-key", "misspelt-noise-key", "vehicle-number", "string-number",
+        "number-flag", "both-angles", "no-angle", "two-currents"])
+def test_simulate_refuses_malformed_document(capsys, tmp_path, patch, message):
+    doc = {
+        "start": {"x": 0, "y": 0, "theta": 0},
+        "goal": {"x": 5, "y": 8.5, "theta": 2.0},
+        "vehicle": {"speed": 1.0, "turning_radius": 1.0},
+        "current_schedule": [{"t_start": 0, "speed": 0.5, "heading": 3.0}],
+        **patch,
+    }
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["simulate", "--scenario", str(scen)])
+    assert code == 2
+    assert out == ""
     assert message in err
 
 

@@ -693,3 +693,114 @@ def test_scenario_dict_rejects_double_angle():
             "vehicle": {"speed": 1, "turning_radius": 1},
             "current_schedule": [{"t_start": 0, "speed": 0.1, "heading": 0}],
         })
+
+
+def _number(draw, low, high):
+    """A JSON number: an int or a float."""
+    return draw(st.one_of(st.integers(math.ceil(low), math.floor(high)), st.floats(low, high)))
+
+
+def _angle(draw, doc, name, low=-720.0, high=720.0):
+    """Put an angle into doc as name (radians) or name_deg; return it in radians."""
+    if draw(st.booleans()):
+        doc[name] = _number(draw, math.radians(low), math.radians(high))
+        return float(doc[name])
+    doc[f"{name}_deg"] = _number(draw, low, high)
+    return math.radians(doc[f"{name}_deg"])
+
+
+def _optional(draw, doc, kwargs, name, low, high, angle=False):
+    """Leave name out (its default) or put it into doc and kwargs."""
+    if not draw(st.booleans()):
+        return
+    if angle:
+        kwargs[name] = _angle(draw, doc, name, low, high)
+    else:
+        doc[name] = _number(draw, low, high)
+        kwargs[name] = float(doc[name])
+
+
+def _pose(draw):
+    doc = {"x": _number(draw, -50, 50), "y": _number(draw, -50, 50)}
+    return doc, Pose(float(doc["x"]), float(doc["y"]), _angle(draw, doc, "theta"))
+
+
+@st.composite
+def scenario_documents(draw):
+    """A scenario document with each angle in radians or degrees and optional
+    fields left out, and the Scenario built from the same values."""
+    doc, kwargs = {}, {}
+    (doc["start"], kwargs["start"]), (doc["goal"], kwargs["goal"]) = _pose(draw), _pose(draw)
+    doc["vehicle"], vehicle = {}, {}
+    _optional(draw, doc["vehicle"], vehicle, "speed", 0.5, 5.0)
+    _optional(draw, doc["vehicle"], vehicle, "turning_radius", 0.1, 10.0)
+    kwargs["vehicle"] = VehicleSpec(**vehicle)
+    if draw(st.booleans()):
+        entries, t = [], 0.0
+        for _ in range(draw(st.integers(1, 3))):
+            entry = {"t_start": t, "speed": _number(draw, 0, 3)}
+            heading = _angle(draw, entry, "heading")
+            entries.append((entry, (t, CurrentState(float(entry["speed"]), heading))))
+            t += draw(st.floats(0.5, 50.0))
+        doc["current_schedule"] = [e for e, _ in entries]
+        kwargs["current_process"] = CurrentSchedule(tuple(s for _, s in entries))
+    else:
+        p = doc["current_process"] = {"speed": _number(draw, 0, 3)}
+        heading = _angle(draw, p, "heading") if draw(st.booleans()) else 0.0
+        process = {}
+        if draw(st.booleans()):
+            key = draw(st.sampled_from(["headings", "headings_deg"]))
+            p[key] = draw(st.lists(st.floats(-360.0, 360.0), min_size=1, max_size=4))
+            process["headings"] = tuple(map(math.radians, p[key]) if key == "headings_deg"
+                                        else p[key])
+        if draw(st.booleans()):
+            p["periods"] = draw(st.lists(st.floats(0.5, 60.0), min_size=1, max_size=3))
+            process["periods"] = tuple(p["periods"])
+        kwargs["current_process"] = RandomCurrentProcess(
+            CurrentState(float(p["speed"]), heading), **process)
+    if draw(st.booleans()):
+        doc["noise"], noise = {}, {}
+        for name in ("sigma_position", "sigma_vw_relative"):
+            _optional(draw, doc["noise"], noise, name, 0.0, 2.0)
+        for name in ("sigma_heading", "sigma_thetaw"):
+            _optional(draw, doc["noise"], noise, name, 0.0, 30.0, angle=True)
+        _optional(draw, doc["noise"], noise, "sample_rate", 0.1, 10.0)
+        kwargs["noise"] = NoiseModel(**noise)
+    if draw(st.booleans()):
+        doc["latency"], latency = {}, {}
+        _optional(draw, doc["latency"], latency, "dubins_six", 0.0, 20.0)
+        _optional(draw, doc["latency"], latency, "analytic_4pi", 0.0, 1.0)
+        kwargs["latency"] = LatencyModel(**latency)
+    _optional(draw, doc, kwargs, "precision_radius", 0.1, 10.0)
+    _optional(draw, doc, kwargs, "heading_tolerance", 0.0, 90.0, angle=True)
+    _optional(draw, doc, kwargs, "t_max", 1.0, 5000.0)
+    _optional(draw, doc, kwargs, "estimation_window", 0.0, 30.0)
+    for name, values in (("planner", ["analytic_4pi", "dubins_six"]),
+                         ("initial_compute_latency", [False, True])):
+        if draw(st.booleans()):
+            doc[name] = kwargs[name] = draw(st.sampled_from(values))
+    return json.loads(json.dumps(doc)), Scenario(**kwargs)
+
+
+@settings(max_examples=300)
+@given(case=scenario_documents())
+def test_scenario_document_loads_back_to_its_scenario(case):
+    doc, scenario = case
+    loaded = scenario_from_dict(doc)
+    assert loaded == scenario
+    assert repr(loaded) == repr(scenario)  # every number a float, as a JSON 0 reads 0.0
+
+
+def test_scenario_document_charges_the_first_plan_when_asked():
+    # initial_compute_latency used to be dropped, so a file could not ask for it
+    doc = {
+        "start": {"x": 0, "y": 0, "theta": 0},
+        "goal": {"x": 5, "y": 8.5, "theta_deg": 135.0},
+        "vehicle": {},
+        "current_schedule": [{"t_start": 0, "speed": 0.5, "heading_deg": 180.0}],
+        "latency": {"analytic_4pi": 0.25},
+        "initial_compute_latency": True,
+    }
+    result = run_scenario(scenario_from_dict(doc), seed=0)
+    assert result.converged
+    assert result.compute_delays == (0.25,)  # the first plan; a steady current needs no replan
