@@ -25,10 +25,9 @@ from .reachability import (
     reachability_map,
     region_span,
 )
+from .scenario import NoiseModel, Scenario
 from .simulator import (
-    NoiseModel,
     RunResult,
-    Scenario,
     check_termination,
     drift_predict,
     estimate_heading_mle,

@@ -19,7 +19,8 @@ from .core import CurrentSchedule, CurrentState, Pose, VehicleSpec, angle_input
 from .experiments import PROFILES, dynamic_monte_carlo, timing_bench
 from .planner import ArcMode, plan
 from .reachability import parametric_scan, reachability_map, write_scan_csv
-from .simulator import load_scenario, run_scenario
+from .scenario import load_scenario
+from .simulator import run_scenario
 from .trajectory import cf_path, controls_of, integrate_if
 
 SCHEMA_VERSION = "1"
@@ -62,6 +63,17 @@ def _parse_floats(text: str, name: str, fields: str | None = None) -> tuple[floa
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"{name} must be finite: got {text!r}")
     return values
+
+
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as numpy's generators take."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
 
 
 def _parse_current(text: str, degrees: bool) -> CurrentState:
@@ -209,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--mode", choices=("2pi", "4pi", "dubins"), default="4pi")
     p.add_argument("--traj", default=None, help="write sampled trajectories to CSV")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_plan)
 
     for name in ("reachmap", "costmap"):
@@ -236,20 +248,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one mission from a scenario JSON file")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--traj", default=None, help="write the flown trajectory to CSV")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("montecarlo", help="paired dynamic-current study")
     p.add_argument("--profile", required=True, choices=sorted(PROFILES))
     p.add_argument("--runs", type=int, default=360)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="per-run CSV")
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("bench", help="mean solve-time comparison")
     p.add_argument("--instances", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_bench)
 
     return parser

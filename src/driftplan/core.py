@@ -58,13 +58,17 @@ def angle_difference(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class Pose:
-    """Planar position plus heading; theta is normalized to [0, 2*pi)."""
+    """Planar position plus heading; x and y finite, theta normalized to
+    [0, 2*pi)."""
 
     x: float
     y: float
     theta: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            name, value = ("x", self.x) if not math.isfinite(self.x) else ("y", self.y)
+            raise ValueError(f"pose {name} must be finite, got {value!r}")
         object.__setattr__(self, "theta", normalize_angle(self.theta))
 
 
@@ -86,31 +90,33 @@ class VehicleSpec:
 
 @dataclass(frozen=True)
 class CurrentState:
-    """Uniform current given by speed and heading; heading normalized."""
+    """Uniform current given by speed and heading; heading normalized.
+
+    wx and wy, the velocity components, are computed once from the two;
+    they take no part in repr, == or hash.
+    """
 
     speed: float
     heading: float
+    wx: float = field(init=False, repr=False, compare=False)
+    wy: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_finite("current speed", self.speed)
-        object.__setattr__(self, "heading", normalize_angle(self.heading))
-
-    @property
-    def wx(self) -> float:
-        return self.speed * math.cos(self.heading)
-
-    @property
-    def wy(self) -> float:
-        return self.speed * math.sin(self.heading)
+        heading = normalize_angle(self.heading)
+        object.__setattr__(self, "heading", heading)
+        object.__setattr__(self, "wx", self.speed * math.cos(heading))
+        object.__setattr__(self, "wy", self.speed * math.sin(heading))
 
 
 @dataclass(frozen=True)
 class CurrentSchedule:
     """Piecewise-constant-in-time current: ordered (t_start, state) entries.
 
-    The first entry must start at t = 0 and start times must be strictly
-    increasing.  Evaluation is right-continuous: the state beginning exactly
-    at t applies at t.  starts holds the start times, in order.
+    The first entry must start at t = 0 and start times must be finite and
+    strictly increasing.  Evaluation is right-continuous: the state
+    beginning exactly at t applies at t.  starts holds the start times, in
+    order.
     """
 
     entries: tuple[tuple[float, CurrentState], ...]
@@ -120,6 +126,9 @@ class CurrentSchedule:
         if not self.entries:
             raise ValueError("schedule must contain at least one entry")
         entries = tuple((float(t), s) for t, s in self.entries)
+        for t, _ in entries:
+            if not math.isfinite(t):
+                raise ValueError(f"schedule t_start must be finite, got {t!r}")
         if entries[0][0] != 0.0:
             raise ValueError("first schedule entry must start at t = 0")
         for (t0, _), (t1, _) in zip(entries, entries[1:]):
@@ -147,12 +156,17 @@ def to_start_frame(
 
     Translates by -(start.x, start.y) and rotates by -start.theta; the
     current heading rotates with the frame while its speed is unchanged.
+    A goal whose squared offset from the start overflows is refused.
     """
     dx = goal.x - start.x
     dy = goal.y - start.y
     c = math.cos(start.theta)
     s = math.sin(start.theta)
-    local = Pose(c * dx + s * dy, -s * dx + c * dy, goal.theta - start.theta)
+    x, y = c * dx + s * dy, -s * dx + c * dy
+    if not math.isfinite(x * x + y * y):
+        raise ValueError(f"goal {goal!r} is too far from start {start!r}: "
+                         "the squared offset is not finite")
+    local = Pose(x, y, goal.theta - start.theta)
     local_current = CurrentState(current.speed, current.heading - start.theta)
     return local, local_current
 

@@ -17,7 +17,8 @@ import numpy as np
 from .baseline import SolverConfig, solve_six
 from .core import CurrentState, Pose, VehicleSpec
 from .planner import ArcMode, plan
-from .simulator import NoiseModel, RandomCurrentProcess, RunResult, Scenario, run_scenario
+from .scenario import NoiseModel, RandomCurrentProcess, Scenario
+from .simulator import RunResult, run_scenario
 
 
 @dataclass(frozen=True)

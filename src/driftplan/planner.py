@@ -10,6 +10,14 @@ reachability and often shortens the interception time.  `plan_goals` is
 Each closed form is written once for floats and arrays, calling math or
 numpy by its argument's type, so both share every formula; solve_beta's
 root does not cancel, which keeps 4*pi plans complete near unit current.
+
+The closed forms run at unit speed.  `plan` scales the start-frame current
+by 1/v once and hands `solve_one` a unit-speed vehicle, so its four
+candidates find the problem already normalized; `plan_goals` normalizes
+once per grid.  `coeffs`, `solve_beta` and `interception_residual` wrap
+private forms that take the goal as plain x, y and the sine and cosine of
+its heading, which `solve_one` computes once and the grid kernel passes
+with array x and y.
 """
 
 from __future__ import annotations
@@ -159,16 +167,32 @@ def first_turn_sign(path_type: PathType) -> int:
     return SEGMENT_SIGNS[path_type][0]
 
 
-def coeffs(path_type: PathType, k: int, goal: Pose, current: CurrentState, r: float):
-    """Constants (A, B) of the interception equations for winding index k.
-
-    goal.x and goal.y may be arrays of one shape, giving arrays A and B.
-    """
-    s = first_turn_sign(path_type)
-    turn = TWO_PI * k + goal.theta
-    a = goal.x - s * r * math.sin(goal.theta) - s * current.wx * r * turn
-    b = goal.y - s * r * (1.0 - math.cos(goal.theta)) - s * current.wy * r * turn
+def _coeffs(s: int, turn, x, y, sin_t: float, cos_t: float, wx: float, wy: float, r: float):
+    """(A, B) for first-turn sign s and total turn 2*pi*k + theta, from the
+    start-frame goal x, y (floats or arrays of one shape) and the sine and
+    cosine of its heading theta."""
+    a = x - s * r * sin_t - s * wx * r * turn
+    b = y - s * r * (1.0 - cos_t) - s * wy * r * turn
     return a, b
+
+
+def coeffs(path_type: PathType, k: int, goal: Pose, current: CurrentState, r: float):
+    """Constants (A, B) of the interception equations for winding index k."""
+    theta = goal.theta
+    return _coeffs(first_turn_sign(path_type), TWO_PI * k + theta, goal.x, goal.y,
+                   math.sin(theta), math.cos(theta), current.wx, current.wy, r)
+
+
+def _solve_beta(a, b, vw: float, wx: float, wy: float):
+    """solve_beta for a current (vw, wx, wy) already checked below unit speed."""
+    dot = a * wx + b * wy
+    norm2 = a * a + b * b
+    num = _num(dot)
+    root = num.sqrt(dot * dot + norm2 * (1.0 - vw * vw))
+    if num is np:
+        beta = (root - dot) / (1.0 - vw * vw)
+        return np.divide(norm2, root + dot, out=beta, where=dot > 0.0)
+    return norm2 / (root + dot) if dot > 0.0 else (root - dot) / (1.0 - vw * vw)
 
 
 def solve_beta(a, b, current: CurrentState):
@@ -184,17 +208,22 @@ def solve_beta(a, b, current: CurrentState):
     root is (A^2+B^2)/(sqrt(disc) + dot), the root product over the
     other root, whose sum does not cancel (Goldberg, 1991).
     """
-    vw = current.speed
-    if vw >= 1.0:
+    if current.speed >= 1.0:
         raise ValueError("current speed must be below the normalized vehicle speed")
-    dot = a * current.wx + b * current.wy
-    norm2 = a * a + b * b
-    num = _num(dot)
-    root = num.sqrt(dot * dot + norm2 * (1.0 - vw * vw))
-    if num is np:
-        beta = (root - dot) / (1.0 - vw * vw)
-        return np.divide(norm2, root + dot, out=beta, where=dot > 0.0)
-    return norm2 / (root + dot) if dot > 0.0 else (root - dot) / (1.0 - vw * vw)
+    return _solve_beta(a, b, current.speed, current.wx, current.wy)
+
+
+def _residual(s: int, alpha, beta, x, y, sin_t: float, cos_t: float, wx: float, wy: float,
+              r: float, travel_time):
+    """interception_residual for first-turn sign s, from the start-frame goal
+    x, y and the sine and cosine of its heading; alpha, beta, travel_time, x
+    and y are floats or arrays of one shape."""
+    num = _num(alpha)
+    xf = x - wx * travel_time
+    yf = y - wy * travel_time
+    ex = s * r * sin_t + beta * num.cos(alpha)
+    ey = s * (r * (1.0 - cos_t) + beta * num.sin(alpha))
+    return num.hypot(xf - ex, yf - ey)
 
 
 def interception_residual(
@@ -203,24 +232,26 @@ def interception_residual(
     """Position defect of the LSL/RSR interception equations, in meters.
 
     Compares the goal displaced by the current drift over travel_time with
-    the arc-line-arc endpoint; goal in the start frame.  alpha, beta,
-    travel_time, goal.x and goal.y are floats or arrays of one shape.
+    the arc-line-arc endpoint; goal in the start frame.  alpha, beta and
+    travel_time are floats or arrays of one shape.
     """
-    s = first_turn_sign(path_type)
-    num = _num(alpha)
-    xf = goal.x - current.wx * travel_time
-    yf = goal.y - current.wy * travel_time
-    ex = s * r * math.sin(goal.theta) + beta * num.cos(alpha)
-    ey = s * (r * (1.0 - math.cos(goal.theta)) + beta * num.sin(alpha))
-    return num.hypot(xf - ex, yf - ey)
+    theta = goal.theta
+    return _residual(first_turn_sign(path_type), alpha, beta, goal.x, goal.y,
+                     math.sin(theta), math.cos(theta), current.wx, current.wy, r, travel_time)
 
 
 def _normalize_problem(
     current: CurrentState, vehicle: VehicleSpec
 ) -> tuple[CurrentState, float]:
-    """Scale the current by 1/v so the closed forms run at unit speed."""
+    """Scale the current by 1/v so the closed forms run at unit speed.
+
+    A unit-speed vehicle's current is returned as it is, which is exact:
+    its heading is already normalized, and dividing by 1.0 changes nothing.
+    """
     if current.speed >= vehicle.speed:
         raise ValueError("current speed must be less than vehicle speed")
+    if vehicle.speed == 1.0:
+        return current, 1.0
     return CurrentState(current.speed / vehicle.speed, current.heading), vehicle.speed
 
 
@@ -242,16 +273,20 @@ def solve_one(
     s = first_turn_sign(path_type)
     current, v = _normalize_problem(current, vehicle)
     r = vehicle.turning_radius
-    interval = feasible_range(path_type, k, goal.theta, kappa)
-    a, b = coeffs(path_type, k, goal, current, r)
-    arc_sum = s * (TWO_PI * k + goal.theta)
+    x, y, theta = goal.x, goal.y, goal.theta
+    interval = feasible_range(path_type, k, theta, kappa)
+    turn = TWO_PI * k + theta
+    arc_sum = s * turn
     if arc_sum < 0.0:
         return None
-    beta = solve_beta(a, b, current)
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    vw, wx, wy = current.speed, current.wx, current.wy
+    a, b = _coeffs(s, turn, x, y, sin_t, cos_t, wx, wy, r)
+    beta = _solve_beta(a, b, vw, wx, wy)
     if beta < 0.0:
         return None
 
-    scale = max(1.0, abs(goal.x), abs(goal.y))
+    scale = max(1.0, abs(x), abs(y))
     if beta <= 1e-9 * scale:
         # Goal at the rotation center: the arc split is free, so take the
         # symmetric one, which is interior for every feasible-range row.
@@ -261,7 +296,7 @@ def solve_one(
         travel = r * arc_sum + beta
         return PathSolution(path_type, k, alpha, beta, arc_sum - alpha, kappa, travel / v)
 
-    base = normalize_angle(math.atan2(s * (b - beta * current.wy), a - beta * current.wx))
+    base = normalize_angle(math.atan2(s * (b - beta * wy), a - beta * wx))
 
     # atan2 pins alpha only modulo 2*pi; enumerate in-range representatives
     # (smallest first for determinism) and close gamma exactly against the
@@ -279,8 +314,8 @@ def solve_one(
         travel = r * arc_sum + beta
         # The residual's rounding error is relative to its largest terms, and
         # the drift vw*T grows without bound as vw approaches 1.
-        terms = abs(goal.x) + abs(goal.y) + current.speed * travel + r + beta
-        defect = interception_residual(path_type, alpha, beta, goal, current, r, travel)
+        terms = abs(x) + abs(y) + vw * travel + r + beta
+        defect = _residual(s, alpha, beta, x, y, sin_t, cos_t, wx, wy, r, travel)
         if defect > 1e-9 * max(1.0, terms):
             continue
         return PathSolution(path_type, k, alpha, beta, gamma, kappa, travel / v)
@@ -300,21 +335,26 @@ def plan(
     RSR, which suffices for the minimum in both arc modes.  Ties break LSL
     before RSR, then smaller |k|.  four_pi mode always returns a solution
     for current slower than the vehicle; two_pi mode may return None.  A
-    goal whose squared offset from the start overflows is refused.
+    goal whose squared offset from the start overflows is refused.  The
+    candidates are solved at unit speed and tie-broken in seconds.
     """
     mode = ArcMode(mode)
     local_goal, local_current = to_start_frame(start, goal, current)
-    if not math.isfinite(local_goal.x * local_goal.x + local_goal.y * local_goal.y):
-        raise ValueError(f"goal {goal!r} is too far from start {start!r}: "
-                         "the squared offset is not finite")
+    unit_current, v = _normalize_problem(local_current, vehicle)
+    unit = vehicle if v == 1.0 else VehicleSpec(1.0, vehicle.turning_radius)
     best: PathSolution | None = None
+    best_time = math.inf
     for path_type, ks in WINDING_CANDIDATES.items():
         for k in ks:
-            sol = solve_one(path_type, k, local_goal, local_current, vehicle, mode.kappa)
+            sol = solve_one(path_type, k, local_goal, unit_current, unit, mode.kappa)
             if sol is None:
                 continue
-            if best is None or sol.travel_time < best.travel_time - 1e-12:
-                best = sol
+            seconds = sol.travel_time / v
+            if best is None or seconds < best_time - 1e-12:
+                best, best_time = sol, seconds
+    if best is not None and v != 1.0:
+        best = PathSolution(best.path_type, best.k, best.alpha, best.beta, best.gamma,
+                            best.kappa, best_time)
     return best
 
 
@@ -343,11 +383,14 @@ def _goals_reached(
     """
     s = first_turn_sign(path_type)
     interval = feasible_range(path_type, k, theta, kappa)
-    arc_sum = s * (TWO_PI * k + theta)
+    turn = TWO_PI * k + theta
+    arc_sum = s * turn
     if arc_sum < 0.0:
         return np.zeros(x.shape, dtype=bool), np.zeros(x.shape)
-    a, b = coeffs(path_type, k, Pose(x, y, theta), current, r)
-    beta = solve_beta(a, b, current)
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    vw, wx, wy = current.speed, current.wx, current.wy
+    a, b = _coeffs(s, turn, x, y, sin_t, cos_t, wx, wy, r)
+    beta = _solve_beta(a, b, vw, wx, wy)
     travel = r * arc_sum + beta
 
     scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
@@ -355,8 +398,8 @@ def _goals_reached(
     # At the rotation center the symmetric split decides alone.
     reached = at_center & interval.contains(0.5 * arc_sum)
 
-    base = _normalize_angles(np.arctan2(s * (b - beta * current.wy), a - beta * current.wx))
-    terms = np.abs(x) + np.abs(y) + current.speed * travel + r + beta
+    base = _normalize_angles(np.arctan2(s * (b - beta * wy), a - beta * wx))
+    terms = np.abs(x) + np.abs(y) + vw * travel + r + beta
     tol = 1e-9 * np.maximum(1.0, terms)
     # Every representative gives the same travel, so a goal is reached when
     # any of them passes; taking them smallest first changes only the split.
@@ -369,8 +412,8 @@ def _goals_reached(
         i = np.flatnonzero(~at_center & ~reached & interval.contains(alpha) & (gamma >= 0.0)
                            & interval.contains(gamma))
         if i.size:
-            defect = interception_residual(path_type, alpha[i], beta[i],
-                                           Pose(x[i], y[i], theta), current, r, travel[i])
+            defect = _residual(s, alpha[i], beta[i], x[i], y[i], sin_t, cos_t, wx, wy, r,
+                               travel[i])
             reached[i] = ~(defect > tol[i])
     return reached & ~(beta < 0.0), travel
 

@@ -2,10 +2,11 @@
 
 Everything here is deliberately separate from the library's solution path:
 classical no-wind Dubins closed forms, a brute-force bisection root finder,
-and RK4 integrators, one batched for bulk solver validation.  The per-cell,
-per-case, per-row and fixed-step references at the end, the per-sample
-sensing mission and the lockstep multistart, are earlier, slower forms of
-library functions, kept to pin the faster ones to the same output.
+and RK4 integrators, one batched for bulk solver validation.  The
+per-candidate, per-cell, per-case, per-row and fixed-step references at
+the end, the per-sample sensing mission and the lockstep multistart, are
+earlier, slower forms of library functions, kept to pin the faster ones
+to the same output.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from driftplan import baseline
 from driftplan import reachability as rc
 from driftplan import simulator as sim
 from driftplan.baseline import SolverConfig
-from driftplan.core import TWO_PI, CurrentSchedule, CurrentState, Pose, current_at
-from driftplan.planner import PathSolution, PathType, plan
+from driftplan.core import TWO_PI, CurrentSchedule, CurrentState, Pose, current_at, to_start_frame
+from driftplan.planner import WINDING_CANDIDATES, ArcMode, PathSolution, PathType, plan, solve_one
 from driftplan.trajectory import SampledTrajectory, _advance, _segment_pieces, pieces
 
 _SEGMENT_SIGNS = {
@@ -286,6 +287,20 @@ def integrate_rk4(start, controls, schedule, vehicle, h):
     return SampledTrajectory(
         np.asarray(ts), np.asarray(xs), np.asarray(ys), np.asarray(thetas), "inertial"
     )
+
+
+def plan_per_candidate(start, goal, current, vehicle, mode):
+    """`plan` as the loop it is defined by: public `solve_one` on each of the
+    WINDING_CANDIDATES with the given vehicle, each call normalizing the
+    problem itself, ties broken by 1e-12 s in candidate order."""
+    local_goal, local_current = to_start_frame(start, goal, current)
+    best = None
+    for path_type, ks in WINDING_CANDIDATES.items():
+        for k in ks:
+            sol = solve_one(path_type, k, local_goal, local_current, vehicle, ArcMode(mode).kappa)
+            if sol is not None and (best is None or sol.travel_time < best.travel_time - 1e-12):
+                best = sol
+    return best
 
 
 def reachability_map_per_cell(theta_f, current, bounds, step, mode, vehicle):

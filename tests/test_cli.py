@@ -348,6 +348,14 @@ def test_simulate_scenario_file(capsys, tmp_path):
     ("goal theta", {"goal": {"x": 5, "y": 8.5, "theta": math.nan}}),
     ("current_schedule[0] heading_deg", {
         "current_schedule": [{"t_start": 0, "speed": 0.5, "heading_deg": math.inf}]}),
+    # used to be refused by plan as a goal Pose too far from the start
+    ("goal x", {"goal": {"x": math.nan, "y": 8.5, "theta": 2.0}}),
+    # used to run with the change never applied
+    ("current_schedule[1] t_start", {"current_schedule": [
+        {"t_start": 0, "speed": 0.5, "heading": 3.0},
+        {"t_start": math.nan, "speed": 0.5, "heading": 1.0}]}),
+    # used to exit 3 with "int too large to convert to float"
+    ("goal x", {"goal": {"x": 10 ** 400, "y": 8.5, "theta": 2.0}}),
 ])
 def test_simulate_rejects_non_finite_scenario_field(capsys, tmp_path, field, patch):
     doc = {
@@ -438,6 +446,27 @@ def test_montecarlo_rejects_no_runs(capsys, runs):
     assert code == 2
     assert out == ""
     assert "--runs" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--start", "0,0,0", "--goal", "4,-3,1", "--current", "0.4,2", "--mode", "dubins"],
+    ["simulate", "--scenario", "SCENARIO"],
+    ["montecarlo", "--profile", "naval", "--runs", "1"],
+    ["bench", "--instances", "1"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_refused_by_flag(capsys, tmp_path, argv):
+    # numpy used to refuse it with "expected non-negative integer", naming no flag.
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps({
+        "start": {"x": 0, "y": 0, "theta": 0},
+        "goal": {"x": 5, "y": 8.5, "theta": 2.0},
+        "current_schedule": [{"t_start": 0, "speed": 0.5, "heading": 3.0}],
+    }))
+    argv = [str(scen) if a == "SCENARIO" else a for a in argv]
+    code, out, err = _run(capsys, argv + ["--seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "argument --seed: must be a non-negative integer, got '-1'" in err
 
 
 def test_bench_envelope(capsys):

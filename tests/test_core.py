@@ -1,5 +1,6 @@
 """Angle arithmetic, domain types, schedules, and frame transforms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -47,6 +48,14 @@ def test_pose_normalizes_theta():
     assert Pose(0, 0, 7 * math.pi).theta == pytest.approx(math.pi)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pose_rejects_non_finite_position(bad):
+    with pytest.raises(ValueError, match=f"^pose x must be finite, got {bad!r}$"):
+        Pose(bad, 0.0, 0.0)
+    with pytest.raises(ValueError, match=f"^pose y must be finite, got {bad!r}$"):
+        Pose(0.0, bad, 0.0)
+
+
 def test_vehicle_spec_validation():
     spec = VehicleSpec(2.0, 4.0)
     assert spec.max_turn_rate == pytest.approx(0.5)
@@ -72,6 +81,20 @@ def test_current_state_components():
         CurrentState(-0.1, 0.0)
 
 
+def test_current_state_components_are_derived():
+    c = CurrentState(0.5, 7.0)
+    assert repr(c) == f"CurrentState(speed=0.5, heading={7.0 - TWO_PI!r})"
+    twin = CurrentState(0.5, 7.0)
+    object.__setattr__(twin, "wx", 9.0)  # components take no part in == or hash
+    object.__setattr__(twin, "wy", -9.0)
+    assert twin == c and hash(twin) == hash(c)
+    assert [f.name for f in dataclasses.fields(c) if f.init] == ["speed", "heading"]
+    turned = dataclasses.replace(c, heading=math.pi / 2)
+    assert (turned.wx, turned.wy) == (0.5 * math.cos(math.pi / 2), 0.5)
+    slower = dataclasses.replace(c, speed=0.25)
+    assert (slower.wx, slower.wy) == (0.25 * math.cos(c.heading), 0.25 * math.sin(c.heading))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
 def test_current_state_rejects_bad_speed(bad):
     with pytest.raises(ValueError, match=f"^current speed must be finite and non-negative, got {bad!r}$"):
@@ -85,6 +108,13 @@ def test_schedule_validation():
         CurrentSchedule(((1.0, CurrentState(0.1, 0)),))  # must start at 0
     with pytest.raises(ValueError):
         CurrentSchedule(((0.0, CurrentState(0.1, 0)), (0.0, CurrentState(0.2, 0))))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_schedule_refuses_non_finite_start_time(bad):
+    # A NaN start passed the ordering check, since t1 <= t0 is False for it.
+    with pytest.raises(ValueError, match=f"^schedule t_start must be finite, got {bad!r}$"):
+        CurrentSchedule(((0.0, CurrentState(0.1, 0)), (bad, CurrentState(0.2, 0))))
 
 
 def test_current_at_change_epoch():

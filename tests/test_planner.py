@@ -11,6 +11,7 @@ from driftplan.core import (
     FOUR_PI, TWO_PI, CurrentState, Pose, VehicleSpec, angle_difference, from_start_frame,
     to_start_frame,
 )
+from driftplan.experiments import AERIAL, NAVAL
 from driftplan.planner import (
     LSL_K_EXTENDED,
     WINDING_CANDIDATES,
@@ -26,7 +27,7 @@ from driftplan.planner import (
 )
 from driftplan.trajectory import _advance, controls_of, endpoint_residual
 
-from oracles import bisect_root
+from oracles import bisect_root, plan_per_candidate
 
 ORIGIN = Pose(0.0, 0.0, 0.0)
 UNIT = VehicleSpec(1.0, 1.0)
@@ -388,6 +389,28 @@ def instances(draw):
     goal = from_start_frame(start, Pose(draw(OFFSET) * r, draw(OFFSET) * r, draw(REL_HEADING)))
     current = CurrentState(draw(SPEED_SHARE) * vehicle.speed, draw(st.floats(0.0, TWO_PI)))
     return start, goal, current, vehicle
+
+
+@settings(max_examples=400)
+@given(vehicle=st.one_of(st.builds(VehicleSpec, st.floats(0.5, 3.0), st.floats(0.3, 3.0)),
+                         st.sampled_from([NAVAL.vehicle, AERIAL.vehicle])),
+       share=st.one_of(st.floats(0.0, 1.0 - 1e-9),
+                       st.sampled_from([0.0, 1.0 - 1e-7, 1.0 - 1e-9])),
+       start_xy=st.tuples(st.floats(-1e9, 1e9), st.floats(-1e9, 1e9)),
+       offset=st.tuples(OFFSET, OFFSET),
+       headings=st.tuples(st.floats(-10.0, 10.0), REL_HEADING, st.floats(-10.0, 10.0)),
+       mode=st.sampled_from(list(ArcMode)))
+def test_plan_normalizes_once_as_the_per_candidate_loop_does(
+        vehicle, share, start_xy, offset, headings, mode):
+    # plan scales the current once and solves at unit speed; the loop over
+    # public solve_one scales it in every call.  Every float must agree.
+    start_theta, rel_heading, current_heading = headings
+    start = Pose(*start_xy, start_theta)
+    r = vehicle.turning_radius
+    goal = from_start_frame(start, Pose(offset[0] * r, offset[1] * r, rel_heading))
+    current = CurrentState(share * vehicle.speed, current_heading)
+    expected = plan_per_candidate(start, goal, current, vehicle, mode)
+    assert repr(plan(start, goal, current, vehicle, mode)) == repr(expected)
 
 
 @settings(max_examples=300)

@@ -21,16 +21,13 @@ from driftplan.core import (
 )
 from driftplan.experiments import AERIAL, NAVAL
 from driftplan.planner import ArcMode, plan
+from driftplan.scenario import NoiseModel, RandomCurrentProcess, Scenario, scenario_from_dict
 from driftplan.simulator import (
-    NoiseModel,
-    RandomCurrentProcess,
-    Scenario,
     check_termination,
     drift_predict,
     estimate_heading_mle,
     realize_schedule,
     run_scenario,
-    scenario_from_dict,
 )
 from driftplan.trajectory import ControlSchedule, ControlSegment, controls_of, integrate_if, pieces
 from oracles import realize_schedule_by_choice, run_scenario_per_sample, run_scenario_stepped
