@@ -15,10 +15,11 @@ import sys
 from dataclasses import asdict
 
 from .baseline import SolverConfig, solve_six
-from .core import CurrentSchedule, CurrentState, Pose, VehicleSpec, angle_input
+from .core import (CurrentSchedule, CurrentState, Pose, VehicleSpec, angle_input, check_finite,
+                   to_start_frame, write_csv)
 from .experiments import PROFILES, dynamic_monte_carlo, timing_bench
 from .planner import ArcMode, plan
-from .reachability import parametric_scan, reachability_map, write_scan_csv
+from .reachability import parametric_scan, reachability_map
 from .scenario import load_scenario
 from .simulator import run_scenario
 from .trajectory import cf_path, controls_of, integrate_if
@@ -29,13 +30,16 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 
-def _resolve_out(path: str | None) -> str | None:
-    """Resolve relative artifact paths against DRIFTPLAN_OUT_DIR if set."""
+def _resolve_out(path: str | None, flag: str) -> str | None:
+    """Resolve a relative artifact path against DRIFTPLAN_OUT_DIR if set;
+    refuse, before any work, one that is no file in an existing directory."""
     if path is None:
         return None
     base = os.environ.get("DRIFTPLAN_OUT_DIR")
     if base and not os.path.isabs(path):
-        return os.path.join(base, path)
+        path = os.path.join(base, path)
+    if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"{flag} must name a file in an existing directory, got {path!r}")
     return path
 
 
@@ -65,33 +69,45 @@ def _parse_floats(text: str, name: str, fields: str | None = None) -> tuple[floa
     return values
 
 
-def _seed(text: str) -> int:
-    """A --seed value: a non-negative integer, as numpy's generators take."""
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+def _flag_type(convert, holds, what: str):
+    """An argparse type: the value convert reads from the text, refused as
+    not what unless holds is true of it."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
 
 
-def _parse_current(text: str, degrees: bool) -> CurrentState:
+_seed = _flag_type(int, lambda v: v >= 0, "a non-negative integer")  # as numpy takes it
+_count = _flag_type(int, lambda v: v >= 1, "at least 1")
+_positive = _flag_type(float, lambda v: math.isfinite(v) and v > 0.0, "finite and positive")
+
+
+def _parse_current(text: str, degrees: bool, vehicle: VehicleSpec) -> CurrentState:
+    """The --current flag: a speed, non-negative and below the vehicle's, and
+    a heading."""
     vw, thetaw = _parse_floats(text, "--current", "vw,thetaw")
+    check_finite("--current speed", vw)
+    if not vw < vehicle.speed:
+        raise ValueError(f"--current speed {vw!r} must be below --speed {vehicle.speed!r}")
     return CurrentState(vw, math.radians(thetaw) if degrees else thetaw)
 
 
-def _check_step(value: float | None, flag: str) -> None:
-    """A step flag, when given, must be finite and positive."""
-    if value is not None and not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{flag} must be finite and positive, got {value!r}")
-
-
 def cmd_plan(args) -> None:
+    traj_path = _resolve_out(args.traj, "--traj")
     start = Pose(*_parse_floats(args.start, "--start", "x,y,theta"))
     goal = Pose(*_parse_floats(args.goal, "--goal", "x,y,theta"))
-    current = _parse_current(args.current, args.current_deg)
     vehicle = VehicleSpec(args.speed, args.radius)
+    current = _parse_current(args.current, args.current_deg, vehicle)
+    try:
+        to_start_frame(start, goal, current)
+    except ValueError as exc:  # the goal is too far from the start
+        raise ValueError(f"--start, --goal: {exc}")
     inputs = {
         "start": [start.x, start.y, start.theta],
         "goal": [goal.x, goal.y, goal.theta],
@@ -114,11 +130,13 @@ def cmd_plan(args) -> None:
             results = {"solution": "unreachable"}
         else:
             results = {"solution": asdict(sol)}
-    traj_path = _resolve_out(args.traj)
     if traj_path and sol is not None:
         controls = controls_of(sol, vehicle)
         h = 1e-3 * vehicle.turning_radius / vehicle.speed
-        traj = integrate_if(start, controls, CurrentSchedule.constant(current), vehicle, h)
+        try:
+            traj = integrate_if(start, controls, CurrentSchedule.constant(current), vehicle, h)
+        except ValueError as exc:  # too many samples
+            raise ValueError(f"--traj at h = 1e-3 --radius / --speed: {exc}")
         traj.write_csv(traj_path)
         results["trajectory_csv"] = traj_path
         cf = cf_path(sol, vehicle, start)
@@ -131,17 +149,16 @@ def cmd_plan(args) -> None:
 def cmd_grid(args) -> None:
     """reachmap and costmap: both write the same dominant-type/travel-time grid."""
     theta_f = angle_input(args.theta_f, args.theta_f_deg, "--theta-f", "--theta-f-deg")
-    _check_step(args.step, "--step")
-    current = _parse_current(args.current, args.current_deg)
     vehicle = VehicleSpec(args.speed, args.radius)
+    current = _parse_current(args.current, args.current_deg, vehicle)
     mode = ArcMode.TWO_PI if args.mode == "2pi" else ArcMode.FOUR_PI
-    bounds = None
-    if args.bounds:
-        bounds = _parse_floats(args.bounds, "--bounds", "xmin,xmax,ymin,ymax")
-        if bounds[0] > bounds[1] or bounds[2] > bounds[3]:
-            raise ValueError(f"--bounds must not be empty: got {args.bounds!r}")
-    grid = reachability_map(theta_f, current, bounds, args.step, mode, vehicle)
-    out_path = _resolve_out(args.out)
+    bounds = (None if args.bounds is None
+              else _parse_floats(args.bounds, "--bounds", "xmin,xmax,ymin,ymax"))
+    out_path = _resolve_out(args.out, "--out")
+    try:
+        grid = reachability_map(theta_f, current, bounds, args.step, mode, vehicle)
+    except ValueError as exc:  # the other inputs are checked above
+        raise ValueError(f"--bounds, --step: {exc}")
     grid.write_csv(out_path)
     _emit(args.command, {
         "theta_f": theta_f,
@@ -156,14 +173,12 @@ def cmd_grid(args) -> None:
 
 
 def cmd_paramscan(args) -> None:
-    _check_step(args.theta_f_step, "--theta-f-step")
-    _check_step(args.theta_w_step, "--theta-w-step")
     vws = _parse_floats(args.vw, "--vw")
     if any(not (0.0 < v < 1.0) for v in vws):
         raise ValueError("--vw speeds must lie in (0, 1)")
+    out_path = _resolve_out(args.out, "--out")
     rows = parametric_scan(args.theta_f_step, args.theta_w_step, vws)
-    out_path = _resolve_out(args.out)
-    write_scan_csv(rows, out_path)
+    write_csv(out_path, ("theta_f", "theta_w", "v_w", "reachable"), rows)
     reachable = sum(1 for r in rows if r[3])
     _emit("paramscan", {
         "theta_f_step": args.theta_f_step,
@@ -177,19 +192,19 @@ def cmd_simulate(args) -> None:
         scenario = load_scenario(args.scenario)
     except (OSError, ValueError) as exc:
         raise ValueError(f"bad scenario file: {exc}")
+    traj_path = _resolve_out(args.traj, "--traj")
     result = run_scenario(scenario, args.seed)
-    if args.traj:
-        result.trajectory.write_csv(_resolve_out(args.traj))
+    if traj_path:
+        result.trajectory.write_csv(traj_path)
     _emit("simulate", {"scenario": args.scenario, "seed": args.seed},
           result.summary_dict())
 
 
 def cmd_montecarlo(args) -> None:
-    if args.runs < 1:
-        raise ValueError(f"--runs must be at least 1, got {args.runs}")
+    out_path = _resolve_out(args.out, "--out")
     stats = dynamic_monte_carlo(PROFILES[args.profile], n_runs=args.runs, seed=args.seed)
-    if args.out:
-        stats.write_csv(_resolve_out(args.out))
+    if out_path:
+        stats.write_csv(out_path)
     _emit("montecarlo", {
         "profile": args.profile, "runs": args.runs, "seed": args.seed,
     }, stats.summary_dict())
@@ -217,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--current", required=True, help="vw,thetaw")
     p.add_argument("--current-deg", action="store_true",
                    help="interpret the current heading in degrees")
-    p.add_argument("--speed", type=float, default=1.0)
-    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--speed", type=_positive, default=1.0)
+    p.add_argument("--radius", type=_positive, default=1.0)
     p.add_argument("--mode", choices=("2pi", "4pi", "dubins"), default="4pi")
     p.add_argument("--traj", default=None, help="write sampled trajectories to CSV")
     p.add_argument("--seed", type=_seed, default=0)
@@ -230,17 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta-f-deg", type=float, help="goal heading (degrees)")
         p.add_argument("--current", required=True, help="vw,thetaw")
         p.add_argument("--current-deg", action="store_true")
-        p.add_argument("--speed", type=float, default=1.0)
-        p.add_argument("--radius", type=float, default=1.0)
+        p.add_argument("--speed", type=_positive, default=1.0)
+        p.add_argument("--radius", type=_positive, default=1.0)
         p.add_argument("--mode", choices=("2pi", "4pi"), default="2pi")
         p.add_argument("--bounds", default=None, help="xmin,xmax,ymin,ymax")
-        p.add_argument("--step", type=float, default=None)
+        p.add_argument("--step", type=_positive, default=None)
         p.add_argument("--out", required=True)
         p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("paramscan", help="full-reachability parameter scan")
-    p.add_argument("--theta-f-step", type=float, default=math.pi / 100)
-    p.add_argument("--theta-w-step", type=float, default=math.pi / 100)
+    p.add_argument("--theta-f-step", type=_positive, default=math.pi / 100)
+    p.add_argument("--theta-w-step", type=_positive, default=math.pi / 100)
     p.add_argument("--vw", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
                    help="comma-separated current speeds in (0, 1)")
     p.add_argument("--out", required=True)
@@ -254,13 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("montecarlo", help="paired dynamic-current study")
     p.add_argument("--profile", required=True, choices=sorted(PROFILES))
-    p.add_argument("--runs", type=int, default=360)
+    p.add_argument("--runs", type=_count, default=360)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="per-run CSV")
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("bench", help="mean solve-time comparison")
-    p.add_argument("--instances", type=int, default=50)
+    p.add_argument("--instances", type=_count, default=50)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_bench)
 

@@ -1,13 +1,20 @@
-"""Shared domain types, angle arithmetic, and current-schedule evaluation."""
+"""Shared domain types, angle arithmetic, current-schedule evaluation, and
+the CSV format of every artifact."""
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import getitem
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
+
+# Largest grid, scan or sampled trajectory built; a tiny step would
+# otherwise ask for ~10^10 cells or samples.
+MAX_CELLS = 10**7
 
 
 def normalize_angle(a: float) -> float:
@@ -28,6 +35,13 @@ def check_finite(name: str, value: float, positive: bool = False) -> None:
     if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
         sign = "positive" if positive else "non-negative"
         raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
+
+
+def check_count(count: float, request: str, unit: str) -> None:
+    """Refuse a request for more than MAX_CELLS units, counted before any is built."""
+    if not count <= MAX_CELLS:
+        raise ValueError(f"{request} asks for {count:.3g} {unit},"
+                         f" above the cap of {MAX_CELLS:.0e}")
 
 
 def angle_input(radians, degrees, name: str, degrees_name: str):
@@ -180,3 +194,39 @@ def from_start_frame(start: Pose, pose: Pose) -> Pose:
         start.y + s * pose.x + c * pose.y,
         pose.theta + start.theta,
     )
+
+
+class _Column(dict):
+    """The CSV field of each value written in one column, made on its first
+    lookup: a string as it is, quoted as csv does when it holds a comma, a
+    quote or a line end; a bool as 0 or 1; an int with str; None and NaN
+    empty; any other number, numpy floats included, as repr(float(x)).
+    Only strings and floats that are not whole are kept, since equal values
+    share a key while their texts can differ: 1.0 == 1 == True, 0.0 == -0.0.
+    """
+
+    def __missing__(self, x):
+        if isinstance(x, float):  # numpy's float64 included
+            if x != x:
+                return ""
+            text = repr(float(x))
+            if x.is_integer():
+                return text
+        elif isinstance(x, str):
+            text = '"' + x.replace('"', '""') + '"' if any(c in x for c in ',"\r\n') else x
+        elif isinstance(x, int):  # bools included
+            return str(int(x))
+        else:  # None, or a number of another type
+            return "" if x is None else self[float(x)]
+        if len(self) < 4096:  # a lattice axis's few hundred values, not a time per row
+            self[x] = text
+        return text
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row and then each row of values to path as CSV with
+    CRLF line ends, each field by the rule of `_Column`."""
+    columns = [_Column() for _ in header]
+    with open(path, "w", newline="") as fh:
+        for row in chain((header,), rows):
+            fh.write(",".join(map(getitem, columns, row)) + "\r\n")

@@ -7,7 +7,6 @@ baseline on identical instances and summarize travel-time savings
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline import SolverConfig, solve_six
-from .core import CurrentState, Pose, VehicleSpec
+from .core import CurrentState, Pose, VehicleSpec, write_csv
 from .planner import ArcMode, plan
 from .scenario import NoiseModel, RandomCurrentProcess, Scenario
 from .simulator import RunResult, run_scenario
@@ -65,11 +64,6 @@ PROFILES = {"naval": NAVAL, "aerial": AERIAL}
 def savings_percent(t_baseline: float, t_fourpi: float) -> float:
     """Percentage travel-time savings of the four-arc plan over the baseline."""
     return (t_baseline - t_fourpi) / t_baseline * 100.0
-
-
-def _number(x: float) -> str:
-    """A CSV field for a float or numpy float: its shortest round-trip repr."""
-    return repr(float(x))
 
 
 def _square_perimeter_points(half_side: float, n: int) -> list[tuple[float, float]]:
@@ -127,14 +121,11 @@ class StaticComparisonResult:
         return wins / len(self.instances)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["goal_x", "goal_y", "goal_theta", "vw", "thetaw",
-                        "t_fourpi", "t_baseline", "compute_fourpi", "compute_baseline"])
-            for i in self.instances:
-                w.writerow([_number(x) for x in (
-                    i.goal.x, i.goal.y, i.goal.theta, i.current.speed, i.current.heading,
-                    i.t_fourpi, i.t_baseline, i.compute_fourpi, i.compute_baseline)])
+        write_csv(path, ("goal_x", "goal_y", "goal_theta", "vw", "thetaw",
+                         "t_fourpi", "t_baseline", "compute_fourpi", "compute_baseline"), (
+            (i.goal.x, i.goal.y, i.goal.theta, i.current.speed, i.current.heading,
+             i.t_fourpi, i.t_baseline, i.compute_fourpi, i.compute_baseline)
+            for i in self.instances))
 
 
 def static_comparison(
@@ -235,18 +226,13 @@ class SavingsStats:
         }
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["run", "goal_x", "goal_y", "goal_theta",
-                        "fourpi_converged", "fourpi_total_time",
-                        "baseline_converged", "baseline_total_time", "savings_percent"])
-            for r in self.runs:
-                w.writerow([
-                    r.run_index, _number(r.goal.x), _number(r.goal.y), _number(r.goal.theta),
-                    int(r.fourpi.converged), _number(r.fourpi.total_time),
-                    int(r.baseline.converged), _number(r.baseline.total_time),
-                    "" if r.savings is None else _number(r.savings),
-                ])
+        write_csv(path, ("run", "goal_x", "goal_y", "goal_theta",
+                         "fourpi_converged", "fourpi_total_time",
+                         "baseline_converged", "baseline_total_time", "savings_percent"), (
+            (r.run_index, r.goal.x, r.goal.y, r.goal.theta,
+             r.fourpi.converged, r.fourpi.total_time,
+             r.baseline.converged, r.baseline.total_time, r.savings)
+            for r in self.runs))
 
 
 def monte_carlo_goals(radius: float = 100.0, n_positions: int = 6,

@@ -10,13 +10,14 @@ reachability and travel-time grids.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .core import TWO_PI, CurrentState, Pose, VehicleSpec, check_finite, normalize_angle
+from .core import (TWO_PI, CurrentState, Pose, VehicleSpec, check_count, check_finite,
+                   normalize_angle, write_csv)
 from .planner import (
     _FEASIBLE_ROWS,
     WINDING_CANDIDATES,
@@ -36,9 +37,6 @@ ANGLE_TOL = 1e-12
 
 FULL_REACH_CASES = ("1.1", "1.2", "2.1", "2.2", "3.1", "3.2", "4.1", "4.2")
 
-# Largest grid or scan built; a tiny step would otherwise ask for ~10^10 cells.
-MAX_CELLS = 10**7
-
 # Cells per plan_goals call of reachability_map (about 20 rows of the
 # default 201-column grid), and lattice rows per _coverage_rows call of
 # parametric_scan, which bounds the kernels' temporaries.
@@ -57,12 +55,6 @@ _FRAGILE_MARGIN = 1e-9
 
 # Dominant label per plan_goals winner code; code -1 (no path) picks the last.
 _LABELS = np.array([t.value for t in WINDING_CANDIDATES] + ["unreachable"], dtype=object)
-
-
-def _check_cells(cells: float, request: str) -> None:
-    """Refuse a request above MAX_CELLS, counted before anything is built."""
-    if not cells <= MAX_CELLS:
-        raise ValueError(f"{request} asks for {cells:.3g} cells, above the cap of {MAX_CELLS:.0e}")
 
 
 @dataclass(frozen=True)
@@ -91,17 +83,10 @@ class ReachGrid:
         return int((self.dominant == "unreachable").sum())
 
     def write_csv(self, path) -> None:
-        xs = [repr(x) for x in self.xs.tolist()]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "dominant", "T"])
-            for y, labels, times in zip(self.ys.tolist(), self.dominant.tolist(),
-                                        self.travel_time.tolist()):
-                y_text = repr(y)
-                writer.writerows(
-                    [x, y_text, str(label), "" if math.isnan(t) else repr(t)]
-                    for x, label, t in zip(xs, labels, times)
-                )
+        xs = self.xs.tolist()
+        rows = zip(self.ys.tolist(), self.dominant.tolist(), self.travel_time.tolist())
+        write_csv(path, ("x", "y", "dominant", "T"),
+                  (c for y, labels, times in rows for c in zip(xs, repeat(y), labels, times)))
 
 
 @dataclass(frozen=True)
@@ -432,9 +417,9 @@ def parametric_scan(
     for vw in v_w_values:  # current speeds relative to the vehicle's
         if not 0.0 <= vw < 1.0:
             raise ValueError(f"current speed must be finite and in [0, 1): v_w_values holds {vw!r}")
-    _check_cells(len(v_w_values) * (TWO_PI / theta_f_step) * (TWO_PI / theta_w_step),
-                 f"theta_f_step {theta_f_step!r}, theta_w_step {theta_w_step!r}"
-                 f" and {len(v_w_values)} speeds")
+    check_count(len(v_w_values) * (TWO_PI / theta_f_step) * (TWO_PI / theta_w_step),
+                f"theta_f_step {theta_f_step!r}, theta_w_step {theta_w_step!r}"
+                f" and {len(v_w_values)} speeds", "cells")
     n_f = int(math.ceil(TWO_PI / theta_f_step - ANGLE_TOL))
     n_w = int(math.ceil(TWO_PI / theta_w_step - ANGLE_TOL))
     theta_fs = [i * theta_f_step for i in range(n_f)]
@@ -460,33 +445,6 @@ def parametric_scan(
     flags = iter(reachable.tolist())
     return [(theta_f, theta_w, vw, next(flags))
             for vw in v_w_values for theta_f in theta_fs for theta_w in theta_ws]
-
-
-class _Reprs(dict):
-    """repr(float(x)) of each number key x, computed on its first lookup.
-
-    Zeros are not kept, because 0.0 == -0.0 while their reprs differ.
-    """
-
-    def __missing__(self, x):
-        text = repr(float(x))
-        if x:
-            self[x] = text
-        return text
-
-
-def write_scan_csv(rows, path) -> None:
-    """Write scan rows as CSV, each number as its repr.
-
-    A lattice repeats each axis value thousands of times, so each distinct
-    value is converted once.
-    """
-    text = _Reprs()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta_f", "theta_w", "v_w", "reachable"])
-        writer.writerows([text[theta_f], text[theta_w], text[vw], int(ok)]
-                         for theta_f, theta_w, vw, ok in rows)
 
 
 def reachability_map(
@@ -519,8 +477,8 @@ def reachability_map(
     x_min, x_max, y_min, y_max = bounds
     if x_min > x_max or y_min > y_max:
         raise ValueError(f"bounds must not be empty, got {tuple(bounds)!r}")
-    _check_cells(((x_max - x_min) / step + 1.0) * ((y_max - y_min) / step + 1.0),
-                 f"step {step!r} over bounds {tuple(bounds)}")
+    check_count(((x_max - x_min) / step + 1.0) * ((y_max - y_min) / step + 1.0),
+                f"step {step!r} over bounds {tuple(bounds)}", "cells")
     xs = np.arange(x_min, x_max + 0.5 * step, step)
     ys = np.arange(y_min, y_max + 0.5 * step, step)
     n = len(xs) * len(ys)

@@ -61,6 +61,21 @@ from .trajectory import ControlSchedule, SampledTrajectory, _advance, _sample, c
 # Fixed ids deriving one independent RNG stream per noise channel.
 _CHANNELS = {"process": 0, "gps": 1, "compass": 2, "vw": 3, "thetaw": 4}
 
+
+class _Streams(dict):
+    """A mission's noise generator per channel name, seeded on first use
+    from (seed, run index, channel id): the draws of seeding all up front,
+    without the cost for channels a mission never reads."""
+
+    def __init__(self, *key):
+        self.key = key
+
+    def __missing__(self, name: str) -> np.random.Generator:
+        seed = np.random.SeedSequence((*self.key, _CHANNELS[name]))
+        rng = self[name] = np.random.default_rng(seed)
+        return rng
+
+
 # No segments: flown at turn rate 0, holding the heading, before the first
 # plan is armed and through every compute drift.
 _NO_PLAN = ControlSchedule(())
@@ -203,10 +218,7 @@ class _Mission:
         self.sc = scenario
         self.seed = seed
         self.run_index = run_index
-        self.rngs = {
-            name: np.random.default_rng(np.random.SeedSequence((seed, run_index, cid)))
-            for name, cid in _CHANNELS.items()
-        }
+        self.rngs = _Streams(seed, run_index)
         process = scenario.current_process
         if isinstance(process, CurrentSchedule):
             self._future = None
@@ -237,13 +249,12 @@ class _Mission:
     # --- sensing -----------------------------------------------------------
 
     def _noisy_pose(self) -> Pose:
-        n = self.sc.noise
-        gps = self.rngs["gps"]
-        compass = self.rngs["compass"]
+        n, rngs = self.sc.noise, self.rngs
         return Pose(
-            self.pose.x + (gps.normal(0.0, n.sigma_position) if n.sigma_position else 0.0),
-            self.pose.y + (gps.normal(0.0, n.sigma_position) if n.sigma_position else 0.0),
-            self.pose.theta + (compass.normal(0.0, n.sigma_heading) if n.sigma_heading else 0.0),
+            self.pose.x + (rngs["gps"].normal(0.0, n.sigma_position) if n.sigma_position else 0.0),
+            self.pose.y + (rngs["gps"].normal(0.0, n.sigma_position) if n.sigma_position else 0.0),
+            self.pose.theta + (rngs["compass"].normal(0.0, n.sigma_heading)
+                               if n.sigma_heading else 0.0),
         )
 
     def _measure_currents(self, times) -> tuple[list[float], list[float]]:

@@ -7,11 +7,10 @@ the goal pose.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -21,8 +20,10 @@ from .core import (
     Pose,
     VehicleSpec,
     angle_difference,
+    check_count,
     current_at,
     normalize_angle,
+    write_csv,
 )
 from .planner import SEGMENT_SIGNS, PathSolution, first_turn_sign, interception_residual
 
@@ -73,14 +74,9 @@ class SampledTrajectory:
         return Pose(float(self.x[-1]), float(self.y[-1]), float(self.theta[-1]))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x", "y", "theta", "frame"])
-            for i in range(len(self.t)):
-                writer.writerow(
-                    [repr(float(self.t[i])), repr(float(self.x[i])),
-                     repr(float(self.y[i])), repr(float(self.theta[i])), self.frame]
-                )
+        write_csv(path, ("t", "x", "y", "theta", "frame"), zip(
+            self.t.tolist(), self.x.tolist(), self.y.tolist(), self.theta.tolist(),
+            repeat(self.frame)))
 
 
 def controls_of(sol: PathSolution, vehicle: VehicleSpec) -> ControlSchedule:
@@ -173,16 +169,21 @@ def integrate_if(
     the current changes inside it.  A piece is sampled at most h apart, and
     every sample is one closed-form constant-turn `_advance` from the piece
     start, so neither long arcs nor small h accumulate error; h may be
-    infinite, giving the piece ends only.  "exact" is the only method.
+    infinite, giving the piece ends only.  "exact" is the only method.  The
+    samples are counted first, and more than core.MAX_CELLS are refused.
     """
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h!r}")
     if method != "exact":
         raise ValueError(f"unknown integration method {method!r}")
+    pieces = list(_segment_pieces(controls, schedule))
+    sizes = [span / h for _, span, _, _ in pieces]
+    check_count(1 + sum(max(1, math.ceil(s)) if math.isfinite(s) else s for s in sizes),
+                f"h {h!r}", "samples")
     ts = [0.0]
     poses = [start]
-    for t0, span, u, cur in _segment_pieces(controls, schedule):
-        n = max(1, math.ceil(span / h))
+    for (t0, span, u, cur), size in zip(pieces, sizes):
+        n = max(1, math.ceil(size))
         offsets = [span * i / n for i in range(1, n)] + [span]
         poses += _sample(poses[-1], u, cur, vehicle.speed, offsets)
         ts += [t0 + s for s in offsets]

@@ -6,7 +6,7 @@ and RK4 integrators, one batched for bulk solver validation.  The
 per-candidate, per-cell, per-case, per-row and fixed-step references at
 the end, the per-sample sensing mission and the lockstep multistart, are
 earlier, slower forms of library functions, kept to pin the faster ones
-to the same output.
+to the same output; so are the per-artifact CSV writers.
 """
 
 from __future__ import annotations
@@ -364,6 +364,96 @@ def parametric_scan_per_row(theta_f_step, theta_w_step, v_w_values, r=1.0):
                 res = rc.full_reachability_2pi(theta_f, CurrentState(vw, theta_w), r)
                 rows.append((theta_f, theta_w, vw, res.fully_reachable))
     return rows
+
+
+# The CSV writers as each artifact type had its own, before they shared
+# core.write_csv: byte references for it.
+
+def write_grid_csv(grid, path) -> None:
+    """ReachGrid.write_csv's own loop, with csv.writer."""
+    xs = [repr(x) for x in grid.xs.tolist()]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "dominant", "T"])
+        for y, labels, times in zip(grid.ys.tolist(), grid.dominant.tolist(),
+                                    grid.travel_time.tolist()):
+            y_text = repr(y)
+            writer.writerows(
+                [x, y_text, str(label), "" if math.isnan(t) else repr(t)]
+                for x, label, t in zip(xs, labels, times)
+            )
+
+
+class _Reprs(dict):
+    """repr(float(x)) of each number key x, computed on its first lookup.
+
+    Zeros are not kept, because 0.0 == -0.0 while their reprs differ.
+    """
+
+    def __missing__(self, x):
+        text = repr(float(x))
+        if x:
+            self[x] = text
+        return text
+
+
+def write_scan_csv(rows, path) -> None:
+    """Write scan rows as CSV, each number as its repr.
+
+    A lattice repeats each axis value thousands of times, so each distinct
+    value is converted once.
+    """
+    text = _Reprs()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["theta_f", "theta_w", "v_w", "reachable"])
+        writer.writerows([text[theta_f], text[theta_w], text[vw], int(ok)]
+                         for theta_f, theta_w, vw, ok in rows)
+
+
+def write_trajectory_csv(traj, path) -> None:
+    """SampledTrajectory.write_csv's own loop, with csv.writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "x", "y", "theta", "frame"])
+        for i in range(len(traj.t)):
+            writer.writerow(
+                [repr(float(traj.t[i])), repr(float(traj.x[i])),
+                 repr(float(traj.y[i])), repr(float(traj.theta[i])), traj.frame]
+            )
+
+
+def _number(x: float) -> str:
+    """A CSV field for a float or numpy float: its shortest round-trip repr."""
+    return repr(float(x))
+
+
+def write_static_csv(result, path) -> None:
+    """StaticComparisonResult.write_csv's own loop, with csv.writer."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["goal_x", "goal_y", "goal_theta", "vw", "thetaw",
+                    "t_fourpi", "t_baseline", "compute_fourpi", "compute_baseline"])
+        for i in result.instances:
+            w.writerow([_number(x) for x in (
+                i.goal.x, i.goal.y, i.goal.theta, i.current.speed, i.current.heading,
+                i.t_fourpi, i.t_baseline, i.compute_fourpi, i.compute_baseline)])
+
+
+def write_savings_csv(stats, path) -> None:
+    """SavingsStats.write_csv's own loop, with csv.writer."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["run", "goal_x", "goal_y", "goal_theta",
+                    "fourpi_converged", "fourpi_total_time",
+                    "baseline_converged", "baseline_total_time", "savings_percent"])
+        for r in stats.runs:
+            w.writerow([
+                r.run_index, _number(r.goal.x), _number(r.goal.y), _number(r.goal.theta),
+                int(r.fourpi.converged), _number(r.fourpi.total_time),
+                int(r.baseline.converged), _number(r.baseline.total_time),
+                "" if r.savings is None else _number(r.savings),
+            ])
 
 
 def write_grid_csv_per_cell(grid, path) -> None:

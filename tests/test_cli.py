@@ -1,13 +1,20 @@
 """Command-line interface: envelopes, exit codes, artifacts, determinism."""
 
+import io
 import json
 import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from driftplan import cli, core
 from driftplan.cli import main
-from driftplan.reachability import write_scan_csv
-from oracles import parametric_scan_per_row
+from oracles import parametric_scan_per_row, write_scan_csv
 
 
 def _run(capsys, argv):
@@ -487,3 +494,98 @@ def test_out_dir_environment_variable(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "rel_scan.csv").exists()
     doc = _envelope(out)
     assert doc["results"]["out"] == str(tmp_path / "rel_scan.csv")
+
+
+@pytest.mark.parametrize("argv, flag, work", [
+    (["reachmap", "--theta-f", "1", "--current", "0.3,0", "--out", "{missing}/g.csv"],
+     "--out", "reachability_map"),
+    (["paramscan", "--out", "{dir}"], "--out", "parametric_scan"),
+    (["plan", "--start", "0,0,0", "--goal", "4,2,1", "--current", "0.3,1.0",
+      "--traj", "{missing}/t.csv"], "--traj", "plan"),
+    (["montecarlo", "--profile", "naval", "--out", "{missing}/m.csv"],
+     "--out", "dynamic_monte_carlo"),
+    (["simulate", "--scenario", "{scenario}", "--traj", "{dir}"], "--traj", "run_scenario"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_bad_output_path_exits_2_before_any_work(capsys, tmp_path, monkeypatch, argv, flag,
+                                                 work):
+    # These used to run the whole command and then exit 3 with a bare
+    # "[Errno 2] No such file or directory" or "[Errno 21] Is a directory".
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(cli, work, refuse)
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps({
+        "start": {"x": 0, "y": 0, "theta": 0},
+        "goal": {"x": 5, "y": 8.5, "theta": 2.0},
+        "vehicle": {},
+        "current_schedule": [{"t_start": 0, "speed": 0.5, "heading": 3.0}],
+    }))
+    paths = {"missing": tmp_path / "missing", "dir": tmp_path, "scenario": scen}
+    code, out, err = _run(capsys, [a.format(**paths) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must name a file in an existing directory" in err
+
+
+def test_plan_trajectory_above_the_sample_cap_exits_2(capsys, tmp_path, monkeypatch):
+    # A goal at 1e150 asked integrate_if for about 1e153 samples and ran out
+    # of memory; the cap is lowered here so that no test allocates much.
+    monkeypatch.setattr(core, "MAX_CELLS", 100)
+    traj = tmp_path / "t.csv"
+    code, out, err = _run(capsys, [
+        "plan", "--start", "0,0,0", "--goal", "4,2,1", "--current", "0.3,1.0",
+        "--traj", str(traj),
+    ])
+    assert code == 2
+    assert out == ""
+    assert "--traj at h = 1e-3 --radius / --speed: h 0.001 asks for" in err
+    assert "samples, above the cap of 1e+02" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# Small valid arguments for each artifact command, giving grids of 21 x 21
+# cells and a scan of 3 speeds at steps of 0.5 rad; output paths are
+# relative, resolved under DRIFTPLAN_OUT_DIR.
+_ARTIFACT_ARGS = {
+    "plan": {"--start": "0,0,0", "--goal": "4,2,1", "--current": "0.3,1.0", "--speed": "1.0",
+             "--radius": "1.0", "--mode": "4pi", "--traj": "t.csv", "--seed": "0"},
+    "reachmap": {"--theta-f": "1.0", "--current": "0.3,1.0", "--speed": "1.0", "--radius": "1.0",
+                 "--mode": "2pi", "--bounds": "-2,2,-2,2", "--step": "0.2", "--out": "g.csv"},
+    "costmap": {"--theta-f-deg": "60", "--current": "0.3,1.0", "--speed": "1.0",
+                "--radius": "1.0", "--mode": "4pi", "--bounds": "-2,2,-2,2", "--step": "0.2",
+                "--out": "c.csv"},
+    "paramscan": {"--theta-f-step": "0.5", "--theta-w-step": "0.5", "--vw": "0.25,0.5,0.75",
+                  "--out": "s.csv"},
+}
+
+# What a flag, or one comma-separated part of it, is changed to; {} is the
+# value it had.
+_BOUNDARY_VALUES = ("nan", "inf", "-inf", "1e308", "-1", "", "{},", "missing/x.csv")
+
+
+@st.composite
+def _one_flag_changed(draw):
+    command = draw(st.sampled_from(sorted(_ARTIFACT_ARGS)))
+    flags = _ARTIFACT_ARGS[command]
+    flag = draw(st.sampled_from(sorted(flags)))
+    parts = flags[flag].split(",")
+    part = draw(st.sampled_from([None, *range(len(parts))] if len(parts) > 1 else [None]))
+    change = draw(st.sampled_from(_BOUNDARY_VALUES))
+    value = ",".join(change.format(p) if part in (None, i) else p
+                     for i, p in enumerate([flags[flag]] if part is None else parts))
+    argv = [command] + [f"{f}={value if f == flag else v}" for f, v in flags.items()]
+    return flag, argv
+
+
+@settings(max_examples=300)
+@given(case=_one_flag_changed())
+def test_artifact_commands_refuse_a_bad_flag_by_name(case):
+    flag, argv = case
+    with tempfile.TemporaryDirectory() as out_dir, \
+            mock.patch.dict(os.environ, {"DRIFTPLAN_OUT_DIR": out_dir}), \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert flag in err.getvalue()

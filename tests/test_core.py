@@ -1,5 +1,6 @@
 """Angle arithmetic, domain types, schedules, and frame transforms."""
 
+import csv
 import dataclasses
 import math
 
@@ -16,6 +17,7 @@ from driftplan.core import (
     from_start_frame,
     normalize_angle,
     to_start_frame,
+    write_csv,
 )
 
 
@@ -176,3 +178,26 @@ def test_frame_round_trip():
         assert math.isclose(
             math.cos(back.theta - pose.theta), 1.0, abs_tol=1e-12
         )
+
+
+def test_write_csv_fields_and_quoting_match_csv_writer(tmp_path):
+    # Each column repeats its values, so a kept text is read back as well.
+    rows = [
+        ("plain", True, 1, 1.0, np.float64(0.1), None, -0.0),
+        ('a,"b"', False, 0, 0.0, math.nan, np.float64(math.nan), 0.0),
+        ("two\nlines", True, 1, 1.0, np.float64(0.1), math.inf, -math.inf),
+        ("cr\r", False, -7, -0.0, 1e-300, 2.5, 0.0),
+    ] * 2
+    header = ("s", "flag", "int", "whole", "np", "missing", "zero")
+    write_csv(tmp_path / "out.csv", header, rows)
+
+    def field(x):
+        if isinstance(x, (str, bool, int)):
+            return str(int(x)) if isinstance(x, bool) else str(x)
+        return "" if x is None or math.isnan(x) else repr(float(x))
+
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([field(x) for x in row] for row in rows)
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

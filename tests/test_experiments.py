@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 from driftplan.baseline import SolverConfig
-from driftplan.core import VehicleSpec
+from driftplan.core import CurrentState, Pose, VehicleSpec
 from driftplan.experiments import (
     AERIAL,
     NAVAL,
     PROFILES,
+    MonteCarloRun,
+    SavingsStats,
+    StaticComparisonResult,
+    StaticInstance,
     _square_perimeter_points,
     dynamic_monte_carlo,
     monte_carlo_goals,
@@ -19,6 +23,8 @@ from driftplan.experiments import (
     static_comparison,
     timing_bench,
 )
+from driftplan.simulator import RunResult
+from oracles import write_savings_csv, write_static_csv
 
 SMALL_CFG = SolverConfig(n_initial_guesses=16, seed=3)
 
@@ -113,6 +119,39 @@ def test_csv_numeric_fields_parse_as_floats(tmp_path):
     assert any(isinstance(r.baseline.total_time, np.floating) for r in stats.runs)
     stats.write_csv(tmp_path / "mc.csv")
     _assert_numeric_fields_parse(tmp_path / "mc.csv")
+
+
+def test_study_csv_bytes_match_the_own_loop_writers(tmp_path):
+    # Whole floats share a column with run indices and flags, and 0.0 with
+    # -0.0; a run where only one planner converged has no savings.
+    static = static_comparison(
+        seed=0, radii=(5.0,), points_per_square=2,
+        n_goal_headings=1, n_current_headings=2, cfg=SMALL_CFG,
+    )
+    edges = StaticComparisonResult((
+        StaticInstance(Pose(1.0, -0.0, 0.0), CurrentState(0.0, 1.0), np.float64(1.0),
+                       math.inf, 0.0, -0.0),
+        StaticInstance(Pose(0.0, 1.0, 1.0), CurrentState(1.0, 0.0), 2.5, np.float64(-0.0),
+                       1e-300, 1.0),
+    ))
+    for result in (static, edges):
+        result.write_csv(tmp_path / "static.csv")
+        write_static_csv(result, tmp_path / "reference.csv")
+        assert (tmp_path / "static.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def run(converged, total_time):
+        return RunResult(converged, total_time, 0, (), None, ())
+
+    studied = dynamic_monte_carlo(NAVAL, n_runs=2, seed=11, solver_cfg=SMALL_CFG)
+    edges = SavingsStats((
+        MonteCarloRun(0, Pose(0.0, -0.0, 1.0), run(True, 1.0), run(False, 0.0)),
+        MonteCarloRun(1, Pose(1.0, 0.0, -0.0), run(True, np.float64(2.0)), run(True, 3.0)),
+    ))
+    assert edges.runs[0].savings is None
+    for stats in (studied, edges):
+        stats.write_csv(tmp_path / "mc.csv")
+        write_savings_csv(stats, tmp_path / "reference.csv")
+        assert (tmp_path / "mc.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_dynamic_monte_carlo_paired_and_deterministic():

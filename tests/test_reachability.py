@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from driftplan.core import (
     FOUR_PI, TWO_PI, CurrentState, Pose, VehicleSpec, angle_difference, normalize_angle,
+    write_csv,
 )
 from driftplan.planner import (
     ArcMode, PathType, coeffs, feasible_range, plan, solve_beta, solve_one,
@@ -29,13 +30,14 @@ from driftplan.reachability import (
     reachability_map,
     region_span,
     sweep_extent,
-    write_scan_csv,
 )
 from oracles import (
     full_reachability_2pi_per_case,
     parametric_scan_per_row,
     reachability_map_per_cell,
+    write_grid_csv,
     write_grid_csv_per_cell,
+    write_scan_csv,
 )
 
 ORIGIN = Pose(0.0, 0.0, 0.0)
@@ -474,11 +476,15 @@ def test_grid_csv(tmp_path):
 
 
 def test_scan_csv_writes_numpy_speeds_as_plain_numbers(tmp_path):
-    # speeds handed over as numpy floats used to be written as np.float64(0.25)
-    step = math.pi / 4
+    # Speeds handed over as numpy floats used to be written as np.float64(0.25).
+    # On the step-0.5 lattice theta_f = 1.0 sits beside the reachable flags,
+    # and the last rows put 0.0 and -0.0 in one column.
+    rows = parametric_scan(0.5, 0.5, tuple(np.array([0.25, 0.5])))
+    assert {ok for *_, ok in rows} == {True, False}
+    rows += [(-0.0, 0.0, np.float64(0.5), True), (0.0, -0.0, 0.25, False)]
     written, reference = tmp_path / "scan.csv", tmp_path / "reference.csv"
-    write_scan_csv(parametric_scan(step, step, tuple(np.array([0.25, 0.5]))), written)
-    write_scan_csv(parametric_scan(step, step, (0.25, 0.5)), reference)
+    write_csv(written, ("theta_f", "theta_w", "v_w", "reachable"), rows)
+    write_scan_csv(rows, reference)
     assert written.read_bytes() == reference.read_bytes()
     assert "np." not in written.read_text()
 
@@ -662,11 +668,13 @@ def test_grid_csv_bytes_match_cellwise_writer(tmp_path):
     grid = reachability_map(EXAMPLE_THETA_F, EXAMPLE_CURRENT, bounds=(-6, 6, -6, 6.5),
                             step=0.5, mode=ArcMode.TWO_PI)
     assert 0 < grid.unreachable_count() < grid.dominant.size
-    signed_zero = ReachGrid(np.array([-0.0, 1e-300, 1e6 / 3]), np.array([-0.0, 0.1]),
-                            np.array([["LSL", "unreachable", "RSR"]] * 2, dtype=object),
-                            np.array([[1.0 / 3, np.nan, 2.5e-17], [np.inf, np.nan, 7.0]]))
+    signed_zero = ReachGrid(np.array([-0.0, 1e-300, 0.0, 1e6 / 3]), np.array([-0.0, 0.1]),
+                            np.array([["LSL", "unreachable", "RSR", "LSL"]] * 2, dtype=object),
+                            np.array([[1.0 / 3, np.nan, 0.0, 2.5e-17],
+                                      [np.inf, np.nan, -0.0, 7.0]]))
     for g in (grid, signed_zero):
-        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        fast = tmp_path / "fast.csv"
         g.write_csv(fast)
-        write_grid_csv_per_cell(g, slow)
-        assert fast.read_bytes() == slow.read_bytes()
+        for reference in (write_grid_csv, write_grid_csv_per_cell):
+            reference(g, tmp_path / "slow.csv")
+            assert fast.read_bytes() == (tmp_path / "slow.csv").read_bytes()

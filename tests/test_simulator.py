@@ -597,6 +597,18 @@ def test_mission_cost_does_not_grow_with_t_max():
     assert epochs[0] == epochs[1] <= 2 * (results[0].total_time / period + 2)
 
 
+def test_noise_channels_are_seeded_on_first_use():
+    # A mission without noise on a fixed schedule reads no channel; a stream
+    # gives the draws of seeding it from (seed, run index, channel id) up front.
+    quiet = simulator._Mission(_fig_scenario("analytic_4pi"), 5, 2, False, SolverConfig())
+    assert quiet.run().converged
+    assert not quiet.rngs
+    streams = simulator._Mission(_fig_scenario("analytic_4pi"), 5, 2, False, SolverConfig()).rngs
+    for name, cid in simulator._CHANNELS.items():
+        up_front = np.random.default_rng(np.random.SeedSequence((5, 2, cid)))
+        assert streams[name].random(3).tolist() == up_front.random(3).tolist()
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(start=Pose(0, 0, 0), goal=Pose(1, 1, 0), vehicle=UNIT,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from driftplan import core
 from driftplan.core import (
     TWO_PI,
     CurrentSchedule,
@@ -17,12 +18,13 @@ from driftplan.planner import ArcMode, PathSolution, PathType, plan
 from driftplan.trajectory import (
     ControlSchedule,
     ControlSegment,
+    SampledTrajectory,
     cf_path,
     controls_of,
     endpoint_residual,
     integrate_if,
 )
-from oracles import integrate_rk4
+from oracles import integrate_rk4, write_trajectory_csv
 
 ORIGIN = Pose(0.0, 0.0, 0.0)
 UNIT = VehicleSpec(1.0, 1.0)
@@ -244,3 +246,34 @@ def test_csv_round_trip(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert first[4] == "inertial"
+
+
+def test_trajectory_csv_bytes_match_the_own_loop_writer(tmp_path):
+    sol = plan(ORIGIN, Pose(3, 1, 0.3), CurrentState(0.2, 1.0), UNIT, ArcMode.FOUR_PI)
+    flown = integrate_if(ORIGIN, controls_of(sol, UNIT), _constant(CurrentState(0.2, 1.0)),
+                         UNIT, h=0.05)
+    edges = SampledTrajectory(np.array([0.0, 0.5, 1.0, 2.0]), np.array([-0.0, 0.0, 1.0, np.inf]),
+                              np.array([1.0, -0.0, 1e-300, -np.inf]),
+                              np.array([0.0, 1.0, 6.25, 3.0]), "current")
+    for traj in (flown, edges):
+        traj.write_csv(tmp_path / "traj.csv")
+        write_trajectory_csv(traj, tmp_path / "reference.csv")
+        assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_integrate_if_counts_its_samples_against_the_cap(monkeypatch):
+    sol = plan(ORIGIN, Pose(3, 1, 0.3), CurrentState(0.2, 1.0), UNIT, ArcMode.FOUR_PI)
+    controls, schedule = controls_of(sol, UNIT), _constant(CurrentState(0.2, 1.0))
+    n = len(integrate_if(ORIGIN, controls, schedule, UNIT, h=0.05).t)
+    monkeypatch.setattr(core, "MAX_CELLS", n)
+    assert len(integrate_if(ORIGIN, controls, schedule, UNIT, h=0.05).t) == n
+    monkeypatch.setattr(core, "MAX_CELLS", n - 1)
+    with pytest.raises(ValueError, match=rf"h 0\.05 asks for {n} samples, above the cap"):
+        integrate_if(ORIGIN, controls, schedule, UNIT, h=0.05)
+
+
+def test_integrate_if_refuses_a_step_whose_sample_count_overflows():
+    # span / h is inf here, which math.ceil used to refuse with an OverflowError
+    sol = plan(ORIGIN, Pose(3, 1, 0.3), CurrentState(0.2, 1.0), UNIT, ArcMode.FOUR_PI)
+    with pytest.raises(ValueError, match=r"h 5e-324 asks for inf samples"):
+        integrate_if(ORIGIN, controls_of(sol, UNIT), STILL, UNIT, h=5e-324)
