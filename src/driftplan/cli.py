@@ -116,20 +116,23 @@ def cmd_plan(args) -> None:
         "radius": vehicle.turning_radius,
         "mode": args.mode,
     }
-    if args.mode == "dubins":
-        solved = solve_six(start, goal, current, vehicle, SolverConfig(seed=args.seed))
-        if solved is None:
-            print("no six-type solution converged", file=sys.stderr)
-            sys.exit(EXIT_RUNTIME)
-        sol, elapsed = solved
-        results = {"solution": asdict(sol), "compute_time_seconds": elapsed}
-    else:
-        mode = ArcMode.TWO_PI if args.mode == "2pi" else ArcMode.FOUR_PI
-        sol = plan(start, goal, current, vehicle, mode)
-        if sol is None:
-            results = {"solution": "unreachable"}
+    try:
+        if args.mode == "dubins":
+            solved = solve_six(start, goal, current, vehicle, SolverConfig(seed=args.seed))
+            if solved is None:
+                print("no six-type solution converged", file=sys.stderr)
+                sys.exit(EXIT_RUNTIME)
+            sol, elapsed = solved
+            results = {"solution": asdict(sol), "compute_time_seconds": elapsed}
         else:
-            results = {"solution": asdict(sol)}
+            mode = ArcMode.TWO_PI if args.mode == "2pi" else ArcMode.FOUR_PI
+            sol = plan(start, goal, current, vehicle, mode)
+            if sol is None:
+                results = {"solution": "unreachable"}
+            else:
+                results = {"solution": asdict(sol)}
+    except ValueError as exc:  # the other inputs are checked above
+        raise ValueError(f"--radius: {exc}")
     if traj_path and sol is not None:
         controls = controls_of(sol, vehicle)
         h = 1e-3 * vehicle.turning_radius / vehicle.speed
@@ -157,8 +160,8 @@ def cmd_grid(args) -> None:
     out_path = _resolve_out(args.out, "--out")
     try:
         grid = reachability_map(theta_f, current, bounds, args.step, mode, vehicle)
-    except ValueError as exc:  # the other inputs are checked above
-        raise ValueError(f"--bounds, --step: {exc}")
+    except ValueError as exc:  # the other inputs are checked above; --radius scales the grid
+        raise ValueError(f"--radius, --bounds, --step: {exc}")
     grid.write_csv(out_path)
     _emit(args.command, {
         "theta_f": theta_f,

@@ -125,46 +125,36 @@ class ParamInterval:
         return (self.lower + RANGE_SLACK < x) & (x < self.upper - RANGE_SLACK)
 
 
-# Feasible alpha/gamma interval per (kappa, path type, k): lower and upper
-# endpoint as functions of theta_f, and whether both ends are closed.
-_FEASIBLE_ROWS = {
-    (TWO_PI, PathType.LSL, 0): (lambda f: 0.0, lambda f: f, True),
-    (TWO_PI, PathType.LSL, 1): (lambda f: f, lambda f: TWO_PI, False),
-    (TWO_PI, PathType.RSR, -1): (lambda f: 0.0, lambda f: TWO_PI - f, True),
-    (TWO_PI, PathType.RSR, -2): (lambda f: TWO_PI - f, lambda f: TWO_PI, False),
-    (FOUR_PI, PathType.LSL, 0): (lambda f: 0.0, lambda f: f, True),
-    (FOUR_PI, PathType.LSL, 1): (lambda f: 0.0, lambda f: TWO_PI + f, True),
-    (FOUR_PI, PathType.LSL, 2): (lambda f: f, lambda f: FOUR_PI, False),
-    (FOUR_PI, PathType.LSL, 3): (lambda f: TWO_PI + f, lambda f: FOUR_PI, False),
-    (FOUR_PI, PathType.RSR, -1): (lambda f: 0.0, lambda f: TWO_PI - f, True),
-    (FOUR_PI, PathType.RSR, -2): (lambda f: 0.0, lambda f: FOUR_PI - f, True),
-    (FOUR_PI, PathType.RSR, -3): (lambda f: TWO_PI - f, lambda f: FOUR_PI, False),
-    (FOUR_PI, PathType.RSR, -4): (lambda f: FOUR_PI - f, lambda f: FOUR_PI, False),
-}
-
-
 def feasible_range(
     path_type: PathType, k: int, theta_f: float, kappa: float
 ) -> ParamInterval:
     """Feasible alpha/gamma interval for one (path type, k, kappa) row.
 
-    Both arc angles share the interval, and its endpoints always sum to the
-    total turn alpha + gamma fixed by k and theta_f.
+    Both arcs lie in [0, kappa) and sum to the total turn
+    T = s(2*pi*k + theta_f), s the first-turn sign: the closed [0, T] while T
+    holds fewer than kappa/2*pi whole turns, the open (T - kappa, kappa) after
+    that, empty from 2*kappa on.  Each bound is 2*pi*j + s*theta_f, integer j.
     """
-    row = _FEASIBLE_ROWS.get((kappa, path_type, k))
-    if row is None:
-        if kappa != TWO_PI and kappa != FOUR_PI:
-            raise ValueError(f"kappa must be 2*pi or 4*pi, got {kappa!r}")
+    if kappa != TWO_PI and kappa != FOUR_PI:
+        raise ValueError(f"kappa must be 2*pi or 4*pi, got {kappa!r}")
+    cap = 1 if kappa == TWO_PI else 2  # whole turns an arc may hold
+    s = first_turn_sign(path_type)
+    # Whole turns in T for theta_f in (0, 2*pi): k for LSL, -k - 1 for RSR.
+    turns = k if s > 0 else -k - 1
+    if not 0 <= turns < 2 * cap:
         raise ValueError(f"no feasible-range row for {path_type} k={k} kappa={kappa}")
-    lower, upper, closed = row
-    return ParamInterval(lower(theta_f), upper(theta_f), closed)
+    if turns < cap:
+        return ParamInterval(0.0, TWO_PI * (s * k) + s * theta_f, True)
+    return ParamInterval(TWO_PI * (s * k - cap) + s * theta_f, TWO_PI * cap, False)
 
 
 def first_turn_sign(path_type: PathType) -> int:
-    """First-turn sign s of a closed-form type: +1 for LSL, -1 for RSR."""
-    if path_type is not PathType.LSL and path_type is not PathType.RSR:
+    """First-turn sign s of a closed-form type: +1 for LSL, -1 for RSR, the
+    types with no middle turn and both turns one way."""
+    first, middle, last = SEGMENT_SIGNS[path_type]
+    if middle or first != last:
         raise ValueError("closed forms exist only for LSL and RSR")
-    return SEGMENT_SIGNS[path_type][0]
+    return first
 
 
 def _coeffs(s: int, turn, x, y, sin_t: float, cos_t: float, wx: float, wy: float, r: float):
@@ -255,6 +245,24 @@ def _normalize_problem(
     return CurrentState(current.speed / vehicle.speed, current.heading), vehicle.speed
 
 
+def _check_radius(x, y, r: float) -> None:
+    """Refuse a turning radius whose closed-form terms overflow at start-frame
+    goals x, y (floats or arrays of one shape): over plan's windings A and B
+    lie within (2 + 4*pi) r of x and y, and solve_beta squares them."""
+    reach = (2.0 + FOUR_PI) * r
+    u, w = abs(x) + reach, abs(y) + reach
+    if isinstance(x, np.ndarray):
+        with np.errstate(over="ignore"):
+            bad = np.flatnonzero(~np.isfinite(u * u + w * w))
+        if not bad.size:
+            return
+        x, y = float(x.flat[bad[0]]), float(y.flat[bad[0]])
+    elif math.isfinite(u * u + w * w):
+        return
+    raise ValueError(f"vehicle turning_radius {r!r} is too large for a goal at ({x!r}, {y!r}):"
+                     " the closed-form terms overflow")
+
+
 def solve_one(
     path_type: PathType,
     k: int,
@@ -277,14 +285,10 @@ def solve_one(
     interval = feasible_range(path_type, k, theta, kappa)
     turn = TWO_PI * k + theta
     arc_sum = s * turn
-    if arc_sum < 0.0:
-        return None
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     vw, wx, wy = current.speed, current.wx, current.wy
     a, b = _coeffs(s, turn, x, y, sin_t, cos_t, wx, wy, r)
     beta = _solve_beta(a, b, vw, wx, wy)
-    if beta < 0.0:
-        return None
 
     scale = max(1.0, abs(x), abs(y))
     if beta <= 1e-9 * scale:
@@ -335,11 +339,13 @@ def plan(
     RSR, which suffices for the minimum in both arc modes.  Ties break LSL
     before RSR, then smaller |k|.  four_pi mode always returns a solution
     for current slower than the vehicle; two_pi mode may return None.  A
-    goal whose squared offset from the start overflows is refused.  The
-    candidates are solved at unit speed and tie-broken in seconds.
+    goal whose squared offset from the start overflows is refused, and so
+    is a turning radius whose closed-form terms overflow.  The candidates
+    are solved at unit speed and tie-broken in seconds.
     """
     mode = ArcMode(mode)
     local_goal, local_current = to_start_frame(start, goal, current)
+    _check_radius(local_goal.x, local_goal.y, vehicle.turning_radius)
     unit_current, v = _normalize_problem(local_current, vehicle)
     unit = vehicle if v == 1.0 else VehicleSpec(1.0, vehicle.turning_radius)
     best: PathSolution | None = None
@@ -385,8 +391,6 @@ def _goals_reached(
     interval = feasible_range(path_type, k, theta, kappa)
     turn = TWO_PI * k + theta
     arc_sum = s * turn
-    if arc_sum < 0.0:
-        return np.zeros(x.shape, dtype=bool), np.zeros(x.shape)
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     vw, wx, wy = current.speed, current.wx, current.wy
     a, b = _coeffs(s, turn, x, y, sin_t, cos_t, wx, wy, r)
@@ -415,7 +419,7 @@ def _goals_reached(
             defect = _residual(s, alpha[i], beta[i], x[i], y[i], sin_t, cos_t, wx, wy, r,
                                travel[i])
             reached[i] = ~(defect > tol[i])
-    return reached & ~(beta < 0.0), travel
+    return reached, travel
 
 
 def plan_goals(
@@ -433,7 +437,8 @@ def plan_goals(
     plan step for step, with plan's candidate order and 1e-12 tie-break.
     Returns per goal the winner's index in WINDING_CANDIDATES (-1 where no
     path exists) and its travel time in seconds (NaN there).  Refuses the
-    call if any goal's squared offset overflows, as plan does.
+    call if any goal's squared offset, or the turning radius's closed-form
+    terms at any goal, overflow, as plan does.
     """
     theta = normalize_angle(theta_f)
     current, v = _normalize_problem(current, vehicle)
@@ -444,6 +449,7 @@ def plan_goals(
         raise ValueError(f"goal ({float(x.flat[i])!r}, {float(y.flat[i])!r}) is too far from "
                          "the start: the squared offset is not finite")
     r = vehicle.turning_radius
+    _check_radius(x, y, r)
     winner = np.full(x.shape, -1, dtype=np.int8)
     best = np.full(x.shape, np.nan)
     for code, (path_type, ks) in enumerate(WINDING_CANDIDATES.items()):

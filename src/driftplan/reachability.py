@@ -19,7 +19,6 @@ import numpy as np
 from .core import (TWO_PI, CurrentState, Pose, VehicleSpec, check_count, check_finite,
                    normalize_angle, write_csv)
 from .planner import (
-    _FEASIBLE_ROWS,
     WINDING_CANDIDATES,
     ArcMode,
     PathType,
@@ -314,7 +313,7 @@ def _coverage_rows(
     """full_reachability_2pi over arrays of rows with a nonzero current.
 
     Each row is a goal heading and a unit-speed current (wx, wy).  Builds
-    the four 2*pi sectors from the _FEASIBLE_ROWS bounds, picks each path
+    the four 2*pi sectors from the feasible_range bounds, picks each path
     type's major, and tests its cases, with the scalar form's operation
     order.  Returns per row whether a case is satisfied, and whether the
     row is fragile: a comparison fed by atan2 lies within _FRAGILE_MARGIN
@@ -330,8 +329,8 @@ def _coverage_rows(
         sectors = []
         shaky = np.zeros(theta_f.shape, dtype=bool)  # the major or its width is fragile
         for k in ks:
-            lower, upper, _ = _FEASIBLE_ROWS[(TWO_PI, path_type, k)]
-            lo, up = lower(theta_f), upper(theta_f)
+            interval = feasible_range(path_type, k, theta_f, TWO_PI)
+            lo, up = interval.lower, interval.upper
             full = (up - lo) >= TWO_PI - ANGLE_TOL
             bounds = [_normalize_angles(np.arctan2(*_ray_terms(s, alpha, wx, wy, np)))
                       for alpha in (lo, up)]

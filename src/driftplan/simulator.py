@@ -62,20 +62,6 @@ from .trajectory import ControlSchedule, SampledTrajectory, _advance, _sample, c
 _CHANNELS = {"process": 0, "gps": 1, "compass": 2, "vw": 3, "thetaw": 4}
 
 
-class _Streams(dict):
-    """A mission's noise generator per channel name, seeded on first use
-    from (seed, run index, channel id): the draws of seeding all up front,
-    without the cost for channels a mission never reads."""
-
-    def __init__(self, *key):
-        self.key = key
-
-    def __missing__(self, name: str) -> np.random.Generator:
-        seed = np.random.SeedSequence((*self.key, _CHANNELS[name]))
-        rng = self[name] = np.random.default_rng(seed)
-        return rng
-
-
 # No segments: flown at turn rate 0, holding the heading, before the first
 # plan is armed and through every compute drift.
 _NO_PLAN = ControlSchedule(())
@@ -218,7 +204,8 @@ class _Mission:
         self.sc = scenario
         self.seed = seed
         self.run_index = run_index
-        self.rngs = _Streams(seed, run_index)
+        self.rngs = {name: np.random.default_rng(np.random.SeedSequence((seed, run_index, cid)))
+                     for name, cid in _CHANNELS.items()}
         process = scenario.current_process
         if isinstance(process, CurrentSchedule):
             self._future = None

@@ -1,12 +1,13 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately separate from the library's solution path:
-classical no-wind Dubins closed forms, a brute-force bisection root finder,
-and RK4 integrators, one batched for bulk solver validation.  The
-per-candidate, per-cell, per-case, per-row and fixed-step references at
-the end, the per-sample sensing mission and the lockstep multistart, are
-earlier, slower forms of library functions, kept to pin the faster ones
-to the same output; so are the per-artifact CSV writers.
+the planner's old table of feasible arc ranges, classical no-wind Dubins
+closed forms, a brute-force bisection root finder, and RK4 integrators, one
+batched for bulk solver validation.  The per-candidate, per-cell,
+per-case, per-row and fixed-step references at the end, the per-sample
+sensing mission and the lockstep multistart, are earlier, slower forms
+of library functions, kept to pin the faster ones to the same output; so
+are the per-artifact CSV writers.
 """
 
 from __future__ import annotations
@@ -21,9 +22,29 @@ from driftplan import baseline
 from driftplan import reachability as rc
 from driftplan import simulator as sim
 from driftplan.baseline import SolverConfig
-from driftplan.core import TWO_PI, CurrentSchedule, CurrentState, Pose, current_at, to_start_frame
+from driftplan.core import (FOUR_PI, TWO_PI, CurrentSchedule, CurrentState, Pose, current_at,
+                            to_start_frame)
 from driftplan.planner import WINDING_CANDIDATES, ArcMode, PathSolution, PathType, plan, solve_one
 from driftplan.trajectory import SampledTrajectory, _advance, _segment_pieces, pieces
+
+# The feasible alpha/gamma interval per (kappa, path type, k) as the planner
+# once tabulated it: lower and upper endpoint as functions of theta_f, and
+# whether both ends are closed.  feasible_range derives these rows from the
+# arc rule; this is the reference it is pinned to.
+FEASIBLE_ROWS = {
+    (TWO_PI, PathType.LSL, 0): (lambda f: 0.0, lambda f: f, True),
+    (TWO_PI, PathType.LSL, 1): (lambda f: f, lambda f: TWO_PI, False),
+    (TWO_PI, PathType.RSR, -1): (lambda f: 0.0, lambda f: TWO_PI - f, True),
+    (TWO_PI, PathType.RSR, -2): (lambda f: TWO_PI - f, lambda f: TWO_PI, False),
+    (FOUR_PI, PathType.LSL, 0): (lambda f: 0.0, lambda f: f, True),
+    (FOUR_PI, PathType.LSL, 1): (lambda f: 0.0, lambda f: TWO_PI + f, True),
+    (FOUR_PI, PathType.LSL, 2): (lambda f: f, lambda f: FOUR_PI, False),
+    (FOUR_PI, PathType.LSL, 3): (lambda f: TWO_PI + f, lambda f: FOUR_PI, False),
+    (FOUR_PI, PathType.RSR, -1): (lambda f: 0.0, lambda f: TWO_PI - f, True),
+    (FOUR_PI, PathType.RSR, -2): (lambda f: 0.0, lambda f: FOUR_PI - f, True),
+    (FOUR_PI, PathType.RSR, -3): (lambda f: TWO_PI - f, lambda f: FOUR_PI, False),
+    (FOUR_PI, PathType.RSR, -4): (lambda f: FOUR_PI - f, lambda f: FOUR_PI, False),
+}
 
 _SEGMENT_SIGNS = {
     PathType.LSL: (1, 0, 1),

@@ -310,6 +310,13 @@ def test_residual_refuses_closed_form_words(path_type):
         residual(path_type, (1.0, 5.0), Pose(3.0, 2.0, 1.0), STILL, UNIT)
 
 
+def test_solve_six_refuses_a_turning_radius_whose_terms_overflow():
+    # Used to overflow in numpy and return an infinite travel time.
+    with pytest.raises(ValueError, match=r"^vehicle turning_radius 1e\+308 is too large"):
+        solve_six(Pose(0.0, 0.0, 0.0), Pose(4.0, 2.0, 1.0), CurrentState(0.3, 1.0),
+                  VehicleSpec(1.0, 1e308))
+
+
 def test_hard_type_roots_integrate_to_goal():
     rng = np.random.default_rng(7)
     checked = 0

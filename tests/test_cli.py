@@ -379,6 +379,43 @@ def test_simulate_rejects_non_finite_scenario_field(capsys, tmp_path, field, pat
     assert f"{field} must be finite" in err
 
 
+_HUGE_RADIUS = [
+    ["plan", "--start", "0,0,0", "--goal", "4,2,1", "--current", "0.3,1.0", "--mode", mode]
+    for mode in ("2pi", "4pi", "dubins")
+] + [
+    [name, "--theta-f", "1", "--current", "0.3,1.0", "--out", "{out}"] + bounds
+    for name in ("reachmap", "costmap") for bounds in ([], ["--bounds=-2,2,-2,2", "--step=0.2"])
+]
+
+
+@pytest.mark.parametrize("argv", _HUGE_RADIUS, ids=["plan-2pi", "plan-4pi", "plan-dubins", "reachmap",
+                                                  "reachmap-bounds", "costmap", "costmap-bounds"])
+def test_a_turning_radius_whose_terms_overflow_exits_2(capsys, tmp_path, argv):
+    # Used to exit 0 with "beta": Infinity in the envelope, or a grid of
+    # infinite times.
+    out = tmp_path / "g.csv"
+    code, stdout, err = _run(capsys, [a.format(out=out) for a in argv] + ["--radius", "1e308"])
+    assert code == 2
+    assert stdout == ""
+    assert "--radius" in err
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_turning_radius_whose_terms_overflow(capsys, tmp_path):
+    doc = {
+        "start": {"x": 0, "y": 0, "theta": 0},
+        "goal": {"x": 5, "y": 8.5, "theta": 2.0},
+        "vehicle": {"speed": 1.0, "turning_radius": 1e308},
+        "current_schedule": [{"t_start": 0, "speed": 0.5, "heading": 3.0}],
+    }
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["simulate", "--scenario", str(scen)])
+    assert code == 2
+    assert out == ""
+    assert "vehicle turning_radius 1e+308 is too large" in err
+
+
 @pytest.mark.parametrize("headings, message", [
     ([math.nan], "headings must be finite, got nan"),
     ([], "headings must not be empty"),

@@ -27,7 +27,7 @@ from driftplan.planner import (
 )
 from driftplan.trajectory import _advance, controls_of, endpoint_residual
 
-from oracles import bisect_root, plan_per_candidate
+from oracles import FEASIBLE_ROWS, bisect_root, plan_per_candidate
 
 ORIGIN = Pose(0.0, 0.0, 0.0)
 UNIT = VehicleSpec(1.0, 1.0)
@@ -100,6 +100,48 @@ def test_feasible_range_rejects_bad_pairs():
         feasible_range(PathType.LSL, 2, 1.0, TWO_PI)
     with pytest.raises(ValueError):
         feasible_range(PathType.RSR, 1, 1.0, FOUR_PI)
+
+
+# Goal headings where a bound could round differently: the ends of
+# [0, 2*pi) and every multiple of pi/12.
+_EDGE_HEADINGS = (0.0, 5e-324, math.nextafter(TWO_PI, 0.0),
+                  *(m * math.pi / 12 for m in range(24)))
+
+
+def _with_edge_headings(test):
+    for theta_f in _EDGE_HEADINGS:
+        test = example(theta_f=theta_f, more=[theta_f])(test)
+    return test
+
+
+@settings(derandomize=True, max_examples=300)
+@given(theta_f=st.floats(0.0, TWO_PI, exclude_max=True),
+       more=st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=8))
+@_with_edge_headings
+def test_feasible_range_gives_the_table_rows(theta_f, more):
+    # The arc rule reproduces every row of the old table exactly, for a
+    # float heading and for an array of headings.
+    thetas = np.array(more)
+    for (kappa, path_type, k), (lower, upper, closed) in FEASIBLE_ROWS.items():
+        got = feasible_range(path_type, k, theta_f, kappa)
+        assert (got.lower, got.upper, got.closed) == (lower(theta_f), upper(theta_f), closed)
+        got = feasible_range(path_type, k, thetas, kappa)
+        assert got.closed == closed
+        assert np.array_equal(got.lower, lower(thetas))
+        assert np.array_equal(got.upper, upper(thetas))
+
+
+@pytest.mark.parametrize("kappa", [TWO_PI, FOUR_PI])
+@pytest.mark.parametrize("path_type", [PathType.LSL, PathType.RSR])
+def test_feasible_range_refuses_every_row_outside_the_table(path_type, kappa):
+    for k in range(-6, 7):
+        if (kappa, path_type, k) not in FEASIBLE_ROWS:
+            with pytest.raises(ValueError, match="no feasible-range row"):
+                feasible_range(path_type, k, 1.0, kappa)
+    for other in (0.0, math.pi, 3.0 * math.pi, 8.0 * math.pi, math.nextafter(TWO_PI, 0.0),
+                  math.nan):
+        with pytest.raises(ValueError, match=r"kappa must be 2\*pi or 4\*pi"):
+            feasible_range(path_type, 0 if path_type is PathType.LSL else -1, 1.0, other)
 
 
 def test_range_endpoints_sum_to_arc_total():
@@ -313,6 +355,33 @@ def test_plan_holds_just_below_the_overflow(vw):
     assert math.isfinite(sol.travel_time)
     _, times = plan_goals(np.array([goal.x]), np.array([goal.y]), goal.theta,
                           CurrentState(vw, 1.0), UNIT, FOUR_PI)
+    assert times[0] == sol.travel_time
+
+
+@pytest.mark.parametrize("mode", list(ArcMode))
+def test_plan_refuses_a_turning_radius_whose_terms_overflow(mode):
+    # Used to return an infinite beta and travel time.
+    with pytest.raises(ValueError, match=r"^vehicle turning_radius 1e\+308 is too large for a "
+                                         r"goal at \(4\.0, 2\.0\)"):
+        plan(ORIGIN, Pose(4.0, 2.0, 1.0), CurrentState(0.3, 1.0), VehicleSpec(1.0, 1e308), mode)
+
+
+def test_plan_goals_refuses_a_turning_radius_whose_terms_overflow():
+    # Only the far goal overflows at this radius, and the message names it.
+    x = np.array([0.0, 4.0, 1e154])
+    with pytest.raises(ValueError, match=r"^vehicle turning_radius 5e\+152 is too large for a "
+                                         r"goal at \(1e\+154, 0\.0\)"):
+        plan_goals(x, np.zeros(3), 1.0, CurrentState(0.3, 1.0), VehicleSpec(1.0, 5e152), FOUR_PI)
+
+
+@pytest.mark.parametrize("vw", [0.0, 0.5, 0.999999999])
+def test_plan_holds_just_below_the_radius_overflow(vw):
+    vehicle = VehicleSpec(1.0, 1e152)
+    goal = Pose(4.0, 2.0, 1.0)
+    sol = plan(ORIGIN, goal, CurrentState(vw, 1.0), vehicle, ArcMode.FOUR_PI)
+    assert math.isfinite(sol.travel_time)
+    _, times = plan_goals(np.array([goal.x]), np.array([goal.y]), goal.theta,
+                          CurrentState(vw, 1.0), vehicle, FOUR_PI)
     assert times[0] == sol.travel_time
 
 

@@ -556,6 +556,13 @@ def test_reachability_map_refuses_fast_current_before_building(current, vehicle)
         reachability_map(1.0, current, step=1e-9, vehicle=vehicle)
 
 
+def test_reachability_map_refuses_a_turning_radius_whose_terms_overflow():
+    # Used to fill the grid with infinite times.
+    with pytest.raises(ValueError, match=r"^vehicle turning_radius 1e\+308 is too large"):
+        reachability_map(1.0, EXAMPLE_CURRENT, (-2.0, 2.0, -2.0, 2.0), 0.2,
+                         vehicle=VehicleSpec(1.0, 1e308))
+
+
 @pytest.mark.parametrize("kwargs, name", [
     ({"v_w_values": (1.5,)}, "v_w_values"),
     ({"v_w_values": (0.5, 1.0)}, "v_w_values"),

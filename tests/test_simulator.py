@@ -1,5 +1,6 @@
 """Mission simulation: estimation, drift, termination, and replanning."""
 
+import dataclasses
 import json
 import math
 
@@ -597,16 +598,23 @@ def test_mission_cost_does_not_grow_with_t_max():
     assert epochs[0] == epochs[1] <= 2 * (results[0].total_time / period + 2)
 
 
-def test_noise_channels_are_seeded_on_first_use():
-    # A mission without noise on a fixed schedule reads no channel; a stream
-    # gives the draws of seeding it from (seed, run index, channel id) up front.
+def test_noise_channels_are_seeded_from_seed_run_and_channel():
+    # Each channel's stream gives the draws of seeding it from (seed, run
+    # index, channel id).
     quiet = simulator._Mission(_fig_scenario("analytic_4pi"), 5, 2, False, SolverConfig())
     assert quiet.run().converged
-    assert not quiet.rngs
     streams = simulator._Mission(_fig_scenario("analytic_4pi"), 5, 2, False, SolverConfig()).rngs
     for name, cid in simulator._CHANNELS.items():
         up_front = np.random.default_rng(np.random.SeedSequence((5, 2, cid)))
         assert streams[name].random(3).tolist() == up_front.random(3).tolist()
+
+
+@pytest.mark.parametrize("planner", ["analytic_4pi", "dubins_six"])
+def test_mission_refuses_a_turning_radius_whose_terms_overflow(planner):
+    # Used to fly 1000 s without a plan and report no error.
+    scenario = dataclasses.replace(_fig_scenario(planner), vehicle=VehicleSpec(1.0, 1e308))
+    with pytest.raises(ValueError, match=r"^vehicle turning_radius 1e\+308 is too large"):
+        run_scenario(scenario, 0)
 
 
 def test_scenario_validation():
