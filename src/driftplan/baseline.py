@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import TWO_PI, CurrentState, Pose, VehicleSpec, check_finite, to_start_frame
+from .core import FOUR_PI, TWO_PI, CurrentState, Pose, VehicleSpec, check_finite, to_start_frame
 from .planner import SEGMENT_SIGNS, ArcMode, PathSolution, PathType, _normalize_problem, plan
 
 HARD_TYPES = (PathType.LSR, PathType.RSL, PathType.LRL, PathType.RLR)
@@ -408,6 +408,27 @@ def _time_upper_bound(goal: Pose, vw: float, r: float) -> float:
     return (math.hypot(goal.x, goal.y) + 2 * TWO_PI * r) / (1.0 - vw)
 
 
+def _check_scale(goal: Pose, current: CurrentState, vehicle: VehicleSpec) -> None:
+    """Refuse, before any solve, a turning radius whose Newton terms
+    overflow, or a vehicle speed under which a time in seconds does.
+
+    goal is in the start frame.  A root's time lies below the time bound,
+    and a residual, in unit-speed units, within size = bound + (2 + 4*pi) r
+    + |x| + |y|; a 3x3 Jacobian entry is at most 4r, and _batched_solve
+    multiplies two entries by a residual, summing three such products.
+    """
+    scaled, v = _normalize_problem(current, vehicle)
+    r = float(vehicle.turning_radius)
+    bound = _time_upper_bound(goal, scaled.speed, r)
+    size = float(bound + (2.0 + FOUR_PI) * r + abs(goal.x) + abs(goal.y))
+    if not math.isfinite(48.0 * r * r * size):
+        raise ValueError(f"vehicle turning_radius {r!r} is too large for a goal at "
+                         f"({goal.x!r}, {goal.y!r}): the numeric words' Newton terms overflow")
+    if not math.isfinite(bound / v):
+        raise ValueError(f"vehicle speed {vehicle.speed!r} is too small for a goal at "
+                         f"({goal.x!r}, {goal.y!r}): the travel time in seconds overflows")
+
+
 def _roots_to_solutions(
     branches: list[tuple[PathType, int]],
     roots: list[tuple[int, np.ndarray]],
@@ -506,12 +527,14 @@ def solve_six(
     LSL/RSR use the closed forms with classical 2*pi arcs; the other four
     are solved numerically, each mirror pair as one array.  Returns None
     when nothing converges (possible only if the closed forms are
-    infeasible and every multistart fails).  Raises ValueError, from
-    `plan`, unless the current is slower than the vehicle.
+    infeasible and every multistart fails).  Raises ValueError unless the
+    current is slower than the vehicle, and for a turning radius or a
+    vehicle speed under which the solve would overflow (`_check_scale`).
     """
     t0 = time.perf_counter()
-    best = plan(start, goal, current, vehicle, ArcMode.TWO_PI)
     local_goal, local_current = to_start_frame(start, goal, current)
+    _check_scale(local_goal, local_current, vehicle)
+    best = plan(start, goal, current, vehicle, ArcMode.TWO_PI)
     for words in _MIRROR_PAIRS:
         for sol in _solve_words(words, local_goal, local_current, vehicle, cfg):
             if best is None or sol.travel_time < best.travel_time - 1e-12:

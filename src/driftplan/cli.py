@@ -132,7 +132,7 @@ def cmd_plan(args) -> None:
             else:
                 results = {"solution": asdict(sol)}
     except ValueError as exc:  # the other inputs are checked above
-        raise ValueError(f"--radius: {exc}")
+        raise ValueError(f"--speed, --radius: {exc}")
     if traj_path and sol is not None:
         controls = controls_of(sol, vehicle)
         h = 1e-3 * vehicle.turning_radius / vehicle.speed
@@ -161,7 +161,7 @@ def cmd_grid(args) -> None:
     try:
         grid = reachability_map(theta_f, current, bounds, args.step, mode, vehicle)
     except ValueError as exc:  # the other inputs are checked above; --radius scales the grid
-        raise ValueError(f"--radius, --bounds, --step: {exc}")
+        raise ValueError(f"--speed, --radius, --bounds, --step: {exc}")
     grid.write_csv(out_path)
     _emit(args.command, {
         "theta_f": theta_f,

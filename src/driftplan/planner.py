@@ -340,8 +340,9 @@ def plan(
     before RSR, then smaller |k|.  four_pi mode always returns a solution
     for current slower than the vehicle; two_pi mode may return None.  A
     goal whose squared offset from the start overflows is refused, and so
-    is a turning radius whose closed-form terms overflow.  The candidates
-    are solved at unit speed and tie-broken in seconds.
+    are a turning radius whose closed-form terms overflow and a vehicle
+    speed under which the time in seconds does.  The candidates are solved
+    at unit speed and tie-broken in seconds.
     """
     mode = ArcMode(mode)
     local_goal, local_current = to_start_frame(start, goal, current)
@@ -359,6 +360,7 @@ def plan(
             if best is None or seconds < best_time - 1e-12:
                 best, best_time = sol, seconds
     if best is not None and v != 1.0:
+        _check_speed(best_time, local_goal.x, local_goal.y, vehicle.speed)
         best = PathSolution(best.path_type, best.k, best.alpha, best.beta, best.gamma,
                             best.kappa, best_time)
     return best
@@ -366,60 +368,95 @@ def plan(
 
 def _normalize_angles(a: np.ndarray) -> np.ndarray:
     """normalize_angle applied elementwise to a finite array."""
-    r = np.fmod(a, TWO_PI)
-    r = np.where(r < 0.0, r + TWO_PI, r)
+    return _wrap_angles(np.fmod(a, TWO_PI))
+
+
+def _wrap_angles(a: np.ndarray) -> np.ndarray:
+    """_normalize_angles for an array in (-2*pi, 2*pi), such as atan2's
+    values in [-pi, pi], where fmod returns its argument."""
+    r = np.where(a < 0.0, a + TWO_PI, a)
     return np.where(r >= TWO_PI, 0.0, r)
+
+
+def _representatives(interval: ParamInterval, kappa: float) -> range:
+    """The j of solve_one's representatives alpha = base + 2*pi*j, base in
+    [0, 2*pi), that interval may contain: alpha >= 2*pi*j, so the first j
+    at which 2*pi*j fails the interval's upper bound ends them."""
+    reps = int(kappa / TWO_PI) + 1
+    for j in range(reps):
+        least = TWO_PI * j
+        if (least > interval.upper + RANGE_SLACK if interval.closed
+                else least >= interval.upper - RANGE_SLACK):
+            return range(j)
+    return range(reps)
 
 
 def _goals_reached(
     path_type: PathType,
     k: int,
-    x: np.ndarray,
-    y: np.ndarray,
+    i: np.ndarray,
+    goals: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    candidate: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     theta: float,
     current: CurrentState,
     r: float,
     kappa: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """solve_one over arrays of start-frame goals sharing the heading theta.
+) -> np.ndarray:
+    """solve_one's feasibility test for the goals i (an index array) of a
+    block sharing the goal heading theta.
 
-    current is already scaled to unit speed.  Returns which goals have a
-    solution and the unit-speed travel r*arc_sum + beta of each goal, which
-    does not depend on the arc split and is meaningful where reached.
+    goals is the block's (x, y, |x| + |y|, max(1, |x|, |y|)) in the start
+    frame, and candidate its (A, B, beta, unit-speed travel) for (path
+    type, k) as plan_goals computes them; current is already scaled to unit
+    speed.  Returns which of the goals i have a solution.  Only
+    `_representatives` are tried, and the residual and its tolerance are
+    computed only where a split is feasible.
     """
     s = first_turn_sign(path_type)
     interval = feasible_range(path_type, k, theta, kappa)
-    turn = TWO_PI * k + theta
-    arc_sum = s * turn
+    arc_sum = s * (TWO_PI * k + theta)
+    x, y, size, scale = goals
+    a, b, beta, travel = candidate
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     vw, wx, wy = current.speed, current.wx, current.wy
-    a, b = _coeffs(s, turn, x, y, sin_t, cos_t, wx, wy, r)
-    beta = _solve_beta(a, b, vw, wx, wy)
-    travel = r * arc_sum + beta
-
-    scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
-    at_center = beta <= 1e-9 * scale
+    beta_i = beta[i]
+    at_center = beta_i <= 1e-9 * scale[i]
     # At the rotation center the symmetric split decides alone.
     reached = at_center & interval.contains(0.5 * arc_sum)
 
-    base = _normalize_angles(np.arctan2(s * (b - beta * wy), a - beta * wx))
-    terms = np.abs(x) + np.abs(y) + vw * travel + r + beta
-    tol = 1e-9 * np.maximum(1.0, terms)
+    base = _wrap_angles(np.arctan2(s * (b[i] - beta_i * wy), a[i] - beta_i * wx))
     # Every representative gives the same travel, so a goal is reached when
     # any of them passes; taking them smallest first changes only the split.
-    for j in range(int(kappa / TWO_PI) + 1):
+    for j in _representatives(interval, kappa):
         alpha = base + TWO_PI * j
         gamma = arc_sum - alpha
         gamma = np.where((-RANGE_SLACK < gamma) & (gamma < 0.0), 0.0, gamma)
-        # The residual is needed only where the split is feasible, and the
-        # last representative rarely is anywhere.
-        i = np.flatnonzero(~at_center & ~reached & interval.contains(alpha) & (gamma >= 0.0)
+        # The residual is needed only where the split is feasible.
+        m = np.flatnonzero(~at_center & ~reached & interval.contains(alpha) & (gamma >= 0.0)
                            & interval.contains(gamma))
-        if i.size:
-            defect = _residual(s, alpha[i], beta[i], x[i], y[i], sin_t, cos_t, wx, wy, r,
-                               travel[i])
-            reached[i] = ~(defect > tol[i])
-    return reached, travel
+        if m.size:
+            c = i[m]
+            # The residual's rounding error is relative to its largest terms.
+            terms = size[c] + vw * travel[c] + r + beta[c]
+            defect = _residual(s, alpha[m], beta[c], x[c], y[c], sin_t, cos_t, wx, wy, r,
+                               travel[c])
+            reached[m] = ~(defect > 1e-9 * np.maximum(1.0, terms))
+    return reached
+
+
+def _check_speed(seconds, x, y, v: float) -> None:
+    """Refuse a vehicle speed v under which a travel time in seconds (a
+    float or an array, NaN where no path exists) overflows, naming the
+    first such start-frame goal of x, y (floats or arrays of one shape)."""
+    if isinstance(seconds, np.ndarray):
+        bad = np.flatnonzero(np.isinf(seconds))
+        if not bad.size:
+            return
+        x, y = float(x.flat[bad[0]]), float(y.flat[bad[0]])
+    elif not math.isinf(seconds):
+        return
+    raise ValueError(f"vehicle speed {v!r} is too small for a goal at ({x!r}, {y!r}):"
+                     " the travel time in seconds overflows")
 
 
 def plan_goals(
@@ -438,7 +475,12 @@ def plan_goals(
     Returns per goal the winner's index in WINDING_CANDIDATES (-1 where no
     path exists) and its travel time in seconds (NaN there).  Refuses the
     call if any goal's squared offset, or the turning radius's closed-form
-    terms at any goal, overflow, as plan does.
+    terms at any goal, overflow, as plan does, and so is a vehicle speed
+    under which a winner's time in seconds overflows.
+
+    Each candidate's travel time is computed for every goal, but its
+    feasibility test runs only on the goals where that time would win, the
+    only goals where plan's tie-break can take it.
     """
     theta = normalize_angle(theta_f)
     current, v = _normalize_problem(current, vehicle)
@@ -450,15 +492,29 @@ def plan_goals(
                          "the start: the squared offset is not finite")
     r = vehicle.turning_radius
     _check_radius(x, y, r)
+    ax, ay = np.abs(x), np.abs(y)
+    goals = (x, y, ax + ay, np.maximum(1.0, np.maximum(ax, ay)))
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    vw, wx, wy = current.speed, current.wx, current.wy
     winner = np.full(x.shape, -1, dtype=np.int8)
     best = np.full(x.shape, np.nan)
     for code, (path_type, ks) in enumerate(WINDING_CANDIDATES.items()):
+        s = first_turn_sign(path_type)
         for k in ks:
-            reached, travel = _goals_reached(path_type, k, x, y, theta, current, r, kappa)
-            time = travel / v
-            take = reached & ((winner < 0) | (time < best - 1e-12))
+            # The travel r*arc_sum + beta does not depend on the arc split.
+            turn = TWO_PI * k + theta
+            a, b = _coeffs(s, turn, x, y, sin_t, cos_t, wx, wy, r)
+            beta = _solve_beta(a, b, vw, wx, wy)
+            travel = r * (s * turn) + beta
+            with np.errstate(over="ignore"):  # a winner's overflow is refused below
+                time = travel / v
+            i = np.flatnonzero((winner < 0) | (time < best - 1e-12))
+            take = i[_goals_reached(path_type, k, i, goals, (a, b, beta, travel), theta, current,
+                                    r, kappa)]
             winner[take] = code
             best[take] = time[take]
+    if v != 1.0:
+        _check_speed(best, x, y, vehicle.speed)
     return winner, best
 
 

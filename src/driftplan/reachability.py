@@ -49,8 +49,15 @@ _BLOCK_CELLS = 4096
 # x86-64 with numpy 2.4.  Each side of a comparison is at most two atan2
 # values combined by at most six roundings at magnitudes below 4*pi, so it
 # differs between the two forms by under 1e-14 while atan2 stays within a
-# few ulp; sides further apart than the margin compare alike in both.
+# few ulp; sides further apart than the margin compare alike in both.  The
+# fragile rows are decided by the kernel again with math.atan2, whose bits
+# make every comparison the scalar predicates'.
 _FRAGILE_MARGIN = 1e-9
+
+
+def _math_atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """math.atan2 elementwise, as a float array: the scalar predicates' bits."""
+    return np.frompyfunc(math.atan2, 2, 1)(y, x).astype(float)
 
 # Dominant label per plan_goals winner code; code -1 (no path) picks the last.
 _LABELS = np.array([t.value for t in WINDING_CANDIDATES] + ["unreachable"], dtype=object)
@@ -308,18 +315,21 @@ def full_reachability_2pi(
 
 
 def _coverage_rows(
-    theta_f: np.ndarray, wx: np.ndarray, wy: np.ndarray
+    theta_f: np.ndarray, wx: np.ndarray, wy: np.ndarray, atan2=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """full_reachability_2pi over arrays of rows with a nonzero current.
 
     Each row is a goal heading and a unit-speed current (wx, wy).  Builds
     the four 2*pi sectors from the feasible_range bounds, picks each path
     type's major, and tests its cases, with the scalar form's operation
-    order.  Returns per row whether a case is satisfied, and whether the
-    row is fragile: a comparison fed by atan2 lies within _FRAGILE_MARGIN
-    of its threshold and no case holds without one, so only the scalar
-    form can say how its rounding decides the row.
+    order.  atan2 is np.arctan2, looked up at each call, unless given.
+    Returns per row whether a case is satisfied, and whether the row is
+    fragile: a comparison fed by atan2 lies within _FRAGILE_MARGIN of its
+    threshold and no case holds without one, so only math.atan2's bits can
+    say how the scalar form decides the row.
     """
+    if atan2 is None:
+        atan2 = np.arctan2
     margin = _FRAGILE_MARGIN
     reachable = np.zeros(theta_f.shape, dtype=bool)
     fragile = np.zeros(theta_f.shape, dtype=bool)
@@ -332,7 +342,7 @@ def _coverage_rows(
             interval = feasible_range(path_type, k, theta_f, TWO_PI)
             lo, up = interval.lower, interval.upper
             full = (up - lo) >= TWO_PI - ANGLE_TOL
-            bounds = [_normalize_angles(np.arctan2(*_ray_terms(s, alpha, wx, wy, np)))
+            bounds = [_normalize_angles(atan2(*_ray_terms(s, alpha, wx, wy, np)))
                       for alpha in (lo, up)]
             start, end = bounds if s > 0 else bounds[::-1]  # _ccw_bounds
             extent = np.where(full, TWO_PI, _normalize_angles(end - start))
@@ -352,7 +362,7 @@ def _coverage_rows(
                     for k in ks]
         for case0, case1 in zip(*by_major):
             (y0, x0), (y1, x1) = (_phi_terms(c, theta_f, wx, wy, np) for c in (case0, case1))
-            off = _normalize_angles(np.arctan2(np.where(first, y0, y1), np.where(first, x0, x1))
+            off = _normalize_angles(atan2(np.where(first, y0, y1), np.where(first, x0, x1))
                                     - shadow_start)
             held = wide | (off <= span + ANGLE_TOL) | (off >= TWO_PI - ANGLE_TOL)
             near = ~wide & (span_shaky | (np.abs(off - (span + ANGLE_TOL)) <= margin)
@@ -406,7 +416,7 @@ def parametric_scan(
     each row's flag is full_reachability_2pi's, which no turning radius
     changes, so r = 1 stands for all.  `_coverage_rows` decides
     the lattice a block of rows at a time.  Rows it reports fragile are
-    decided again by the scalar full_reachability_2pi: they hold a
+    decided again by `_coverage_rows` with math.atan2: they hold a
     comparison within _FRAGILE_MARGIN of its threshold, such as the exact
     extent and boundary ties a lattice of fractions of pi meets, and there
     the last bit of atan2, in which numpy and math differ, can decide.
@@ -427,20 +437,26 @@ def parametric_scan(
     headings = _normalize_angles(np.array(theta_ws, dtype=float))  # as CurrentState keeps them
     speeds = np.array(v_w_values, dtype=float)
     n = len(v_w_values) * n_f * n_w
-    reachable = np.empty(n, dtype=bool)
-    for lo in range(0, n, _BLOCK_CELLS):
-        rows = np.arange(lo, min(lo + _BLOCK_CELLS, n))
+
+    def lattice(rows):
+        """The rows' goal headings and unit-speed currents, as CurrentState
+        computes them."""
         vw = speeds[rows // (n_f * n_w)]
         heading = headings[rows % n_w]
-        ok, fragile = _coverage_rows(f_axis[rows // n_w % n_f],
-                                     vw * np.cos(heading), vw * np.sin(heading))
-        still = vw == 0.0  # zero current: degenerate and fully reachable
+        return f_axis[rows // n_w % n_f], vw * np.cos(heading), vw * np.sin(heading)
+
+    reachable = np.empty(n, dtype=bool)
+    fragile = np.empty(n, dtype=bool)
+    for lo in range(0, n, _BLOCK_CELLS):
+        rows = np.arange(lo, min(lo + _BLOCK_CELLS, n))
+        ok, shaky = _coverage_rows(*lattice(rows))
+        still = speeds[rows // (n_f * n_w)] == 0.0  # zero current: degenerate and fully reachable
         reachable[rows] = ok | still
-        for row in rows[fragile & ~still].tolist():
-            v, cell = divmod(row, n_f * n_w)
-            res = full_reachability_2pi(theta_fs[cell // n_w],
-                                        CurrentState(v_w_values[v], theta_ws[cell % n_w]), 1.0)
-            reachable[row] = res.fully_reachable
+        fragile[rows] = shaky & ~still
+    fragile = np.flatnonzero(fragile)
+    for lo in range(0, len(fragile), _BLOCK_CELLS):
+        rows = fragile[lo:lo + _BLOCK_CELLS]
+        reachable[rows] = _coverage_rows(*lattice(rows), _math_atan2)[0]
     flags = iter(reachable.tolist())
     return [(theta_f, theta_w, vw, next(flags))
             for vw in v_w_values for theta_f in theta_fs for theta_w in theta_ws]

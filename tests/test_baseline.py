@@ -317,6 +317,39 @@ def test_solve_six_refuses_a_turning_radius_whose_terms_overflow():
                   VehicleSpec(1.0, 1e308))
 
 
+def test_solve_six_refuses_a_radius_whose_newton_terms_overflow():
+    # Used to print numpy overflow warnings from _batched_solve, whose 3x3
+    # adjugate times a residual grows like r^3, and exit 0.
+    with pytest.raises(ValueError, match=r"^vehicle turning_radius 1e\+150 is too large for a "
+                                         r"goal at \(4\.0, 2\.0\): the numeric words' Newton"):
+        solve_six(ORIGIN, Pose(4.0, 2.0, 1.0), CurrentState(0.3, 1.0), VehicleSpec(1.0, 1e150),
+                  FAST_CFG)
+
+
+@pytest.mark.parametrize("words", [(PathType.LSR, PathType.RSL), (PathType.LRL, PathType.RLR)],
+                         ids=["LSR+RSL", "LRL+RLR"])
+def test_a_radius_of_1e100_solves_as_the_lockstep_oracle(words):
+    # Accepted, and solved with no numpy overflow (the suite fails on one).
+    # No numeric root meets the absolute residual tolerance at this scale,
+    # so the closed forms answer.
+    goal, current, vehicle = Pose(4.0, 2.0, 1.0), CurrentState(0.3, 1.0), VehicleSpec(1.0, 1e100)
+    sol, _ = solve_six(ORIGIN, goal, current, vehicle, FAST_CFG)
+    assert sol == plan(ORIGIN, goal, current, vehicle, ArcMode.TWO_PI)
+    sols = baseline._solve_words(words, goal, current, vehicle, FAST_CFG)
+    assert repr(sols) == repr(solve_words_lockstep(words, goal, current, vehicle, FAST_CFG))
+
+
+def test_solve_six_refuses_a_speed_whose_travel_time_overflows():
+    # The closed forms find no 2*pi path here, so only the numeric words
+    # answer; their times in seconds used to overflow with a numpy warning.
+    goal, current = Pose(4.0, 3.0, 7 * math.pi / 4), CurrentState(0.5e-310, math.pi / 3)
+    vehicle = VehicleSpec(1e-310, 1.0)
+    assert plan(ORIGIN, goal, current, vehicle, ArcMode.TWO_PI) is None
+    with pytest.raises(ValueError, match=r"^vehicle speed 1e-310 is too small for a goal at "
+                                         r"\(4\.0, 3\.0\)"):
+        solve_six(ORIGIN, goal, current, vehicle, FAST_CFG)
+
+
 def test_hard_type_roots_integrate_to_goal():
     rng = np.random.default_rng(7)
     checked = 0

@@ -401,6 +401,44 @@ def test_a_turning_radius_whose_terms_overflow_exits_2(capsys, tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", _HUGE_RADIUS, ids=["plan-2pi", "plan-4pi", "plan-dubins", "reachmap",
+                                                  "reachmap-bounds", "costmap", "costmap-bounds"])
+def test_a_speed_whose_travel_time_overflows_exits_2(capsys, tmp_path, argv):
+    # Used to exit 0 with "travel_time": Infinity, which is not JSON, or a
+    # grid of infinite times.
+    out = tmp_path / "g.csv"
+    argv = [a.format(out=out).replace("0.3,1.0", "0,1.0") for a in argv]
+    code, stdout, err = _run(capsys, argv + ["--speed", "1e-310"])
+    assert code == 2
+    assert stdout == ""
+    assert "--speed" in err and "vehicle speed 1e-310 is too small" in err
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_speed_whose_travel_time_overflows(capsys, tmp_path):
+    doc = {
+        "start": {"x": 0, "y": 0, "theta": 0},
+        "goal": {"x": 5, "y": 8.5, "theta": 2.0},
+        "vehicle": {"speed": 1e-310, "turning_radius": 1.0},
+        "current_schedule": [{"t_start": 0, "speed": 0.0, "heading": 3.0}],
+    }
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["simulate", "--scenario", str(scen)])
+    assert code == 2
+    assert out == ""
+    assert "vehicle speed 1e-310 is too small" in err
+
+
+def test_plan_dubins_refuses_a_radius_whose_newton_terms_overflow(capsys):
+    # Used to print numpy RuntimeWarnings and exit 0.
+    code, out, err = _run(capsys, ["plan", "--start", "0,0,0", "--goal", "4,2,1", "--current",
+                                   "0.3,1.0", "--radius", "1e150", "--mode", "dubins"])
+    assert code == 2
+    assert out == ""
+    assert "--radius" in err and "Newton terms overflow" in err
+
+
 def test_simulate_refuses_a_turning_radius_whose_terms_overflow(capsys, tmp_path):
     doc = {
         "start": {"x": 0, "y": 0, "theta": 0},

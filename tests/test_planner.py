@@ -14,9 +14,12 @@ from driftplan.core import (
 from driftplan.experiments import AERIAL, NAVAL
 from driftplan.planner import (
     LSL_K_EXTENDED,
+    RANGE_SLACK,
     WINDING_CANDIDATES,
     ArcMode,
+    ParamInterval,
     PathType,
+    _representatives,
     coeffs,
     extended_k_solutions,
     feasible_range,
@@ -372,6 +375,47 @@ def test_plan_goals_refuses_a_turning_radius_whose_terms_overflow():
     with pytest.raises(ValueError, match=r"^vehicle turning_radius 5e\+152 is too large for a "
                                          r"goal at \(1e\+154, 0\.0\)"):
         plan_goals(x, np.zeros(3), 1.0, CurrentState(0.3, 1.0), VehicleSpec(1.0, 5e152), FOUR_PI)
+
+
+@pytest.mark.parametrize("mode", list(ArcMode))
+def test_plan_refuses_a_speed_whose_travel_time_overflows(mode):
+    # Used to return an infinite travel time, printed as invalid JSON.
+    with pytest.raises(ValueError, match=r"^vehicle speed 1e-310 is too small for a goal at "
+                                         r"\(4\.0, 2\.0\)"):
+        plan(ORIGIN, Pose(4.0, 2.0, 1.0), CurrentState(0.0, 1.0), VehicleSpec(1e-310, 1.0), mode)
+
+
+def test_plan_goals_refuses_a_speed_whose_travel_time_overflows():
+    # Only the far goal's time overflows at this speed, and the message
+    # names it; below it, plan and plan_goals give one finite time.
+    x = np.array([0.0, 4.0, 1e10])
+    current, vehicle = CurrentState(0.0, 1.0), VehicleSpec(1e-300, 1.0)
+    with pytest.raises(ValueError, match=r"^vehicle speed 1e-300 is too small for a goal at "
+                                         r"\(10000000000\.0, 0\.0\)"):
+        plan_goals(x, np.zeros(3), 1.0, current, vehicle, FOUR_PI)
+    _, times = plan_goals(x[:2], np.zeros(2), 1.0, current, vehicle, FOUR_PI)
+    sol = plan(ORIGIN, Pose(4.0, 0.0, 1.0), current, vehicle, ArcMode.FOUR_PI)
+    assert math.isfinite(sol.travel_time) and times[1] == sol.travel_time
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+@pytest.mark.parametrize("j", [1, 2])
+def test_representatives_end_where_the_smallest_alpha_fails_the_upper_bound(closed, j):
+    # alpha = base + 2*pi*j >= 2*pi*j for base in [0, 2*pi), so j is tried
+    # exactly when 2*pi*j passes the upper side of contains (the lower
+    # bound -1 passes it).  Upper bounds a few ulp either side of that edge
+    # pin the rule to the bit.
+    least = TWO_PI * j
+    upper = least - RANGE_SLACK if closed else least + RANGE_SLACK
+    upper -= 8 * math.ulp(upper)
+    outcomes = set()
+    for _ in range(17):
+        interval = ParamInterval(-1.0, upper, closed)
+        tried = j in _representatives(interval, FOUR_PI)
+        assert tried == bool(interval.contains(least))
+        outcomes.add(tried)
+        upper = math.nextafter(upper, math.inf)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("vw", [0.0, 0.5, 0.999999999])

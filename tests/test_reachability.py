@@ -11,8 +11,10 @@ from driftplan.core import (
     FOUR_PI, TWO_PI, CurrentState, Pose, VehicleSpec, angle_difference, normalize_angle,
     write_csv,
 )
+from driftplan import reachability
 from driftplan.planner import (
-    ArcMode, PathType, coeffs, feasible_range, plan, solve_beta, solve_one,
+    RANGE_SLACK, ArcMode, PathType, _representatives, coeffs, feasible_range, plan, solve_beta,
+    solve_one,
 )
 from driftplan.reachability import (
     FULL_REACH_CASES,
@@ -368,6 +370,8 @@ SCAN_SPEED = st.one_of(st.sampled_from([0.0, 1e-4, 1.0 - 1e-7]), st.floats(0.0, 
 @example(theta_f_step=math.pi / 12, theta_w_step=math.pi / 12, speeds=[0.0, 1e-4, 1.0 - 1e-7],
          r=1.0)
 @example(theta_f_step=math.pi / 6, theta_w_step=math.pi / 4, speeds=[0.5, 0.999], r=2.0)
+# A lattice with no rows, and so no fragile rows to decide again.
+@example(theta_f_step=1e308, theta_w_step=0.5, speeds=[0.25, 0.5], r=1.0)
 def test_scan_matches_per_row_anywhere(theta_f_step, theta_w_step, speeds, r):
     # the per-row oracle runs at radius r, so the scan holds for any radius
     speeds = tuple(speeds)
@@ -407,6 +411,24 @@ def test_scan_rows_hold_when_array_atan2_is_off(monkeypatch, scale):
     monkeypatch.setattr(np, "arctan2", _nudged_arctan2(scale))
     assert parametric_scan(BENCHMARK_SCAN_STEP, BENCHMARK_SCAN_STEP,
                            BENCHMARK_SCAN_VW) == reference
+
+
+def test_scan_decides_its_fragile_rows_in_the_kernel(monkeypatch):
+    # With np.arctan2 nudged, the fragile rows are decided by _coverage_rows
+    # with math.atan2, never by the scalar predicates, and the rows still
+    # equal theirs.
+    reference = parametric_scan_per_row(BENCHMARK_SCAN_STEP, BENCHMARK_SCAN_STEP,
+                                        BENCHMARK_SCAN_VW)
+    monkeypatch.setattr(np, "arctan2", _nudged_arctan2(1e-10))
+    scalar, kernel = [], []
+    monkeypatch.setattr(reachability, "full_reachability_2pi", lambda *args: scalar.append(args))
+    math_atan2 = reachability._math_atan2
+    monkeypatch.setattr(reachability, "_math_atan2",
+                        lambda y, x: kernel.append(y.size) or math_atan2(y, x))
+    assert parametric_scan(BENCHMARK_SCAN_STEP, BENCHMARK_SCAN_STEP,
+                           BENCHMARK_SCAN_VW) == reference
+    assert not scalar
+    assert kernel and kernel[0] > 0
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-12, 1e-10])
@@ -615,6 +637,46 @@ def test_reachability_map_matches_per_cell_plan(theta_f, share, heading, vehicle
     grid = reachability_map(theta_f, current, bounds, step, mode, vehicle)
     _assert_same_grid(grid, reachability_map_per_cell(theta_f, current, bounds, step, mode,
                                                       vehicle))
+
+
+def _tied_cells(xs, theta_f, kappa):
+    """How many still-current goals (x, 0, theta_f) have mirror-image
+    solutions, LSL k and RSR -k-1, within plan's 1e-12 tie-break of each
+    other."""
+    ties = 0
+    for x in xs:
+        goal, still = Pose(x, 0.0, theta_f), CurrentState(0.0, 0.0)
+        for k in (0, 1):
+            lsl = solve_one(PathType.LSL, k, goal, still, UNIT, kappa)
+            rsr = solve_one(PathType.RSR, -k - 1, goal, still, UNIT, kappa)
+            ties += bool(lsl and rsr and abs(lsl.travel_time - rsr.travel_time) <= 1e-12)
+    return ties
+
+
+@pytest.mark.parametrize("theta_f, current, bounds, step, mode", [
+    # Goals on the x-axis with no current, where LSL k and RSR -k-1 are
+    # mirror images: their times tie, and the 1e-12 tie-break decides.
+    (math.pi, CurrentState(0.0, 0.0), (-6.0, 6.0, 0.0, 0.0), 0.125, ArcMode.TWO_PI),
+    (math.pi, CurrentState(0.0, 0.0), (-6.0, 6.0, 0.0, 0.0), 0.125, ArcMode.FOUR_PI),
+    # A goal heading within RANGE_SLACK of 2*pi, where LSL k = 0 still
+    # tries its j = 1 representative in 2*pi mode.
+    (TWO_PI - RANGE_SLACK / 2, CurrentState(0.5, 1.0), (-5.0, 5.0, -5.0, 5.0), 0.5,
+     ArcMode.TWO_PI),
+    # A 4*pi grid at a current of 1 - 1e-9 of the vehicle's speed.
+    (1.3087976796265908, CurrentState(1.0 - 1e-9, 0.7858888904132798), (-10.0, 10.0, -10.0, 10.0),
+     0.5, ArcMode.FOUR_PI),
+], ids=["tie-2pi", "tie-4pi", "j1-near-2pi", "near-unit-current-4pi"])
+def test_reachability_map_prunes_match_per_cell_plan(theta_f, current, bounds, step, mode):
+    # The map kernel tests a candidate's feasibility only where its time
+    # can still win, and skips representatives that cannot pass: each
+    # prune is pinned to one scalar plan per cell, to the last bit.
+    grid = reachability_map(theta_f, current, bounds, step, mode, UNIT)
+    _assert_same_grid(grid, reachability_map_per_cell(theta_f, current, bounds, step, mode,
+                                                      UNIT))
+    if theta_f == math.pi:
+        assert _tied_cells(grid.xs.tolist(), theta_f, mode.kappa) > 0
+    if theta_f == TWO_PI - RANGE_SLACK / 2:
+        assert 1 in _representatives(feasible_range(PathType.LSL, 0, theta_f, TWO_PI), TWO_PI)
 
 
 @settings(max_examples=100)
