@@ -28,7 +28,8 @@ from typing import Callable
 import numpy as np
 
 from .core import FOUR_PI, TWO_PI, CurrentState, Pose, VehicleSpec, check_finite, to_start_frame
-from .planner import SEGMENT_SIGNS, ArcMode, PathSolution, PathType, _normalize_problem, plan
+from .planner import (SEGMENT_SIGNS, TIME_TIE, ArcMode, PathSolution, PathType,
+                      _normalize_problem, plan)
 
 HARD_TYPES = (PathType.LSR, PathType.RSL, PathType.LRL, PathType.RLR)
 # Mirror pairs of one arity; each pair is solved as one array.
@@ -409,13 +410,15 @@ def _time_upper_bound(goal: Pose, vw: float, r: float) -> float:
 
 
 def _check_scale(goal: Pose, current: CurrentState, vehicle: VehicleSpec) -> None:
-    """Refuse, before any solve, a turning radius whose Newton terms
-    overflow, or a vehicle speed under which a time in seconds does.
+    """Refuse, before any solve, a turning radius or a goal whose Newton
+    terms overflow, or a vehicle speed under which a time in seconds does.
 
     goal is in the start frame.  A root's time lies below the time bound,
     and a residual, in unit-speed units, within size = bound + (2 + 4*pi) r
-    + |x| + |y|; a 3x3 Jacobian entry is at most 4r, and _batched_solve
-    multiplies two entries by a residual, summing three such products.
+    + |x| + |y|.  A 3x3 Jacobian entry is at most 4r, and _batched_solve
+    multiplies two entries by a residual, summing three such products.  A
+    2x2 one's first column holds the straight length, up to size, and
+    _batched_solve sums two products of such an entry and a residual.
     """
     scaled, v = _normalize_problem(current, vehicle)
     r = float(vehicle.turning_radius)
@@ -424,6 +427,9 @@ def _check_scale(goal: Pose, current: CurrentState, vehicle: VehicleSpec) -> Non
     if not math.isfinite(48.0 * r * r * size):
         raise ValueError(f"vehicle turning_radius {r!r} is too large for a goal at "
                          f"({goal.x!r}, {goal.y!r}): the numeric words' Newton terms overflow")
+    if not math.isfinite(4.0 * size * size):
+        raise ValueError(f"goal ({goal.x!r}, {goal.y!r}) is too far from the start: the numeric"
+                         " words' Newton terms overflow")
     if not math.isfinite(bound / v):
         raise ValueError(f"vehicle speed {vehicle.speed!r} is too small for a goal at "
                          f"({goal.x!r}, {goal.y!r}): the travel time in seconds overflows")
@@ -537,7 +543,7 @@ def solve_six(
     best = plan(start, goal, current, vehicle, ArcMode.TWO_PI)
     for words in _MIRROR_PAIRS:
         for sol in _solve_words(words, local_goal, local_current, vehicle, cfg):
-            if best is None or sol.travel_time < best.travel_time - 1e-12:
+            if best is None or sol.travel_time < best.travel_time - TIME_TIE:
                 best = sol
     elapsed = time.perf_counter() - t0
     if best is None:

@@ -132,7 +132,7 @@ def cmd_plan(args) -> None:
             else:
                 results = {"solution": asdict(sol)}
     except ValueError as exc:  # the other inputs are checked above
-        raise ValueError(f"--speed, --radius: {exc}")
+        raise ValueError(f"--goal, --speed, --radius: {exc}")
     if traj_path and sol is not None:
         controls = controls_of(sol, vehicle)
         h = 1e-3 * vehicle.turning_radius / vehicle.speed
@@ -194,7 +194,7 @@ def cmd_simulate(args) -> None:
     try:
         scenario = load_scenario(args.scenario)
     except (OSError, ValueError) as exc:
-        raise ValueError(f"bad scenario file: {exc}")
+        raise ValueError(f"--scenario: {exc}")
     traj_path = _resolve_out(args.traj, "--traj")
     result = run_scenario(scenario, args.seed)
     if traj_path:

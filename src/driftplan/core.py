@@ -144,10 +144,11 @@ class CurrentSchedule:
             if not math.isfinite(t):
                 raise ValueError(f"schedule t_start must be finite, got {t!r}")
         if entries[0][0] != 0.0:
-            raise ValueError("first schedule entry must start at t = 0")
-        for (t0, _), (t1, _) in zip(entries, entries[1:]):
+            raise ValueError(f"schedule entry 0 t_start must be 0, got {entries[0][0]!r}")
+        for i, ((t0, _), (t1, _)) in enumerate(zip(entries, entries[1:]), 1):
             if t1 <= t0:
-                raise ValueError("schedule start times must be strictly increasing")
+                raise ValueError(f"schedule entry {i} t_start {t1!r} must be later than"
+                                 f" entry {i - 1}'s {t0!r}")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "starts", tuple(t for t, _ in entries))
 

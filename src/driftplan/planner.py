@@ -16,8 +16,9 @@ by 1/v once and hands `solve_one` a unit-speed vehicle, so its four
 candidates find the problem already normalized; `plan_goals` normalizes
 once per grid.  `coeffs`, `solve_beta` and `interception_residual` wrap
 private forms that take the goal as plain x, y and the sine and cosine of
-its heading, which `solve_one` computes once and the grid kernel passes
-with array x and y.
+its heading, which `solve_one` computes once and `plan_goals` passes with
+array x and y.  `plan_goals` is the whole grid kernel; `solve_one` stays
+the scalar path, as numpy's per-call cost makes a one-goal array slower.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ SEGMENT_SIGNS = {
 # indices searched; larger |k| never improves the time.  plan_goals's winner
 # codes index this order, and the 2*pi sectors of reachability are its rows.
 WINDING_CANDIDATES = {PathType.LSL: (0, 1), PathType.RSR: (-1, -2)}
+
+# Travel times in seconds this close tie, and a tie keeps the earlier candidate.
+TIME_TIE = 1e-12
 
 
 def _num(x):
@@ -336,13 +340,14 @@ def plan(
     """Minimum-time LSL/RSR path from start to goal under a steady current.
 
     Searches the WINDING_CANDIDATES, k in {0, 1} for LSL and {-1, -2} for
-    RSR, which suffices for the minimum in both arc modes.  Ties break LSL
-    before RSR, then smaller |k|.  four_pi mode always returns a solution
-    for current slower than the vehicle; two_pi mode may return None.  A
-    goal whose squared offset from the start overflows is refused, and so
-    are a turning radius whose closed-form terms overflow and a vehicle
-    speed under which the time in seconds does.  The candidates are solved
-    at unit speed and tie-broken in seconds.
+    RSR, which suffices for the minimum in both arc modes.  Times within
+    TIME_TIE tie, and a tie keeps LSL before RSR, then smaller |k|.  four_pi
+    mode always returns a solution for current slower than the vehicle;
+    two_pi mode may return None.  A goal whose squared offset from the
+    start overflows is refused, and so are a turning radius whose
+    closed-form terms overflow and a vehicle speed under which the time in
+    seconds does.  The candidates are solved at unit speed and tie-broken
+    in seconds.
     """
     mode = ArcMode(mode)
     local_goal, local_current = to_start_frame(start, goal, current)
@@ -357,7 +362,7 @@ def plan(
             if sol is None:
                 continue
             seconds = sol.travel_time / v
-            if best is None or seconds < best_time - 1e-12:
+            if best is None or seconds < best_time - TIME_TIE:
                 best, best_time = sol, seconds
     if best is not None and v != 1.0:
         _check_speed(best_time, local_goal.x, local_goal.y, vehicle.speed)
@@ -391,59 +396,6 @@ def _representatives(interval: ParamInterval, kappa: float) -> range:
     return range(reps)
 
 
-def _goals_reached(
-    path_type: PathType,
-    k: int,
-    i: np.ndarray,
-    goals: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    candidate: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    theta: float,
-    current: CurrentState,
-    r: float,
-    kappa: float,
-) -> np.ndarray:
-    """solve_one's feasibility test for the goals i (an index array) of a
-    block sharing the goal heading theta.
-
-    goals is the block's (x, y, |x| + |y|, max(1, |x|, |y|)) in the start
-    frame, and candidate its (A, B, beta, unit-speed travel) for (path
-    type, k) as plan_goals computes them; current is already scaled to unit
-    speed.  Returns which of the goals i have a solution.  Only
-    `_representatives` are tried, and the residual and its tolerance are
-    computed only where a split is feasible.
-    """
-    s = first_turn_sign(path_type)
-    interval = feasible_range(path_type, k, theta, kappa)
-    arc_sum = s * (TWO_PI * k + theta)
-    x, y, size, scale = goals
-    a, b, beta, travel = candidate
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    vw, wx, wy = current.speed, current.wx, current.wy
-    beta_i = beta[i]
-    at_center = beta_i <= 1e-9 * scale[i]
-    # At the rotation center the symmetric split decides alone.
-    reached = at_center & interval.contains(0.5 * arc_sum)
-
-    base = _wrap_angles(np.arctan2(s * (b[i] - beta_i * wy), a[i] - beta_i * wx))
-    # Every representative gives the same travel, so a goal is reached when
-    # any of them passes; taking them smallest first changes only the split.
-    for j in _representatives(interval, kappa):
-        alpha = base + TWO_PI * j
-        gamma = arc_sum - alpha
-        gamma = np.where((-RANGE_SLACK < gamma) & (gamma < 0.0), 0.0, gamma)
-        # The residual is needed only where the split is feasible.
-        m = np.flatnonzero(~at_center & ~reached & interval.contains(alpha) & (gamma >= 0.0)
-                           & interval.contains(gamma))
-        if m.size:
-            c = i[m]
-            # The residual's rounding error is relative to its largest terms.
-            terms = size[c] + vw * travel[c] + r + beta[c]
-            defect = _residual(s, alpha[m], beta[c], x[c], y[c], sin_t, cos_t, wx, wy, r,
-                               travel[c])
-            reached[m] = ~(defect > 1e-9 * np.maximum(1.0, terms))
-    return reached
-
-
 def _check_speed(seconds, x, y, v: float) -> None:
     """Refuse a vehicle speed v under which a travel time in seconds (a
     float or an array, NaN where no path exists) overflows, naming the
@@ -471,16 +423,16 @@ def plan_goals(
 
     x and y are goal positions in the start frame, of one shape; theta_f is
     the goal heading and kappa the arc-range cap.  Follows solve_one and
-    plan step for step, with plan's candidate order and 1e-12 tie-break.
+    plan step for step, with plan's candidate order and TIME_TIE.
     Returns per goal the winner's index in WINDING_CANDIDATES (-1 where no
     path exists) and its travel time in seconds (NaN there).  Refuses the
     call if any goal's squared offset, or the turning radius's closed-form
     terms at any goal, overflow, as plan does, and so is a vehicle speed
     under which a winner's time in seconds overflows.
 
-    Each candidate's travel time is computed for every goal, but its
-    feasibility test runs only on the goals where that time would win, the
-    only goals where plan's tie-break can take it.
+    Each candidate's travel time is computed for every goal, but
+    solve_one's feasibility test runs only on the goals where that time
+    would win, the only goals where plan's tie-break can take it.
     """
     theta = normalize_angle(theta_f)
     current, v = _normalize_problem(current, vehicle)
@@ -493,7 +445,7 @@ def plan_goals(
     r = vehicle.turning_radius
     _check_radius(x, y, r)
     ax, ay = np.abs(x), np.abs(y)
-    goals = (x, y, ax + ay, np.maximum(1.0, np.maximum(ax, ay)))
+    size, scale = ax + ay, np.maximum(1.0, np.maximum(ax, ay))
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     vw, wx, wy = current.speed, current.wx, current.wy
     winner = np.full(x.shape, -1, dtype=np.int8)
@@ -505,12 +457,35 @@ def plan_goals(
             turn = TWO_PI * k + theta
             a, b = _coeffs(s, turn, x, y, sin_t, cos_t, wx, wy, r)
             beta = _solve_beta(a, b, vw, wx, wy)
-            travel = r * (s * turn) + beta
+            arc_sum = s * turn
+            travel = r * arc_sum + beta
             with np.errstate(over="ignore"):  # a winner's overflow is refused below
                 time = travel / v
-            i = np.flatnonzero((winner < 0) | (time < best - 1e-12))
-            take = i[_goals_reached(path_type, k, i, goals, (a, b, beta, travel), theta, current,
-                                    r, kappa)]
+            # solve_one's feasibility test, on the goals where this time would win.
+            i = np.flatnonzero((winner < 0) | (time < best - TIME_TIE))
+            interval = feasible_range(path_type, k, theta, kappa)
+            beta_i = beta[i]
+            at_center = beta_i <= 1e-9 * scale[i]
+            # At the rotation center the symmetric split decides alone.
+            reached = at_center & interval.contains(0.5 * arc_sum)
+            base = _wrap_angles(np.arctan2(s * (b[i] - beta_i * wy), a[i] - beta_i * wx))
+            # Every representative gives the same travel, so a goal is reached
+            # when any passes; taking them smallest first changes only the split.
+            for j in _representatives(interval, kappa):
+                alpha = base + TWO_PI * j
+                gamma = arc_sum - alpha
+                gamma = np.where((-RANGE_SLACK < gamma) & (gamma < 0.0), 0.0, gamma)
+                # The residual is needed only where the split is feasible.
+                m = np.flatnonzero(~at_center & ~reached & interval.contains(alpha)
+                                   & (gamma >= 0.0) & interval.contains(gamma))
+                if m.size:
+                    c = i[m]
+                    # The residual's rounding error is relative to its largest terms.
+                    terms = size[c] + vw * travel[c] + r + beta[c]
+                    defect = _residual(s, alpha[m], beta[c], x[c], y[c], sin_t, cos_t, wx, wy,
+                                       r, travel[c])
+                    reached[m] = ~(defect > 1e-9 * np.maximum(1.0, terms))
+            take = i[reached]
             winner[take] = code
             best[take] = time[take]
     if v != 1.0:

@@ -315,21 +315,19 @@ def full_reachability_2pi(
 
 
 def _coverage_rows(
-    theta_f: np.ndarray, wx: np.ndarray, wy: np.ndarray, atan2=None
+    theta_f: np.ndarray, wx: np.ndarray, wy: np.ndarray, atan2
 ) -> tuple[np.ndarray, np.ndarray]:
     """full_reachability_2pi over arrays of rows with a nonzero current.
 
     Each row is a goal heading and a unit-speed current (wx, wy).  Builds
     the four 2*pi sectors from the feasible_range bounds, picks each path
     type's major, and tests its cases, with the scalar form's operation
-    order.  atan2 is np.arctan2, looked up at each call, unless given.
+    order.  atan2 is np.arctan2, or _math_atan2 for math.atan2's bits.
     Returns per row whether a case is satisfied, and whether the row is
     fragile: a comparison fed by atan2 lies within _FRAGILE_MARGIN of its
     threshold and no case holds without one, so only math.atan2's bits can
     say how the scalar form decides the row.
     """
-    if atan2 is None:
-        atan2 = np.arctan2
     margin = _FRAGILE_MARGIN
     reachable = np.zeros(theta_f.shape, dtype=bool)
     fragile = np.zeros(theta_f.shape, dtype=bool)
@@ -412,14 +410,15 @@ def parametric_scan(
     """Sweep (theta_f, theta_w, v_w) and record where full coverage holds.
 
     Rows run over v_w, then theta_f = i * theta_f_step, then theta_w =
-    j * theta_w_step, with i and j from 0 while the angle is below 2*pi;
-    each row's flag is full_reachability_2pi's, which no turning radius
-    changes, so r = 1 stands for all.  `_coverage_rows` decides
-    the lattice a block of rows at a time.  Rows it reports fragile are
-    decided again by `_coverage_rows` with math.atan2: they hold a
-    comparison within _FRAGILE_MARGIN of its threshold, such as the exact
-    extent and boundary ties a lattice of fractions of pi meets, and there
-    the last bit of atan2, in which numpy and math differ, can decide.
+    j * theta_w_step, with i and j from 0 while the angle is below 2*pi,
+    so each axis holds at least the angle 0; each row's flag is
+    full_reachability_2pi's, which no turning radius changes, so r = 1
+    stands for all.  `_coverage_rows` decides the lattice a block of rows
+    at a time.  Rows it reports fragile are decided again by
+    `_coverage_rows` with math.atan2: they hold a comparison within
+    _FRAGILE_MARGIN of its threshold, such as the exact extent and boundary
+    ties a lattice of fractions of pi meets, and there the last bit of
+    atan2, in which numpy and math differ, can decide.
     """
     check_finite("theta_f_step", theta_f_step, positive=True)
     check_finite("theta_w_step", theta_w_step, positive=True)
@@ -429,8 +428,8 @@ def parametric_scan(
     check_count(len(v_w_values) * (TWO_PI / theta_f_step) * (TWO_PI / theta_w_step),
                 f"theta_f_step {theta_f_step!r}, theta_w_step {theta_w_step!r}"
                 f" and {len(v_w_values)} speeds", "cells")
-    n_f = int(math.ceil(TWO_PI / theta_f_step - ANGLE_TOL))
-    n_w = int(math.ceil(TWO_PI / theta_w_step - ANGLE_TOL))
+    n_f = max(1, math.ceil(TWO_PI / theta_f_step - ANGLE_TOL))  # 0 is always below 2*pi
+    n_w = max(1, math.ceil(TWO_PI / theta_w_step - ANGLE_TOL))
     theta_fs = [i * theta_f_step for i in range(n_f)]
     theta_ws = [j * theta_w_step for j in range(n_w)]
     f_axis = np.array(theta_fs, dtype=float)
@@ -449,7 +448,7 @@ def parametric_scan(
     fragile = np.empty(n, dtype=bool)
     for lo in range(0, n, _BLOCK_CELLS):
         rows = np.arange(lo, min(lo + _BLOCK_CELLS, n))
-        ok, shaky = _coverage_rows(*lattice(rows))
+        ok, shaky = _coverage_rows(*lattice(rows), np.arctan2)
         still = speeds[rows // (n_f * n_w)] == 0.0  # zero current: degenerate and fully reachable
         reachable[rows] = ok | still
         fragile[rows] = shaky & ~still

@@ -147,7 +147,16 @@ def _read(cls, doc, where: str, **built):
     unknown = sorted(doc.keys() - keys)
     if unknown:
         raise ValueError(f"{where} has no field {unknown[0]!r}")
-    return cls(**kwargs)
+    return _build(where, cls, **kwargs)
+
+
+def _build(where: str, cls, *args, **kwargs):
+    """cls(*args, **kwargs), a refusal of its own checks prefixed with where:
+    cls names the field, but not where the document holds it."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _schedule_entry(doc, where: str) -> tuple[float, CurrentState]:
@@ -182,8 +191,8 @@ def scenario_from_dict(d: dict) -> Scenario:
         entries = doc.pop("current_schedule")
         if not isinstance(entries, list):
             raise ValueError(f"current_schedule must be a list, got {entries!r}")
-        built = {"current_process": CurrentSchedule(tuple(
-            _schedule_entry(e, f"current_schedule[{i}]") for i, e in enumerate(entries)))}
+        entries = tuple(_schedule_entry(e, f"current_schedule[{i}]") for i, e in enumerate(entries))
+        built = {"current_process": _build("current_schedule", CurrentSchedule, entries)}
     for name, cls in (("start", Pose), ("goal", Pose), ("vehicle", VehicleSpec),
                       ("noise", NoiseModel), ("latency", LatencyModel)):
         if name in doc:

@@ -375,8 +375,8 @@ def parametric_scan_per_row(theta_f_step, theta_w_step, v_w_values, r=1.0):
     """`reachability.parametric_scan`'s rows, one scalar
     `full_reachability_2pi` call per (theta_f, theta_w, v_w) triple."""
     rows = []
-    n_f = int(math.ceil(TWO_PI / theta_f_step - rc.ANGLE_TOL))
-    n_w = int(math.ceil(TWO_PI / theta_w_step - rc.ANGLE_TOL))
+    n_f = max(1, math.ceil(TWO_PI / theta_f_step - rc.ANGLE_TOL))
+    n_w = max(1, math.ceil(TWO_PI / theta_w_step - rc.ANGLE_TOL))
     for vw in v_w_values:
         for i in range(n_f):
             theta_f = i * theta_f_step

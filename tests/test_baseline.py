@@ -326,6 +326,24 @@ def test_solve_six_refuses_a_radius_whose_newton_terms_overflow():
                   FAST_CFG)
 
 
+def test_solve_six_refuses_a_goal_whose_newton_terms_overflow():
+    # Used to print numpy overflow warnings from _batched_solve, whose 2x2
+    # adjugate times a residual grows like the squared goal distance, and
+    # exit 0; the goal passes to_start_frame and the closed forms' check.
+    with pytest.raises(ValueError, match=r"^goal \(1e\+154, 4e\+153\) is too far from the "
+                                         r"start: the numeric words' Newton terms overflow"):
+        solve_six(ORIGIN, Pose(1e154, 4e153, 1.0), CurrentState(0.5, 1.0), VehicleSpec(),
+                  FAST_CFG)
+
+
+@pytest.mark.parametrize("scale, vw", [(1e153, 0.0), (1e153, 0.5), (1e150, 0.999)])
+def test_solve_six_solves_a_far_goal_below_the_bound(scale, vw):
+    # Accepted, and solved with no numpy overflow (the suite fails on one).
+    goal, current = Pose(scale, 0.4 * scale, 1.0), CurrentState(vw, 1.0)
+    sol, _ = solve_six(ORIGIN, goal, current, VehicleSpec(), FAST_CFG)
+    assert math.isfinite(sol.travel_time)
+
+
 @pytest.mark.parametrize("words", [(PathType.LSR, PathType.RSL), (PathType.LRL, PathType.RLR)],
                          ids=["LSR+RSL", "LRL+RLR"])
 def test_a_radius_of_1e100_solves_as_the_lockstep_oracle(words):

@@ -1,8 +1,11 @@
 """Command-line interface: envelopes, exit codes, artifacts, determinism."""
 
+import copy
+import functools
 import io
 import json
 import math
+import operator
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -283,6 +286,18 @@ def test_paramscan(capsys, tmp_path):
     assert lines[0] == "theta_f,theta_w,v_w,reachable"
 
 
+def test_paramscan_steps_above_two_pi_keep_the_zero_angles(capsys, tmp_path):
+    # Each axis runs from 0 while below 2pi, so it holds 0 whatever the
+    # step; a step above about 6.3e12 used to give no rows at all.
+    out_csv = tmp_path / "scan.csv"
+    code, out, _ = _run(capsys, ["paramscan", "--theta-f-step=1e308", "--theta-w-step=7",
+                                 "--vw", "0.25,0.75", "--out", str(out_csv)])
+    assert code == 0
+    assert _envelope(out)["results"]["triples"] == 2
+    lines = out_csv.read_text().splitlines()
+    assert [line.rsplit(",", 1)[0] for line in lines[1:]] == ["0.0,0.0,0.25", "0.0,0.0,0.75"]
+
+
 def test_paramscan_csv_bytes_match_the_per_row_scan(capsys, tmp_path):
     step, speeds = math.pi / 10, (0.25, 0.75)
     out_csv, reference = tmp_path / "scan.csv", tmp_path / "reference.csv"
@@ -439,6 +454,15 @@ def test_plan_dubins_refuses_a_radius_whose_newton_terms_overflow(capsys):
     assert "--radius" in err and "Newton terms overflow" in err
 
 
+def test_plan_dubins_refuses_a_goal_whose_newton_terms_overflow(capsys):
+    # Used to print numpy RuntimeWarnings and exit 0.
+    code, out, err = _run(capsys, ["plan", "--start", "0,0,0", "--goal", "1e154,4e153,1",
+                                   "--current", "0.5,1.0", "--mode", "dubins"])
+    assert code == 2
+    assert out == ""
+    assert "--goal" in err and "goal (1e+154, 4e+153) is too far from the start" in err
+
+
 def test_simulate_refuses_a_turning_radius_whose_terms_overflow(capsys, tmp_path):
     doc = {
         "start": {"x": 0, "y": 0, "theta": 0},
@@ -507,6 +531,61 @@ def test_simulate_missing_file_exits_2(capsys, tmp_path):
         "simulate", "--scenario", str(tmp_path / "nope.json"),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("name", ["nope.json", "."])
+def test_simulate_names_the_flag_of_an_unreadable_scenario(capsys, tmp_path, name):
+    # Used to read "bad scenario file: [Errno 2] ...", which named no flag.
+    code, out, err = _run(capsys, ["simulate", "--scenario", str(tmp_path / name)])
+    assert code == 2
+    assert out == ""
+    assert "--scenario: [Errno" in err
+
+
+_MISSION_DOC = {
+    "start": {"x": 0, "y": 0, "theta": 0},
+    "goal": {"x": 5, "y": 8.5, "theta": 2.0},
+    "vehicle": {"speed": 1.0, "turning_radius": 1.0},
+    "current_schedule": [{"t_start": 0, "speed": 0.5, "heading": 3.0},
+                         {"t_start": 2.0, "speed": 0.5, "heading": 1.0}],
+}
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"noise": {"sigma_position": -1}},
+     "noise: sigma_position must be finite and non-negative, got -1.0"),
+    ({"current_schedule": [{"t_start": 0, "speed": -0.5, "heading": 3.0}]},
+     "current_schedule[0]: current speed must be finite and non-negative, got -0.5"),
+    ({"current_schedule": None, "current_process": {"speed": 0.5, "periods": [30.0, 0]}},
+     "current_process: periods must be finite and positive, got 0.0"),
+], ids=["noise", "schedule-entry", "process"])
+def test_simulate_names_where_a_type_refuses_a_field(capsys, tmp_path, patch, message):
+    # A type's own check names its field but not the object that holds it:
+    # a negative noise sigma used to read "sigma_position must be finite
+    # and non-negative", and a negative entry speed "current speed ...".
+    doc = {k: v for k, v in {**_MISSION_DOC, **patch}.items() if v is not None}
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["simulate", "--scenario", str(scen)])
+    assert code == 2
+    assert out == ""
+    assert f"--scenario: {message}" in err
+
+
+@pytest.mark.parametrize("starts, message", [
+    ((1.0, 2.0), "current_schedule: schedule entry 0 t_start must be 0, got 1.0"),
+    ((0.0, 0.0), "current_schedule: schedule entry 1 t_start 0.0 must be later than entry 0's 0.0"),
+], ids=["first", "order"])
+def test_simulate_names_the_schedule_entry_out_of_order(capsys, tmp_path, starts, message):
+    # Used to read "first schedule entry must start at t = 0" and "schedule
+    # start times must be strictly increasing", which named no field.
+    entries = [dict(e, t_start=t) for e, t in zip(_MISSION_DOC["current_schedule"], starts)]
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps({**_MISSION_DOC, "current_schedule": entries}))
+    code, out, err = _run(capsys, ["simulate", "--scenario", str(scen)])
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_montecarlo_deterministic(capsys):
@@ -640,13 +719,13 @@ _BOUNDARY_VALUES = ("nan", "inf", "-inf", "1e308", "-1", "", "{},", "missing/x.c
 
 
 @st.composite
-def _one_flag_changed(draw):
-    command = draw(st.sampled_from(sorted(_ARTIFACT_ARGS)))
-    flags = _ARTIFACT_ARGS[command]
+def _one_flag_changed(draw, commands, values):
+    command = draw(st.sampled_from(sorted(commands)))
+    flags = commands[command]
     flag = draw(st.sampled_from(sorted(flags)))
     parts = flags[flag].split(",")
     part = draw(st.sampled_from([None, *range(len(parts))] if len(parts) > 1 else [None]))
-    change = draw(st.sampled_from(_BOUNDARY_VALUES))
+    change = draw(st.sampled_from(values))
     value = ",".join(change.format(p) if part in (None, i) else p
                      for i, p in enumerate([flags[flag]] if part is None else parts))
     argv = [command] + [f"{f}={value if f == flag else v}" for f, v in flags.items()]
@@ -654,7 +733,7 @@ def _one_flag_changed(draw):
 
 
 @settings(max_examples=300)
-@given(case=_one_flag_changed())
+@given(case=_one_flag_changed(_ARTIFACT_ARGS, _BOUNDARY_VALUES))
 def test_artifact_commands_refuse_a_bad_flag_by_name(case):
     flag, argv = case
     with tempfile.TemporaryDirectory() as out_dir, \
@@ -664,3 +743,102 @@ def test_artifact_commands_refuse_a_bad_flag_by_name(case):
     assert code in (0, 2), err.getvalue()
     if code == 2:
         assert flag in err.getvalue()
+
+
+# Small valid arguments for the mission commands, run in a directory that
+# holds the scenario s.json, a file that is no JSON and a JSON list.  --runs
+# and --instances get only invalid values: a large valid count is a long
+# run, not a fault.
+_MISSION_ARGS = {
+    "simulate": {"--scenario": "s.json", "--seed": "3", "--traj": "f.csv"},
+    "montecarlo": {"--profile": "naval", "--runs": "1", "--seed": "7", "--out": "m.csv"},
+    "bench": {"--instances": "1", "--seed": "1"},
+}
+_MISSION_VALUES = _BOUNDARY_VALUES + ("0", "1.5", "x", ".", "bad.json", "list.json")
+
+
+@settings(max_examples=100)
+@given(case=_one_flag_changed(_MISSION_ARGS, _MISSION_VALUES))
+def test_mission_commands_refuse_a_bad_flag_by_name(case):
+    flag, argv = case
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as out_dir, \
+            mock.patch.dict(os.environ, {"DRIFTPLAN_OUT_DIR": out_dir}), \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        for name, text in (("s.json", json.dumps(_MISSION_DOC)), ("bad.json", "{nope"),
+                           ("list.json", "[1]")):
+            with open(os.path.join(out_dir, name), "w") as fh:
+                fh.write(text)
+        os.chdir(out_dir)
+        try:
+            code = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert flag in err.getvalue()
+
+
+# Valid scenario documents, one per current form and planner, with every
+# field given; their missions stop by t_max = 3 s.
+_SCENARIO_DOCS = (
+    {**_MISSION_DOC, "goal": {"x": 5, "y": 8.5, "theta_deg": 135.0},
+     "noise": {"sigma_position": 0.1, "sigma_heading": 0.01, "sigma_vw_relative": 0.05,
+               "sigma_thetaw": 0.05, "sample_rate": 2.0},
+     "latency": {"dubins_six": 0.5, "analytic_4pi": 0.001},
+     "precision_radius": 1.0, "heading_tolerance_deg": 5.0, "t_max": 3.0,
+     "estimation_window": 0.5, "planner": "analytic_4pi", "initial_compute_latency": False},
+    {"start": {"x": 1, "y": -2, "theta_deg": 30.0}, "goal": {"x": -4, "y": 6, "theta": 2.0},
+     "vehicle": {"speed": 2.0, "turning_radius": 1.5},
+     "current_process": {"speed": 0.5, "heading": 1.0, "headings": [0.0, 3.0],
+                         "periods": [1.0, 2.0]},
+     "heading_tolerance": 0.1, "t_max": 3.0, "estimation_window": 0.0,
+     "planner": "dubins_six", "initial_compute_latency": True},
+)
+
+# What a field is changed to: non-finite numbers, integers beyond the float
+# range, zero and negative numbers, and the other JSON types.  None of them
+# is a valid t_max.
+_BAD_FIELD_VALUES = (math.nan, math.inf, -math.inf, 10**400, -(10**400), 0, -1, -1.5, "1", None,
+                     True, [], {})
+
+
+def _fields(doc, path=()):
+    """The path of every value in a document, objects and lists included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+@st.composite
+def _one_field_changed(draw):
+    """A scenario document with one value changed or one unknown key added,
+    and the names a refusal of it must hold."""
+    doc = copy.deepcopy(draw(st.sampled_from(_SCENARIO_DOCS)))
+    path = draw(st.sampled_from([(), *_fields(doc)]))
+    target = functools.reduce(operator.getitem, path, doc)
+    if isinstance(target, dict) and (not path or draw(st.booleans())):
+        target["extra_key"] = 1.0
+        return doc, ["extra_key"]
+    functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = draw(
+        st.sampled_from(_BAD_FIELD_VALUES))
+    # The object that holds the field and the field itself, an angle given
+    # in degrees named by its field.
+    keys = [k.removesuffix("_deg") for k in path if isinstance(k, str)]
+    return doc, [keys[0], keys[-1]]
+
+
+@settings(max_examples=150)
+@given(case=_one_field_changed())
+def test_simulate_refuses_a_bad_scenario_field_by_name(case):
+    doc, names = case
+    with tempfile.TemporaryDirectory() as out_dir, \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        scen = os.path.join(out_dir, "s.json")
+        with open(scen, "w") as fh:
+            json.dump(doc, fh)  # writes the bare NaN and Infinity tokens json accepts
+        code = main(["simulate", "--scenario", scen, "--seed", "3"])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert all(name in err.getvalue() for name in names), err.getvalue()

@@ -370,7 +370,7 @@ SCAN_SPEED = st.one_of(st.sampled_from([0.0, 1e-4, 1.0 - 1e-7]), st.floats(0.0, 
 @example(theta_f_step=math.pi / 12, theta_w_step=math.pi / 12, speeds=[0.0, 1e-4, 1.0 - 1e-7],
          r=1.0)
 @example(theta_f_step=math.pi / 6, theta_w_step=math.pi / 4, speeds=[0.5, 0.999], r=2.0)
-# A lattice with no rows, and so no fragile rows to decide again.
+# A step far above 2*pi: the theta_f axis holds only the angle 0.
 @example(theta_f_step=1e308, theta_w_step=0.5, speeds=[0.25, 0.5], r=1.0)
 def test_scan_matches_per_row_anywhere(theta_f_step, theta_w_step, speeds, r):
     # the per-row oracle runs at radius r, so the scan holds for any radius
@@ -446,7 +446,8 @@ def test_coverage_rows_flag_every_row_they_may_decide_wrongly(monkeypatch, scale
              for f, h, v in zip(theta_f.tolist(), heading.tolist(), vw.tolist())]
     if scale:
         monkeypatch.setattr(np, "arctan2", _nudged_arctan2(scale))
-    reachable, fragile = _coverage_rows(theta_f, vw * np.cos(heading), vw * np.sin(heading))
+    reachable, fragile = _coverage_rows(theta_f, vw * np.cos(heading), vw * np.sin(heading),
+                                        np.arctan2)
     assert not (~fragile & (reachable != np.array(truth))).any()
     assert 0 < fragile.sum() < fragile.size
 
