@@ -15,6 +15,13 @@ residual's closed-form Jacobian.  Newton works on an index array of the
 rows still searching, and each iteration's line search makes at most two
 residual calls: the full step on every searching row, then all smaller
 dampings at once for the rows the full step did not improve.
+
+The residual closure also returns the sines, cosines and straight length
+its Jacobian needs, and Newton moves them with the residual, so the
+Jacobian at an accepted point computes no trig; its entries go straight
+into `_batched_solve`'s written-out adjugate.  The roots are float for
+float those of the Jacobian recomputed from the unknowns and a summed
+(n, d, d) adjugate (`tests/oracles.solve_words_lockstep`).
 """
 
 from __future__ import annotations
@@ -42,8 +49,9 @@ _ARC_SLACK = 1e-9
 # many iterations.
 RESIDUAL_TOLERANCE = 1e-10
 MAX_ITERATIONS = 25
-# Line-search dampings tried after the full Newton step, in order.
-_DAMPING = 0.5 ** np.arange(1, 6)
+# Line-search dampings tried after the full Newton step, in order, shaped
+# to scale a (rows, d) step into one block of rows per damping.
+_DAMPING = 0.5 ** np.arange(1, 6)[:, None, None]
 # Newton's working sets are padded to a multiple of this many rows.
 _PAD_ROWS = 16
 
@@ -111,12 +119,15 @@ def _low_discrepancy_starts(
 
 
 def _max_abs(rows: np.ndarray) -> np.ndarray:
-    """Max-norm of each row, as an elementwise maximum over the columns
-    (ndarray.max over a short last axis costs about ten times more)."""
-    return functools.reduce(np.maximum, np.abs(rows).T)
+    """Max-norm of each row, as an elementwise maximum over the columns'
+    absolute values (ndarray.max over a short last axis costs about ten
+    times more, and np.abs of a column slice loops over its short axis)."""
+    return functools.reduce(np.maximum, map(np.abs, rows.T))
 
 
 def _batched_jacobian(residual_fn, x: np.ndarray) -> np.ndarray:
+    """Central differences of the first d residual columns, as an (n, d, d)
+    array."""
     n, d = x.shape
     jac = np.empty((n, d, d))
     for col in range(d):
@@ -125,33 +136,39 @@ def _batched_jacobian(residual_fn, x: np.ndarray) -> np.ndarray:
         xm = x.copy()
         xp[:, col] += eps
         xm[:, col] -= eps
-        jac[:, :, col] = (residual_fn(xp) - residual_fn(xm)) / (2.0 * eps)[:, None]
+        jac[:, :, col] = (residual_fn(xp)[:, :d] - residual_fn(xm)[:, :d]) / (2.0 * eps)[:, None]
     return jac
 
 
-def _batched_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve J dx = rhs per row as adj(J) rhs / det(J), with the adjugate of
-    each 2x2 or 3x3 matrix written out.
+def _batched_solve(jac, rhs: np.ndarray) -> np.ndarray:
+    """Solve J dx = rhs per row as adj(J) rhs / det(J), with each component
+    of the 2x2 or 3x3 adjugate written out.
 
-    Rows with a near-singular Jacobian get a zero step and simply fail the
-    convergence test later.
+    jac[i][j] is entry (i, j) of every row's matrix: a 1-D array, or a
+    scalar that all rows share.  An (n, d, d) array is read the same way.
+    Columns of rhs past d are ignored.  Rows with a near-singular Jacobian
+    get a zero step and simply fail the convergence test later.
     """
-    if jac.shape[1] == 2:
-        (a, b), (c, e) = jac.transpose(1, 2, 0)
+    if isinstance(jac, np.ndarray):
+        jac = jac.transpose(1, 2, 0)
+    if len(jac) == 2:
+        (a, b), (c, e) = jac
+        r0, r1 = rhs[:, 0], rhs[:, 1]
         det = a * e - b * c
-        adj = ((e, -b), (-c, a))
+        num = (e * r0 - b * r1, a * r1 - c * r0)
     else:
-        (a, b, c), (d, e, f), (g, h, i) = jac.transpose(1, 2, 0)
-        cof = (e * i - f * h, f * g - d * i, d * h - e * g)
-        det = a * cof[0] + b * cof[1] + c * cof[2]
-        adj = ((cof[0], c * h - b * i, b * f - c * e),
-               (cof[1], a * i - c * g, c * d - a * f),
-               (cof[2], b * g - a * h, a * e - b * d))
+        (a, b, c), (d, e, f), (g, h, i) = jac
+        r0, r1, r2 = rhs[:, 0], rhs[:, 1], rhs[:, 2]
+        cof0, cof1, cof2 = e * i - f * h, f * g - d * i, d * h - e * g
+        det = a * cof0 + b * cof1 + c * cof2
+        num = (cof0 * r0 + (c * h - b * i) * r1 + (b * f - c * e) * r2,
+               cof1 * r0 + (a * i - c * g) * r1 + (c * d - a * f) * r2,
+               cof2 * r0 + (b * g - a * h) * r1 + (a * e - b * d) * r2)
     ok = np.abs(det) > 1e-14
     det = np.where(ok, det, 1.0)
-    dx = np.empty_like(rhs)
-    for k, row in enumerate(adj):
-        dx[:, k] = sum(coef * rhs[:, j] for j, coef in enumerate(row)) / det
+    dx = np.empty((len(rhs), len(num)))
+    for k, num_k in enumerate(num):
+        np.divide(num_k, det, out=dx[:, k])
     dx[~ok] = 0.0
     return dx
 
@@ -161,17 +178,20 @@ def multi_start_solve(
     bounds: np.ndarray,
     cfg: SolverConfig,
     branches: int = 1,
-    jacobian_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    jacobian_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], object] | None = None,
 ) -> list[tuple[int, np.ndarray]]:
     """Deduplicated (branch, root) pairs of a batched residual.
 
     The low-discrepancy starts are tiled once per branch, so row
     b*n_initial_guesses + i is start i of branch b.  residual_fn(u, rows)
-    maps an (n, d) array of parameter rows to an (n, d) array of residual
-    rows, where rows[k] is the position of u[k] among the tiled starts, so
-    the residual may read each row's branch from it.  jacobian_fn(u, rows),
-    if given, returns the (n, d, d) Jacobians; without it central
-    differences are used.
+    maps an (n, d) array of parameter rows to an (n, d + k) array whose
+    first d columns are the residual rows; rows[k] is the position of u[k]
+    among the tiled starts, so the residual may read each row's branch from
+    it.  The k further columns, if any, are terms carried for the Jacobian:
+    they move with their row, and jacobian_fn(u, f, rows) receives them in
+    f, the residual_fn output at u.  It returns the entries of the Jacobians
+    of the first d columns in a form `_batched_solve` reads.  Without
+    jacobian_fn, central differences are used.
 
     Damped Newton works on an index array of the rows still searching; a
     converged or stalled row leaves it and stops moving.  Each iteration
@@ -181,32 +201,40 @@ def multi_start_solve(
     pairs are deterministic for a fixed config.
     """
     bounds = np.asarray(bounds, dtype=float)
+    d = bounds.shape[0]
     x = np.tile(_low_discrepancy_starts(cfg.n_initial_guesses, bounds, cfg.seed), (branches, 1))
     rows = np.arange(len(x))
     f = residual_fn(x, rows)
-    fnorm = _max_abs(f)
+    fnorm = _max_abs(f[:, :d])
     rows = rows[fnorm > RESIDUAL_TOLERANCE]  # the searching rows
     if jacobian_fn is None:
-        def jacobian_fn(u, rows):
+        def jacobian_fn(u, f, rows):
             return _batched_jacobian(lambda v: residual_fn(v, rows), u)
     for _ in range(MAX_ITERATIONS):
         if not rows.size:
             break
         n = len(rows)
         rows = _padded(rows)
-        xs, fs, norms = x[rows], f[rows], fnorm[rows]
-        step = _batched_solve(jacobian_fn(xs, rows), -fs)
-        # cap absurd steps so one bad Jacobian cannot fling a start away
-        step *= (10.0 / np.maximum(_max_abs(step), 10.0))[:, None]
+        xs, fs, norms = x.take(rows, axis=0), f.take(rows, axis=0), fnorm[rows]
+        # J^-1 f is minus the Newton step, so the cap's factor is negative;
+        # the cap keeps one bad Jacobian from flinging a start away
+        step = _batched_solve(jacobian_fn(xs, fs, rows), fs)
+        step *= (-10.0 / np.maximum(_max_abs(step), 10.0))[:, None]
         improve, xs, fs, norms = _line_search(residual_fn, rows, xs, fs, norms, step)
         x[rows], f[rows], fnorm[rows] = xs, fs, norms
         # a row that no damping improved has stalled
         rows = rows[:n][(improve & (norms > RESIDUAL_TOLERANCE))[:n]]
     roots = []
-    n, dims = cfg.n_initial_guesses, bounds.shape[0]
-    for b, (xs, norms) in enumerate(zip(x.reshape(branches, n, dims), fnorm.reshape(branches, n))):
+    n = cfg.n_initial_guesses
+    for b, (xs, norms) in enumerate(zip(x.reshape(branches, n, d), fnorm.reshape(branches, n))):
         roots.extend((b, row) for row in _distinct_rows(xs[norms <= RESIDUAL_TOLERANCE]))
     return roots
+
+
+def _cycled(a: np.ndarray, size: int) -> np.ndarray:
+    """a repeated cyclically to size entries (np.resize and np.tile cost
+    several numpy calls more)."""
+    return np.take(a, np.arange(size), mode="wrap")
 
 
 def _padded(rows: np.ndarray) -> np.ndarray:
@@ -218,7 +246,7 @@ def _padded(rows: np.ndarray) -> np.ndarray:
     and unpadded working sets, of every size from 1 to 600 rows, left about
     1 MB of such blocks resident after 200 benchmark solves.
     """
-    return np.resize(rows, -(-len(rows) // _PAD_ROWS) * _PAD_ROWS)
+    return _cycled(rows, -(-len(rows) // _PAD_ROWS) * _PAD_ROWS)
 
 
 def _line_search(residual_fn, rows, x, f, fnorm, step):
@@ -229,21 +257,26 @@ def _line_search(residual_fn, rows, x, f, fnorm, step):
     dampings in `_DAMPING` together, for only the rows whose residual norm
     the full step did not lower, and each of those rows takes its first
     damping that lowers it.  Returns the mask of rows that improved and
-    every row's point, residual and norm after the search.
+    every row's point, residual (with its carried columns) and norm after
+    the search.
     """
+    d = x.shape[1]
     trial = x + step
     ft = residual_fn(trial, rows)
-    norm = _max_abs(ft)
+    norm = _max_abs(ft[:, :d])
     improve = norm < fnorm
     back = np.flatnonzero(~improve)
     if back.size:
         back = _padded(back)
-        damped = x[back] + _DAMPING[:, None, None] * step[back]
-        fd = residual_fn(damped.reshape(-1, x.shape[1]), np.tile(rows[back], len(_DAMPING)))
-        nd = _max_abs(fd).reshape(len(_DAMPING), -1)
-        better = nd < fnorm[back]
-        pick = better.argmax(axis=0), np.arange(len(back))  # each row's first improving damping
-        trial[back], ft[back], norm[back] = damped[pick], fd.reshape(damped.shape)[pick], nd[pick]
+        nb = len(back)
+        damped = (x.take(back, axis=0) + _DAMPING * step.take(back, axis=0)).reshape(-1, d)
+        fd = residual_fn(damped, _cycled(rows[back], len(damped)))
+        nd = _max_abs(fd[:, :d])
+        better = nd.reshape(-1, nb) < fnorm[back]
+        # each row's first improving damping, as a row of damped
+        pick = better.argmax(axis=0) * nb + np.arange(nb)
+        trial[back], ft[back] = damped.take(pick, axis=0), fd.take(pick, axis=0)
+        norm[back] = nd[pick]
         improve[back] = better.any(axis=0)
     keep = improve[:, None]
     return improve, np.where(keep, trial, x), np.where(keep, ft, f), np.where(improve, norm, fnorm)
@@ -289,17 +322,20 @@ def _gamma(ccc: bool, s, alpha, delta, theta_f: float, m):
     return turn + (s if ccc else -s) * theta_f + TWO_PI * m
 
 
-def _endpoint(ccc: bool, s, alpha, mid, theta_f: float, r: float):
+def _endpoint(ccc: bool, s, alpha, mid, theta_f: float, r: float, trig: np.ndarray):
     """Unit-speed path endpoint from the origin in the first-turn sign s.
 
     mid is the straight length of a CSC word or the middle arc angle of a
-    CCC word; s = -1 mirrors the path across the start heading.
+    CCC word; s = -1 mirrors the path across the start heading.  Columns 0
+    and 1 of trig receive sin and cos of alpha, and on CCC columns 2 and 3
+    those of the chord alpha - mid.
     """
     s3 = s if ccc else -s
-    sa, ca = np.sin(alpha), np.cos(alpha)
+    sa, ca = np.sin(alpha, out=trig[:, 0]), np.cos(alpha, out=trig[:, 1])
     if ccc:
         chord = alpha - mid
-        mx, my = -2 * r * np.sin(chord), 2 * r * np.cos(chord)
+        sc, cc = np.sin(chord, out=trig[:, 2]), np.cos(chord, out=trig[:, 3])
+        mx, my = -2 * r * sc, 2 * r * cc
     else:
         mx, my = mid * ca, mid * sa
     return (2 * r * sa + mx + s3 * r * math.sin(theta_f),
@@ -322,6 +358,12 @@ def _branch_residual(
     add the time closure T = r*(alpha + delta + gamma) as a third residual.
     The residual vanishes exactly when the path endpoint meets the goal
     displaced by the current drift over T.
+
+    The closure returns 5 columns on CSC and 7 on CCC: the residual, then
+    the terms `_branch_jacobian` reads.  Column 2 is the straight length
+    T - r*(alpha + gamma) on CSC and the time closure on CCC, columns 3 and
+    4 are sin and cos of alpha, and CCC columns 5 and 6 those of the chord
+    alpha - delta.
     """
     wx, wy = current.wx, current.wy
     theta_f = goal.theta
@@ -330,52 +372,34 @@ def _branch_residual(
         alpha, t = u[:, 0], u[:, -1]
         delta = u[:, 1] if ccc else 0.0
         gamma = _gamma(ccc, s, alpha, delta, theta_f, m)
-        closure = t - r * (alpha + delta + gamma)  # the straight length on CSC
-        px, py = _endpoint(ccc, s, alpha, delta if ccc else closure, theta_f, r)
-        out = np.empty((len(u), 3 if ccc else 2))
+        out = np.empty((len(u), 7 if ccc else 5))
+        closure = np.subtract(t, r * (alpha + delta + gamma), out=out[:, 2])
+        px, py = _endpoint(ccc, s, alpha, delta if ccc else closure, theta_f, r, out[:, 3:])
         np.subtract(px, goal.x - wx * t, out=out[:, 0])
         np.subtract(py, goal.y - wy * t, out=out[:, 1])
-        if ccc:
-            out[:, 2] = closure
         return out
     return fn
 
 
-def _branch_jacobian(
-    ccc: bool,
-    s: int | np.ndarray,
-    m: int | np.ndarray,
-    goal: Pose,
-    current: CurrentState,
-    r: float,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Closed-form Jacobian of `_branch_residual` with the same arguments.
+def _branch_jacobian(ccc: bool, s: float | np.ndarray, current: CurrentState, r: float,
+                     f: np.ndarray):
+    """Closed-form Jacobian of `_branch_residual`, read from the columns f
+    its closure returned at the same point, for rows of first-turn sign s.
 
-    The residual is a trig polynomial in the unknowns; with c the straight
-    length, a CSC row's matrix is [[-c sin a, cos a + wx],
-    [s c cos a, s sin a + wy]].
+    The entries come as nested tuples for `_batched_solve`.  The residual
+    is a trig polynomial in the unknowns; with c the straight length, a CSC
+    row's matrix is [[-c sin a, cos a + wx], [s c cos a, s sin a + wy]].
+    On CCC the column of T and the time-closure row are scalars.
     """
     wx, wy = current.wx, current.wy
-    theta_f = goal.theta
-
-    def jac(u: np.ndarray) -> np.ndarray:
-        alpha, t = u[:, 0], u[:, -1]
-        sa, ca = np.sin(alpha), np.cos(alpha)
-        if not ccc:
-            c = t - r * (alpha + _gamma(ccc, s, alpha, 0.0, theta_f, m))
-            out = np.empty((len(u), 2, 2))
-            out[:, 0, 0], out[:, 0, 1] = -c * sa, ca + wx
-            out[:, 1, 0], out[:, 1, 1] = s * c * ca, s * sa + wy
-            return out
-        chord = alpha - u[:, 1]
-        sc, cc = np.sin(chord), np.cos(chord)
-        two_rs = 2 * r * s
-        out = np.zeros((len(u), 3, 3))
-        out[:, 0, 0], out[:, 0, 1], out[:, 0, 2] = 2 * r * (ca - cc), 2 * r * cc, wx
-        out[:, 1, 0], out[:, 1, 1], out[:, 1, 2] = two_rs * (sa - sc), two_rs * sc, wy
-        out[:, 2, 1], out[:, 2, 2] = -2 * r, 1.0  # the time closure
-        return out
-    return jac
+    c, sa, ca = f[:, 2], f[:, 3], f[:, 4]
+    if not ccc:
+        return (-c * sa, ca + wx), (s * c * ca, s * sa + wy)
+    sc, cc = f[:, 5], f[:, 6]
+    two_rs = 2 * r * s
+    return ((2 * r * (ca - cc), 2 * r * cc, wx),
+            (two_rs * (sa - sc), two_rs * sc, wy),
+            (0.0, -2 * r, 1.0))  # the time closure
 
 
 def residual(
@@ -400,7 +424,7 @@ def residual(
     s = SEGMENT_SIGNS[path_type][0]
     raw = _gamma(ccc, s, u[:, 0], u[:, 1] if ccc else 0.0, goal.theta, 0)
     m = -np.floor(raw / TWO_PI)  # representative in [0, 2*pi)
-    out = _branch_residual(ccc, s, m, goal, scaled, r)(u)
+    out = _branch_residual(ccc, s, m, goal, scaled, r)(u)[:, :3 if ccc else 2]
     return out[0] if np.ndim(unknowns) == 1 else out
 
 
@@ -499,8 +523,8 @@ def _solve_words(
     def fn(u, rows):
         return _branch_residual(ccc, s[rows], m[rows], goal, scaled, r)(u)
 
-    def jac(u, rows):
-        return _branch_jacobian(ccc, s[rows], m[rows], goal, scaled, r)(u)
+    def jac(u, f, rows):
+        return _branch_jacobian(ccc, s[rows], scaled, r, f)
 
     roots = multi_start_solve(fn, bounds, cfg, len(branches), jac)
     return _roots_to_solutions(branches, roots, goal, r, t_bound, v)

@@ -594,31 +594,84 @@ def run_scenario_per_sample(scenario, seed, run_index=0, record_trajectory=True,
     return _PerSampleMission(scenario, seed, run_index, record_trajectory, solver_cfg).run()
 
 
+def branch_jacobian_from_u(ccc, s, m, goal, current, r):
+    """`baseline._branch_jacobian` recomputed from the unknowns, as (n, d, d)
+    matrices: sin, cos and gamma are evaluated again at u rather than read
+    from the residual's carried columns."""
+    wx, wy = current.wx, current.wy
+    theta_f = goal.theta
+
+    def jac(u):
+        alpha, t = u[:, 0], u[:, -1]
+        sa, ca = np.sin(alpha), np.cos(alpha)
+        if not ccc:
+            c = t - r * (alpha + baseline._gamma(ccc, s, alpha, 0.0, theta_f, m))
+            out = np.empty((len(u), 2, 2))
+            out[:, 0, 0], out[:, 0, 1] = -c * sa, ca + wx
+            out[:, 1, 0], out[:, 1, 1] = s * c * ca, s * sa + wy
+            return out
+        chord = alpha - u[:, 1]
+        sc, cc = np.sin(chord), np.cos(chord)
+        two_rs = 2 * r * s
+        out = np.zeros((len(u), 3, 3))
+        out[:, 0, 0], out[:, 0, 1], out[:, 0, 2] = 2 * r * (ca - cc), 2 * r * cc, wx
+        out[:, 1, 0], out[:, 1, 1], out[:, 1, 2] = two_rs * (sa - sc), two_rs * sc, wy
+        out[:, 2, 1], out[:, 2, 2] = -2 * r, 1.0  # the time closure
+        return out
+    return jac
+
+
+def batched_solve_by_sum(jac, rhs):
+    """`baseline._batched_solve` on (n, d, d) matrices, with each component
+    of adj(J) rhs summed over a table of adjugate entries."""
+    if jac.shape[1] == 2:
+        (a, b), (c, e) = jac.transpose(1, 2, 0)
+        det = a * e - b * c
+        adj = ((e, -b), (-c, a))
+    else:
+        (a, b, c), (d, e, f), (g, h, i) = jac.transpose(1, 2, 0)
+        cof = (e * i - f * h, f * g - d * i, d * h - e * g)
+        det = a * cof[0] + b * cof[1] + c * cof[2]
+        adj = ((cof[0], c * h - b * i, b * f - c * e),
+               (cof[1], a * i - c * g, c * d - a * f),
+               (cof[2], b * g - a * h, a * e - b * d))
+    ok = np.abs(det) > 1e-14
+    det = np.where(ok, det, 1.0)
+    dx = np.empty_like(rhs)
+    for k, row in enumerate(adj):
+        dx[:, k] = sum(coef * rhs[:, j] for j, coef in enumerate(row)) / det
+    dx[~ok] = 0.0
+    return dx
+
+
 def multi_start_solve_lockstep(residual_fn, bounds, cfg, branches=1, jacobian_fn=None):
     """`baseline.multi_start_solve` with every row in lockstep.
 
-    residual_fn and jacobian_fn take the whole (n, d) array of rows.  Every
-    Newton step, Jacobian and line-search trial covers all rows, and the
-    dampings 1, 1/2 ... 1/32 are tried one residual call at a time; a
-    converged or stalled row stops moving but is still evaluated.
+    residual_fn and jacobian_fn take the whole (n, d) array of rows;
+    residual_fn's columns past d are ignored, and jacobian_fn returns
+    (n, d, d) matrices, solved by `batched_solve_by_sum`.  Every Newton
+    step, Jacobian and line-search trial covers all rows, and the dampings
+    1, 1/2 ... 1/32 are tried one residual call at a time; a converged or
+    stalled row stops moving but is still evaluated.
     """
     bounds = np.asarray(bounds, dtype=float)
+    d = bounds.shape[0]
     x = np.tile(baseline._low_discrepancy_starts(cfg.n_initial_guesses, bounds, cfg.seed),
                 (branches, 1))
-    f = residual_fn(x)
+    f = residual_fn(x)[:, :d]
     fnorm = baseline._max_abs(f)
     active = fnorm > baseline.RESIDUAL_TOLERANCE  # neither converged nor stalled
     for _ in range(baseline.MAX_ITERATIONS):
         if not active.any():
             break
         jac = jacobian_fn(x) if jacobian_fn else baseline._batched_jacobian(residual_fn, x)
-        step = baseline._batched_solve(jac, -f)
+        step = batched_solve_by_sum(jac, -f)
         step *= (10.0 / np.maximum(baseline._max_abs(step), 10.0))[:, None]
         todo = active.copy()
         lam = 1.0
         for _ in range(6):
             trial = x + lam * step
-            ft = residual_fn(trial)
+            ft = residual_fn(trial)[:, :d]
             fn = baseline._max_abs(ft)
             improve = todo & (fn < fnorm)
             x[improve], f[improve], fnorm[improve] = trial[improve], ft[improve], fn[improve]
@@ -628,24 +681,28 @@ def multi_start_solve_lockstep(residual_fn, bounds, cfg, branches=1, jacobian_fn
             lam *= 0.5
         active &= ~todo & (fnorm > baseline.RESIDUAL_TOLERANCE)
     roots = []
-    n, dims = cfg.n_initial_guesses, bounds.shape[0]
-    for b, (xs, norms) in enumerate(zip(x.reshape(branches, n, dims), fnorm.reshape(branches, n))):
+    n = cfg.n_initial_guesses
+    for b, (xs, norms) in enumerate(zip(x.reshape(branches, n, d), fnorm.reshape(branches, n))):
         roots.extend((b, row) for row in
                      baseline._distinct_rows(xs[norms <= baseline.RESIDUAL_TOLERANCE]))
     return roots
 
 
-def _on_every_row(fn):
-    """A (u, rows) function of `multi_start_solve` as one over all rows."""
-    return lambda u: fn(u, np.arange(len(u)))
-
-
 def solve_words_lockstep(words, goal, current, vehicle, cfg):
     """`baseline._solve_words` with its multistart run by
-    `multi_start_solve_lockstep` on the same residual and Jacobian."""
+    `multi_start_solve_lockstep` on the same residual, and each Jacobian
+    recomputed from the unknowns by `branch_jacobian_from_u`."""
+    branches = [(word, m) for word in words for m in baseline._closure_offsets(word)]
+    s = np.repeat([float(_SEGMENT_SIGNS[word][0]) for word, _ in branches], cfg.n_initial_guesses)
+    m = np.repeat([m for _, m in branches], cfg.n_initial_guesses)
+    scaled, _ = baseline._normalize_problem(current, vehicle)
+    jac = branch_jacobian_from_u(baseline._is_ccc(words[0]), s, m, goal, scaled,
+                                 vehicle.turning_radius)
+
     def lockstep(residual_fn, bounds, cfg, branches=1, jacobian_fn=None):
-        return multi_start_solve_lockstep(_on_every_row(residual_fn), bounds, cfg, branches,
-                                          jacobian_fn and _on_every_row(jacobian_fn))
+        rows = np.arange(len(s))
+        return multi_start_solve_lockstep(lambda u: residual_fn(u, rows), bounds, cfg, branches,
+                                          jac)
 
     with mock.patch.object(baseline, "multi_start_solve", lockstep):
         return baseline._solve_words(words, goal, current, vehicle, cfg)

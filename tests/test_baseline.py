@@ -23,6 +23,8 @@ from driftplan.planner import SEGMENT_SIGNS, ArcMode, PathType, plan
 from driftplan.trajectory import controls_of, integrate_if
 
 from oracles import (
+    batched_solve_by_sum,
+    branch_jacobian_from_u,
     classical_dubins_candidates,
     classical_dubins_shortest,
     solve_words_lockstep,
@@ -222,6 +224,23 @@ def test_batched_solve_matches_lapack_and_zeroes_singular_rows(dims):
             <= 1e-13 * cond * np.abs(expected).max(axis=1)).all()
 
 
+def _as_matrices(entries, n):
+    """Nested Jacobian entries (1-D arrays or shared scalars) as (n, d, d)."""
+    return np.array([[np.broadcast_to(e, n) for e in row] for row in entries]).transpose(2, 0, 1)
+
+
+def _random_branch_rows(words, rng, n):
+    """s, m and unknowns u of n rows that mix both words of a mirror pair
+    and all their winding branches."""
+    picks = rng.integers(len(words), size=n)
+    assert set(picks) == {0, 1}
+    s = np.array([SEGMENT_SIGNS[words[i]][0] for i in picks], dtype=float)
+    m = np.array([rng.choice(baseline._closure_offsets(words[i])) for i in picks])
+    u = rng.uniform(0.0, TWO_PI, size=(n, 3 if baseline._is_ccc(words[0]) else 2))
+    u[:, -1] = rng.uniform(0.0, 40.0, size=n)
+    return s, m, u
+
+
 @pytest.mark.parametrize("words", baseline._MIRROR_PAIRS, ids=lambda w: "+".join(x.name for x in w))
 def test_analytic_jacobian_matches_finite_differences(words):
     # Rows mix both words of the pair and all their winding branches; each
@@ -233,17 +252,62 @@ def test_analytic_jacobian_matches_finite_differences(words):
         goal = Pose(rng.uniform(-8, 8), rng.uniform(-8, 8), rng.uniform(0, TWO_PI))
         cur = CurrentState(rng.uniform(0, 0.9), rng.uniform(0, TWO_PI))
         r = rng.uniform(0.3, 3.0)
-        picks = rng.integers(len(words), size=60)
-        assert set(picks) == {0, 1}
-        s = np.array([SEGMENT_SIGNS[words[i]][0] for i in picks], dtype=float)
-        m = np.array([rng.choice(baseline._closure_offsets(words[i])) for i in picks])
-        u = rng.uniform(0.0, TWO_PI, size=(60, 3 if ccc else 2))
-        u[:, -1] = rng.uniform(0.0, 40.0, size=60)
-        jac = baseline._branch_jacobian(ccc, s, m, goal, cur, r)(u)
-        fd = baseline._batched_jacobian(baseline._branch_residual(ccc, s, m, goal, cur, r), u)
+        s, m, u = _random_branch_rows(words, rng, 60)
+        residual_fn = baseline._branch_residual(ccc, s, m, goal, cur, r)
+        jac = _as_matrices(baseline._branch_jacobian(ccc, s, cur, r, residual_fn(u)), len(u))
+        fd = baseline._batched_jacobian(residual_fn, u)
         scale = np.maximum(np.abs(jac).max(axis=2, keepdims=True), 1.0)
         assert np.abs(jac - fd).max() > 0.0  # not the same computation
         assert (np.abs(jac - fd) <= 1e-6 * scale).all(), np.abs(jac - fd).max()
+
+
+@pytest.mark.parametrize("words", baseline._MIRROR_PAIRS, ids=lambda w: "+".join(x.name for x in w))
+def test_carried_jacobian_is_the_from_u_formula_bit_for_bit(words):
+    # The Jacobian reads sin, cos and the straight length from the columns
+    # the residual carried; recomputing them at u must give the same floats,
+    # entry by entry, also at alpha and delta = +-0, large T and r = 1e100.
+    ccc = baseline._is_ccc(words[0])
+    rng = np.random.default_rng(29)
+    for r in (rng.uniform(0.3, 3.0), 1.0, 1e100):
+        for _ in range(10):
+            goal = Pose(rng.uniform(-8, 8) * r, rng.uniform(-8, 8) * r, rng.uniform(0, TWO_PI))
+            cur = CurrentState(rng.uniform(0, 0.999), rng.uniform(0, TWO_PI))
+            s, m, u = _random_branch_rows(words, rng, 80)
+            u[:, -1] *= r
+            u[:8, 0] = (0.0, -0.0) * 4
+            u[8:16, -1] = rng.uniform(1e6, 1e12, size=8) * r
+            if ccc:
+                u[:8:2, 1] = (0.0, -0.0, 0.0, -0.0)
+            f = baseline._branch_residual(ccc, s, m, goal, cur, r)(u)
+            entries = baseline._branch_jacobian(ccc, s, cur, r, f)
+            expected = branch_jacobian_from_u(ccc, s, m, goal, cur, r)(u)
+            assert np.isfinite(expected).all()
+            for i, row in enumerate(entries):
+                for j, entry in enumerate(row):
+                    assert repr(np.broadcast_to(entry, len(u)).tolist()) == \
+                        repr(expected[:, i, j].tolist()), (r, i, j)
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_batched_solve_reads_entries_as_the_array_form(dims):
+    # Nested entries, with a CCC-shaped scalar row (0, -2r, 1) and scalar
+    # last column on 3x3, solve to the same floats as the (n, d, d) array of
+    # the same matrices and as the summed-adjugate form, singular rows too.
+    rng = np.random.default_rng(41 + dims)
+    n = 200
+    a, b, c, e = rng.normal(size=(4, n))
+    c[::7], e[::7] = a[::7], b[::7]  # singular: two equal rows
+    if dims == 2:
+        entries = ((a, b), (c, e))
+    else:
+        w = 0.3
+        entries = ((a, b, w), (c, e, w), (0.0, -2 * 1.7, 1.0))
+    rhs = rng.normal(size=(n, dims))
+    jac = _as_matrices(entries, n)
+    dx = baseline._batched_solve(entries, rhs)
+    assert (dx[::7] == 0.0).all() and (dx[1::7] != 0.0).all()
+    assert repr(dx.tolist()) == repr(baseline._batched_solve(jac, rhs).tolist())
+    assert repr(dx.tolist()) == repr(batched_solve_by_sum(jac, rhs).tolist())
 
 
 @pytest.mark.parametrize("vehicle", [NAVAL.vehicle, AERIAL.vehicle, UNIT],
@@ -301,6 +365,16 @@ def test_residual_positive_away_from_roots():
     vals = rng.uniform(0.3, 5.0, size=(50, 2))
     res = residual(PathType.LSR, vals, goal, cur, UNIT)
     assert (np.abs(res).max(axis=1) > 1e-9).sum() >= 49
+
+
+@pytest.mark.parametrize("path_type", HARD_TYPES)
+def test_residual_returns_only_the_residual_columns(path_type):
+    # the terms the closure carries for the Jacobian stay inside the solver
+    d = 3 if baseline._is_ccc(path_type) else 2
+    goal, cur = Pose(3.0, 2.0, 1.0), CurrentState(0.3, 1.0)
+    rows = np.random.default_rng(5).uniform(0.3, 5.0, size=(7, d))
+    assert residual(path_type, rows[0], goal, cur, UNIT).shape == (d,)
+    assert residual(path_type, rows, goal, cur, UNIT).shape == (7, d)
 
 
 @pytest.mark.parametrize("path_type", [PathType.LSL, PathType.RSR])
