@@ -1,5 +1,16 @@
 """Shared domain types, angle arithmetic, current-schedule evaluation, and
-the CSV format of every artifact."""
+the CSV format of every artifact.
+
+Pose and CurrentState are built several times per plan, so each has its own
+__init__: it checks and normalizes its arguments and sets each field once,
+with no __post_init__ pass over fields already set.  It sets them with
+object.__setattr__, as a frozen dataclass's generated __init__ does, and
+not with one __dict__ update as planner's PathSolution does: an update
+gives every instance a dict of its own (about 140 bytes more per instance
+on CPython 3.11), and callers hold many poses and currents.  dataclass
+keeps a class's own __init__, so replace, ==, hash, repr, pickling and the
+refusal of assignment stay as dataclass makes them.
+"""
 
 from __future__ import annotations
 
@@ -79,11 +90,14 @@ class Pose:
     y: float
     theta: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            name, value = ("x", self.x) if not math.isfinite(self.x) else ("y", self.y)
-            raise ValueError(f"pose {name} must be finite, got {value!r}")
-        object.__setattr__(self, "theta", normalize_angle(self.theta))
+    def __init__(self, x: float, y: float, theta: float):
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
+            for name, value in (("x", x), ("y", y), ("theta", theta)):
+                if not math.isfinite(value):
+                    raise ValueError(f"pose {name} must be finite, got {value!r}")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "theta", normalize_angle(theta))
 
 
 @dataclass(frozen=True)
@@ -115,12 +129,15 @@ class CurrentState:
     wx: float = field(init=False, repr=False, compare=False)
     wy: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        check_finite("current speed", self.speed)
-        heading = normalize_angle(self.heading)
+    def __init__(self, speed: float, heading: float):
+        check_finite("current speed", speed)
+        if not math.isfinite(heading):
+            raise ValueError(f"current heading must be finite, got {heading!r}")
+        heading = normalize_angle(heading)
+        object.__setattr__(self, "speed", speed)
         object.__setattr__(self, "heading", heading)
-        object.__setattr__(self, "wx", self.speed * math.cos(heading))
-        object.__setattr__(self, "wy", self.speed * math.sin(heading))
+        object.__setattr__(self, "wx", speed * math.cos(heading))
+        object.__setattr__(self, "wy", speed * math.sin(heading))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,13 @@ private forms that take the goal as plain x, y and the sine and cosine of
 its heading, which `solve_one` computes once and `plan_goals` passes with
 array x and y.  `plan_goals` is the whole grid kernel; `solve_one` stays
 the scalar path, as numpy's per-call cost makes a one-goal array slower.
+
+A plan builds about three PathSolutions and four ParamIntervals and keeps
+at most one, so both set every field with one __dict__ update in their own
+__init__, where a frozen dataclass's generated __init__ pays an
+object.__setattr__ call per field.  dataclass keeps a class's own
+__init__, so replace, ==, hash, repr, pickling and the refusal of
+assignment stay as dataclass makes them.
 """
 
 from __future__ import annotations
@@ -112,6 +119,11 @@ class PathSolution:
     kappa: float
     travel_time: float
 
+    def __init__(self, path_type: PathType, k: int, alpha: float, beta: float, gamma: float,
+                 kappa: float, travel_time: float):
+        self.__dict__.update(path_type=path_type, k=k, alpha=alpha, beta=beta, gamma=gamma,
+                             kappa=kappa, travel_time=travel_time)
+
 
 @dataclass(frozen=True)
 class ParamInterval:
@@ -120,6 +132,9 @@ class ParamInterval:
     lower: float
     upper: float
     closed: bool  # both ends, or neither
+
+    def __init__(self, lower: float, upper: float, closed: bool):
+        self.__dict__.update(lower=lower, upper=upper, closed=closed)
 
     def contains(self, x):
         """Membership with RANGE_SLACK, widening a closed interval and
@@ -349,7 +364,7 @@ def plan(
     seconds does.  The candidates are solved at unit speed and tie-broken
     in seconds.
     """
-    mode = ArcMode(mode)
+    kappa = ArcMode(mode).kappa
     local_goal, local_current = to_start_frame(start, goal, current)
     _check_radius(local_goal.x, local_goal.y, vehicle.turning_radius)
     unit_current, v = _normalize_problem(local_current, vehicle)
@@ -358,7 +373,7 @@ def plan(
     best_time = math.inf
     for path_type, ks in WINDING_CANDIDATES.items():
         for k in ks:
-            sol = solve_one(path_type, k, local_goal, unit_current, unit, mode.kappa)
+            sol = solve_one(path_type, k, local_goal, unit_current, unit, kappa)
             if sol is None:
                 continue
             seconds = sol.travel_time / v

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import driftplan.core
 from driftplan.core import (
     TWO_PI,
     CurrentSchedule,
@@ -19,6 +20,8 @@ from driftplan.core import (
     to_start_frame,
     write_csv,
 )
+
+import value_types
 
 
 def test_normalize_angle_examples():
@@ -56,6 +59,15 @@ def test_pose_rejects_non_finite_position(bad):
         Pose(bad, 0.0, 0.0)
     with pytest.raises(ValueError, match=f"^pose y must be finite, got {bad!r}$"):
         Pose(0.0, bad, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pose_names_a_non_finite_theta(bad):
+    # used to read "angle must be finite, got nan", which named no field
+    with pytest.raises(ValueError, match=f"^pose theta must be finite, got {bad!r}$"):
+        Pose(0.0, 0.0, bad)
+    with pytest.raises(ValueError, match=f"^pose x must be finite, got {bad!r}$"):
+        Pose(bad, 0.0, bad)  # the first bad field is named
 
 
 def test_vehicle_spec_validation():
@@ -101,6 +113,27 @@ def test_current_state_components_are_derived():
 def test_current_state_rejects_bad_speed(bad):
     with pytest.raises(ValueError, match=f"^current speed must be finite and non-negative, got {bad!r}$"):
         CurrentState(bad, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_current_state_names_a_non_finite_heading(bad):
+    with pytest.raises(ValueError, match=f"^current heading must be finite, got {bad!r}$"):
+        CurrentState(0.5, bad)
+    with pytest.raises(ValueError, match="^current speed must be finite and non-negative"):
+        CurrentState(bad, bad)  # the speed is checked first
+
+
+def test_pose_and_current_state_keep_the_value_type_contract():
+    # replace, frozen fields, ==/hash/repr against field-by-field builds,
+    # pickle and deepcopy, and wx/wy float for float.
+    value_types.check_core(driftplan.core)
+
+
+def test_contract_check_runs_on_core_loaded_alone():
+    # The form the CI step runs on Pythons without numpy.
+    alone = value_types.load_core()
+    assert alone is not driftplan.core
+    value_types.check_core(alone)
 
 
 def test_schedule_validation():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import driftplan.planner
 from driftplan.core import (
     FOUR_PI, TWO_PI, CurrentState, Pose, VehicleSpec, angle_difference, from_start_frame,
     to_start_frame,
@@ -18,6 +19,7 @@ from driftplan.planner import (
     WINDING_CANDIDATES,
     ArcMode,
     ParamInterval,
+    PathSolution,
     PathType,
     _representatives,
     coeffs,
@@ -30,6 +32,7 @@ from driftplan.planner import (
 )
 from driftplan.trajectory import _advance, controls_of, endpoint_residual
 
+import value_types
 from oracles import FEASIBLE_ROWS, bisect_root, plan_per_candidate
 
 ORIGIN = Pose(0.0, 0.0, 0.0)
@@ -583,3 +586,58 @@ def test_consecutive_k_time_gap_bounds(instance):
             tol = 1e-9 * _terms(local_goal, vehicle, nxt.travel_time) / v
             gap = nxt.travel_time - sol.travel_time
             assert TWO_PI * r / (v + vw) - tol <= gap <= TWO_PI * r / (v - vw) + tol
+
+
+# --- plan's call structure and the planner's value types -------------------
+
+
+@pytest.mark.parametrize("vehicle", [UNIT, NAVAL.vehicle], ids=["unit", "naval"])
+@pytest.mark.parametrize("mode", list(ArcMode) + [m.value for m in ArcMode])
+def test_plan_makes_four_module_level_solve_one_calls(monkeypatch, mode, vehicle):
+    # The benchmark's tracer counts plan's candidates by wrapping the
+    # module's solve_one, so plan must reach it by name once per candidate,
+    # whether a candidate exists or not.
+    calls = []
+    solve = driftplan.planner.solve_one
+
+    def counted(*args):
+        calls.append(args[:2])
+        return solve(*args)
+
+    monkeypatch.setattr(driftplan.planner, "solve_one", counted)
+    r = vehicle.turning_radius
+    for goal in (Pose(6 * r, 3 * r, 7 * math.pi / 4), Pose(-2.3 * r, 2.8 * r, math.pi / 2)):
+        calls.clear()
+        plan(ORIGIN, goal, CurrentState(0.5 * vehicle.speed, math.pi / 3), vehicle, mode)
+        assert calls == [(t, k) for t, ks in WINDING_CANDIDATES.items() for k in ks]
+    # The first goal is the two_pi gap instance: no plan, still four calls.
+    assert plan(ORIGIN, Pose(6, 3, 7 * math.pi / 4), CurrentState(0.5, math.pi / 3), UNIT,
+                ArcMode.TWO_PI) is None
+
+
+@settings(max_examples=200)
+@given(instance=instances(), mode=st.sampled_from(list(ArcMode)))
+def test_plan_reads_a_mode_string_as_its_arc_mode(instance, mode):
+    start, goal, current, vehicle = instance
+    assert repr(plan(start, goal, current, vehicle, mode.value)) == repr(
+        plan(start, goal, current, vehicle, mode))
+
+
+def test_path_solution_and_param_interval_keep_the_value_type_contract():
+    # replace, frozen fields, ==/hash/repr against field-by-field builds,
+    # pickle and deepcopy; the same checks as core's Pose and CurrentState.
+    names = ("path_type", "k", "alpha", "beta", "gamma", "kappa", "travel_time")
+    args = (PathType.RSR, -2, 1.25, 3.5, 7.0, FOUR_PI, 12.75)
+    values = dict(zip(names, args))
+    value_types.check_value_type(PathSolution, args, values, {"travel_time": 6.375},
+                                 {**values, "travel_time": 6.375})
+    sol = plan(ORIGIN, Pose(-2.3, 2.8, math.pi / 2), CurrentState(0.5, math.pi), UNIT)
+    values = {name: getattr(sol, name) for name in names}
+    value_types.check_value_type(PathSolution, tuple(values.values()), values,
+                                 {"alpha": sol.alpha + 1e-3}, {**values, "alpha": sol.alpha + 1e-3})
+    interval = feasible_range(PathType.LSL, 1, 2.0, FOUR_PI)
+    for lower, upper, closed in ((0.0, TWO_PI + 2.0, True), (interval.lower, interval.upper,
+                                                              interval.closed)):
+        values = {"lower": lower, "upper": upper, "closed": closed}
+        value_types.check_value_type(ParamInterval, (lower, upper, closed), values,
+                                     {"closed": not closed}, {**values, "closed": not closed})
