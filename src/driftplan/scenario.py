@@ -14,7 +14,8 @@ import math
 from dataclasses import MISSING, dataclass, fields
 
 from .baseline import LatencyModel
-from .core import CurrentSchedule, CurrentState, Pose, VehicleSpec, angle_input, check_finite
+from .core import (CurrentSchedule, CurrentState, Pose, VehicleSpec, angle_input, check_count,
+                   check_finite)
 
 PLANNER_KINDS = ("analytic_4pi", "dubins_six")
 
@@ -85,6 +86,10 @@ class Scenario:
             raise ValueError(f"planner must be one of {PLANNER_KINDS}")
         check_finite("t_max", self.t_max, positive=True)
         check_finite("estimation_window", self.estimation_window)
+        # no estimation window runs past t_max, so none takes more samples
+        window = min(self.estimation_window, self.t_max)
+        check_count(window * self.noise.sample_rate, f"sample_rate {self.noise.sample_rate!r}"
+                    f" over an estimation_window of {window!r} s", "samples")
 
 
 

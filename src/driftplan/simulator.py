@@ -31,15 +31,21 @@ A random current process is realised lazily: the schedule is extended, in
 chunks that double, only past the latest time flight, sensing or the event
 loop reads.  Only the schedule draws from the process stream, so drawing
 ahead changes nothing, and a mission's cost does not grow with t_max.
-Sensing reads a batch of times at once, with one array draw per noise
-channel; the draws, clamps and sums give the values per-sample scalar
-draws give, bit for bit.
+Sensing reads a batch of times at once, given in order: the schedule is
+looked up once per current epoch the times span, each epoch filling its
+run of samples, and each noise channel makes one array draw.  A reading
+already in range is kept without a clamp or normalize_angle call.  The
+draws, clamps and sums give the values per-sample scalar draws give, bit
+for bit.  Each noise channel's generator is seeded from the uint32 words
+of (seed, run index, channel id), the words numpy reads from that tuple,
+so the streams are the tuple's without numpy coercing it each time.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -47,6 +53,7 @@ import numpy as np
 
 from .baseline import SolverConfig, solve_six
 from .core import (
+    TWO_PI,
     CurrentSchedule,
     CurrentState,
     Pose,
@@ -121,8 +128,8 @@ def estimate_heading_mle(samples) -> float:
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one heading sample")
-    s = sum(math.sin(a) for a in samples)
-    c = sum(math.cos(a) for a in samples)
+    s = sum(map(math.sin, samples))
+    c = sum(map(math.cos, samples))
     return normalize_angle(math.atan2(s, c))
 
 
@@ -143,6 +150,24 @@ def check_termination(
     dist = math.hypot(pose.x - goal.x, pose.y - goal.y)
     return (dist <= precision_radius
             and angle_difference(pose.theta, goal.theta) <= heading_tolerance)
+
+
+def _seed_sequence(*values) -> np.random.SeedSequence:
+    """SeedSequence(values) for a tuple of non-negative ints, built from
+    their uint32 words: each int little-endian, 0 as one word, which is how
+    numpy coerces the tuple.  A negative int raises ValueError and a value
+    that is not an int TypeError, as numpy does."""
+    words = []
+    for n in values:
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+        while n:
+            words.append(n & 0xFFFFFFFF)
+            n >>= 32
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 def _epochs(process: RandomCurrentProcess, horizon: float, rng: np.random.Generator):
@@ -204,7 +229,7 @@ class _Mission:
         self.sc = scenario
         self.seed = seed
         self.run_index = run_index
-        self.rngs = {name: np.random.default_rng(np.random.SeedSequence((seed, run_index, cid)))
+        self.rngs = {name: np.random.default_rng(_seed_sequence(seed, run_index, cid))
                      for name, cid in _CHANNELS.items()}
         process = scenario.current_process
         if isinstance(process, CurrentSchedule):
@@ -248,24 +273,36 @@ class _Mission:
         """Noisy (speeds, headings) readings of the true current at each of
         times, given in order; each noise channel draws once per call.
 
-        The readings equal those of one scalar draw per channel and time:
-        normal(0, s) draws 0 + s * z, and numpy takes a slow broadcasting
-        path for an array of scales s, so the product is taken here.
+        The schedule is looked up once per epoch the times span: an epoch's
+        run of samples ends at the first time not before the next start,
+        since a change applies from its start on.  The readings equal those
+        of one scalar draw per channel and time: normal(0, s) draws 0 + s * z,
+        and numpy takes a slow broadcasting path for an array of scales s,
+        so the product is taken here.  A speed in [0, cap] and a heading in
+        [0, 2*pi) are kept as they are, as the clamp and normalize_angle
+        would keep them, -0.0 included.
         """
         self._schedule_through(times[-1])
         n = self.sc.noise
         entries, starts = self.schedule.entries, self.schedule.starts
-        true = [entries[bisect_right(starts, t) - 1][1] for t in times]
-        vw = [s.speed for s in true]
-        heading = [s.heading for s in true]
+        first = bisect_right(starts, times[0]) - 1
+        last = bisect_right(starts, times[-1]) - 1
+        vw, heading, lo = [], [], 0
+        for k in range(first, last + 1):
+            hi = bisect_left(times, starts[k + 1], lo) if k < last else len(times)
+            state = entries[k][1]
+            vw += [state.speed] * (hi - lo)
+            heading += [state.heading] * (hi - lo)
+            lo = hi
         if n.sigma_vw_relative:
-            z = self.rngs["vw"].standard_normal(len(true)).tolist()
+            z = self.rngs["vw"].standard_normal(len(times)).tolist()
             vw = [v + (0.0 + n.sigma_vw_relative * v * e) for v, e in zip(vw, z)]
         if n.sigma_thetaw:
-            noise = self.rngs["thetaw"].normal(0.0, n.sigma_thetaw, size=len(true)).tolist()
+            noise = self.rngs["thetaw"].normal(0.0, n.sigma_thetaw, size=len(times)).tolist()
             heading = [h + e for h, e in zip(heading, noise)]
         cap = 0.99 * self.sc.vehicle.speed
-        return [min(max(v, 0.0), cap) for v in vw], [normalize_angle(h) for h in heading]
+        return ([v if 0.0 <= v <= cap else min(max(v, 0.0), cap) for v in vw],
+                [h if 0.0 <= h < TWO_PI else normalize_angle(h) for h in heading])
 
     def _reading(self, t: float) -> CurrentState:
         """One noisy instantaneous reading of the current at t."""
@@ -437,11 +474,8 @@ class _Mission:
             measured = self._noisy_pose()
             origin = drift_predict(measured, measured.theta, self.believed, delay, sc.vehicle)
         if sc.planner == "dubins_six":
-            entropy = (self.seed, self.run_index, self.replans + 1)
-            cfg = replace(
-                self.solver_cfg,
-                seed=int(np.random.SeedSequence(entropy).generate_state(1)[0]),
-            )
+            seed = _seed_sequence(self.seed, self.run_index, self.replans + 1).generate_state(1)[0]
+            cfg = replace(self.solver_cfg, seed=int(seed))
             solved = solve_six(origin, sc.goal, self.believed, sc.vehicle, cfg)
             sol = solved[0] if solved is not None else None
         else:
@@ -469,9 +503,9 @@ class _Mission:
         sc = self.sc
         rate = sc.noise.sample_rate
         n_samples = int(math.floor(window * rate))
-        times = [min(t_from + i / rate, sc.t_max) for i in range(1, n_samples + 1)]
-        if not times:
-            times = [min(t_from + window, sc.t_max)]
+        times = [t_from + i / rate for i in range(1, n_samples + 1)] or [t_from + window]
+        if times[-1] > sc.t_max:
+            times = [min(t, sc.t_max) for t in times]
         speeds, headings = self._measure_currents(times)
         return self._clamped_current(sum(speeds) / len(speeds), estimate_heading_mle(headings))
 

@@ -394,6 +394,28 @@ def test_simulate_rejects_non_finite_scenario_field(capsys, tmp_path, field, pat
     assert f"{field} must be finite" in err
 
 
+@pytest.mark.parametrize("rate", [1e308, 1e9])
+def test_simulate_refuses_a_window_of_too_many_samples(capsys, tmp_path, rate):
+    # 1e308 used to exit 3 with "cannot convert float infinity to integer"
+    # at the change; 1e9 would sense 1.2e10 samples in one window.
+    doc = {
+        "start": {"x": 0, "y": 0, "theta": 0},
+        "goal": {"x": 5, "y": 8.5, "theta_deg": 135.0},
+        "vehicle": {"speed": 1.0, "turning_radius": 1.0},
+        "current_schedule": [
+            {"t_start": 0, "speed": 0.5, "heading_deg": 180.0},
+            {"t_start": 3.2, "speed": 0.75, "heading_deg": 270.0},
+        ],
+        "noise": {"sample_rate": rate},
+    }
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["simulate", "--scenario", str(scen)])
+    assert code == 2
+    assert out == ""
+    assert "sample_rate" in err and "estimation_window" in err and "above the cap" in err
+
+
 _HUGE_RADIUS = [
     ["plan", "--start", "0,0,0", "--goal", "4,2,1", "--current", "0.3,1.0", "--mode", mode]
     for mode in ("2pi", "4pi", "dubins")

@@ -31,7 +31,12 @@ from driftplan.simulator import (
     run_scenario,
 )
 from driftplan.trajectory import ControlSchedule, ControlSegment, controls_of, integrate_if, pieces
-from oracles import realize_schedule_by_choice, run_scenario_per_sample, run_scenario_stepped
+from oracles import (
+    _PerSampleMission,
+    realize_schedule_by_choice,
+    run_scenario_per_sample,
+    run_scenario_stepped,
+)
 
 UNIT = VehicleSpec(1.0, 1.0)
 
@@ -607,6 +612,183 @@ def test_noise_channels_are_seeded_from_seed_run_and_channel():
     for name, cid in simulator._CHANNELS.items():
         up_front = np.random.default_rng(np.random.SeedSequence((5, 2, cid)))
         assert streams[name].random(3).tolist() == up_front.random(3).tolist()
+
+
+_WORD_EDGES = [0, 2**32 - 1, 2**32, 2**64 + 3]
+
+
+@pytest.mark.parametrize("seed", _WORD_EDGES + [np.int64(7), np.uint64(2**64 - 1), np.uint32(9)])
+@pytest.mark.parametrize("run_index", _WORD_EDGES)
+def test_noise_streams_are_the_streams_of_the_seed_tuple(seed, run_index):
+    # Each channel is seeded from the uint32 words of (seed, run index,
+    # channel id), which must give the pool and stream of the tuple itself.
+    rngs = simulator._Mission(_fig_scenario("analytic_4pi"), seed, run_index, False,
+                              SolverConfig()).rngs
+    for name, cid in simulator._CHANNELS.items():
+        up_front = np.random.default_rng(np.random.SeedSequence((seed, run_index, cid)))
+        assert (rngs[name].bit_generator.seed_seq.pool.tolist()
+                == up_front.bit_generator.seed_seq.pool.tolist())
+        assert rngs[name].bit_generator.state == up_front.bit_generator.state
+        assert rngs[name].random(3).tolist() == up_front.random(3).tolist()
+
+
+@pytest.mark.parametrize("seed, run_index, error", [
+    (-1, 0, ValueError), (0, -1, ValueError), (1.5, 0, TypeError), (0, 1.5, TypeError),
+    (np.float64(2.0), 0, TypeError),
+])
+def test_noise_streams_refuse_a_seed_as_numpy_does(seed, run_index, error):
+    with pytest.raises(error):
+        np.random.SeedSequence((seed, run_index, 0))
+    with pytest.raises(error):
+        simulator._Mission(_fig_scenario("analytic_4pi"), seed, run_index, False, SolverConfig())
+
+
+def test_scenario_refuses_a_window_of_too_many_samples():
+    # A window of estimation_window seconds reads estimation_window *
+    # sample_rate samples; 1e308 per second used to fail at the first
+    # window with "cannot convert float infinity to integer".
+    for noise, window, t_max in ((NoiseModel(sample_rate=1e308), 12.0, 1000.0),
+                                 (NoiseModel(sample_rate=1e9), 12.0, 1000.0),
+                                 (NoiseModel(sample_rate=1e6), 10.0 + 1e-9, 1000.0),
+                                 (NoiseModel(sample_rate=1e7), 12.0, 1.5)):
+        with pytest.raises(ValueError, match=r"^sample_rate .* estimation_window .* above the cap"):
+            Scenario(start=Pose(0, 0, 0), goal=Pose(1, 1, 0), vehicle=UNIT,
+                     current_process=FIG_SCHEDULE, noise=noise, t_max=t_max,
+                     estimation_window=window)
+
+
+def test_scenario_accepts_a_window_just_under_the_sample_cap():
+    # Built, not flown: each window would read 10^7 samples.  No window
+    # runs past t_max, so t_max bounds the window too.
+    for rate, window, t_max in ((1e6, 10.0, 1000.0), (1e7, 12.0, 1.0), (1e308, 0.0, 1000.0)):
+        scenario = Scenario(start=Pose(0, 0, 0), goal=Pose(1, 1, 0), vehicle=UNIT,
+                            current_process=FIG_SCHEDULE, noise=NoiseModel(sample_rate=rate),
+                            t_max=t_max, estimation_window=window)
+        assert scenario.noise.sample_rate == rate
+
+
+def _sensing_pair(schedule, noise, t_max, seed):
+    """A mission and its per-sample oracle on the same scenario and seed."""
+    scenario = Scenario(start=Pose(0, 0, 0), goal=Pose(50, 0, 0), vehicle=_SENSING_VEHICLE,
+                        current_process=schedule, noise=noise, t_max=t_max)
+    return (simulator._Mission(scenario, seed, 0, False, SolverConfig()),
+            _PerSampleMission(scenario, seed, 0, False, SolverConfig()))
+
+
+def _sense_both(pair, times, t_from, window):
+    """repr of each side's readings at times, then of its window estimate."""
+    return [repr((m._measure_currents(times), m._window_estimate(t_from, window))) for m in pair]
+
+
+# Headings and speeds that the in-range shortcuts keep or pass on: both
+# zeros, the largest float below 2*pi, and speeds at the clamp's ends.
+_EDGE_HEADINGS = (0.0, -0.0, math.nextafter(TWO_PI, 0.0), 1e-300, 3.0)
+_SENSING_VEHICLE = VehicleSpec(1.5, 1.0)
+_CAP = 0.99 * _SENSING_VEHICLE.speed  # the sensed speed's clamp
+
+
+@st.composite
+def _sensing_cases(draw):
+    """A schedule with 0, 1 or 3 changes inside a window (one of them on a
+    sample time, if drawn), a t_max that may cut the window, noise on or
+    off, and sorted reading times that include the change times."""
+    rate = draw(st.sampled_from([0.4, 1.0, 2.5, 10.0]))
+    t_from = draw(st.sampled_from([0.0, 0.5, 7.25]))
+    window = draw(st.floats(0.5, 15.0))
+    fractions = draw(st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3, unique=True))
+    inside = sorted({t_from + f * window for f in fractions[:draw(st.sampled_from([0, 1, 3]))]})
+    n_samples = int(math.floor(window * rate))
+    if inside and n_samples and draw(st.booleans()):  # a change on a sample time
+        inside[0] = t_from + draw(st.integers(1, n_samples)) / rate
+        inside = sorted(set(inside))
+    starts = [0.0, *([t_from / 2] if t_from else []), *inside, t_from + window + 1.0]
+    noise = NoiseModel(0.0, 0.0, draw(st.sampled_from([0.0, 0.3])),
+                       draw(st.sampled_from([0.0, 0.5, 3.0])), rate)
+    # the oracle's normal(0, sigma * -0.0) refuses a scale of -0.0
+    edges = [0.0, _CAP, 1.4] if noise.sigma_vw_relative else [-0.0, 0.0, _CAP, 1.4]
+    speed = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.4))
+    heading = st.one_of(st.sampled_from(_EDGE_HEADINGS), st.floats(0.0, TWO_PI))
+    schedule = CurrentSchedule(tuple((t, CurrentState(draw(speed), draw(heading))) for t in starts))
+    t_max = draw(st.sampled_from([1000.0, t_from + 0.6 * window]))
+    times = sorted(draw(st.lists(st.one_of(st.sampled_from(starts), st.floats(0.0, starts[-1] + 1)),
+                                 min_size=1, max_size=30)))
+    return schedule, noise, t_max, draw(st.integers(0, 2**32)), times, t_from, window
+
+
+def _case(starts, noise, t_max, times, t_from=1.0, window=4.0):
+    schedule = CurrentSchedule(tuple((t, CurrentState(0.3 + 0.1 * i, 0.1 + 2.0 * i))
+                                     for i, t in enumerate(starts)))
+    return schedule, noise, t_max, 11, times, t_from, window
+
+
+_QUIET, _LOUD = NoiseModel(sample_rate=2.0), NoiseModel(0.0, 0.0, 0.3, 3.0, 2.0)
+
+
+@settings(max_examples=300)
+@given(case=_sensing_cases())
+@example(case=_case([0.0, 10.0], _LOUD, 1000.0, [1.5, 2.0, 5.0]))  # no change in the window
+@example(case=_case([0.0, 3.0, 10.0], _QUIET, 1000.0, [2.5, 3.0, 3.5]))  # one, on a sample time
+@example(case=_case([0.0, 3.0, 10.0], _LOUD, 1000.0, [2.5, 3.0, 3.0, 3.5]))
+@example(case=_case([0.0, 1.7, 2.2, 4.1, 9.0], _LOUD, 1000.0, [1.0, 1.7, 2.2, 4.1, 5.0]))  # three
+@example(case=_case([0.0, 1.7, 2.2, 4.1, 9.0], _QUIET, 1000.0, [4.1]))
+@example(case=_case([0.0, 2.0, 10.0], _LOUD, 3.2, [0.5, 3.2]))  # t_max cuts the window at 3.2 s
+@example(case=_case([0.0, 2.0, 10.0], _QUIET, 3.0, [3.0], t_from=1.0, window=2.0))  # ends on t_max
+def test_sensing_matches_the_per_sample_oracle_across_epochs(case):
+    schedule, noise, t_max, seed, times, t_from, window = case
+    pair = _sensing_pair(schedule, noise, t_max, seed)
+    mission, oracle = _sense_both(pair, times, t_from, window)
+    assert mission == oracle
+
+
+class _GivenDraws:
+    """A noise stream whose standard normal draws are given: normal(0, s)
+    draws 0 + s * z, as numpy's does."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def _take(self, n):
+        taken, self.draws = self.draws[:n], self.draws[n:]
+        return np.array(taken)
+
+    def standard_normal(self, size):
+        return self._take(size)
+
+    def normal(self, loc, scale, size=None):
+        if size is None:
+            return loc + scale * float(self._take(1)[0])
+        return loc + scale * self._take(size)
+
+
+@pytest.mark.parametrize("state, speed_draw, heading_draw", [
+    ((0.5, 0.0), 0.0, TWO_PI),  # heading lands on 2*pi: normalized to 0
+    ((0.5, 1.0), 0.0, TWO_PI - 1.0),
+    ((0.5, math.nextafter(TWO_PI, 0.0)), 0.0, 0.0),  # the largest heading kept
+    ((0.5, -0.0), 0.0, -0.0),  # -0.0 kept
+    ((0.5, 0.0), 0.0, -1e-300),  # just below 0: normalized onto 2*pi, so 0
+    ((0.5, 0.2), 0.0, -0.5),
+    ((0.5, 6.0), 0.0, 0.5),  # past 2*pi
+    ((-0.0, 1.0), 1.0, 0.0),  # speed -0.0
+    ((0.0, 1.0), -3.0, 0.0),  # speed 0
+    ((_CAP, 1.0), 0.0, 0.0),  # speed exactly at the cap
+    ((_CAP, 1.0), 1e-15, 0.0),  # just over it
+    ((0.5, 1.0), -2.5, 0.0),  # below 0
+])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_sensing_edge_values_match_the_per_sample_oracle(state, speed_draw, heading_draw, noisy):
+    schedule = CurrentSchedule(((0.0, CurrentState(*state)), (5.0, CurrentState(0.4, 2.0))))
+    pair = _sensing_pair(schedule, NoiseModel(sample_rate=2.0), 1000.0, 3)
+    for m in pair:  # noise from here on, the same draws for every reading of both sides
+        if noisy:
+            m.sc = dataclasses.replace(m.sc, noise=NoiseModel(0.0, 0.0, 1.0, 1.0, 2.0))
+        m.rngs["vw"] = _GivenDraws([speed_draw] * 20)
+        m.rngs["thetaw"] = _GivenDraws([heading_draw] * 20)
+    mission, oracle = _sense_both(pair, [0.0, 1.0, 5.0], 2.0, 4.0)
+    assert mission == oracle
+    if not noisy:
+        speeds, headings = pair[0]._measure_currents([0.0])
+        assert repr(speeds[0]) == repr(min(max(state[0], 0.0), _CAP))
+        assert repr(headings[0]) == repr(CurrentState(*state).heading)
 
 
 @pytest.mark.parametrize("planner", ["analytic_4pi", "dubins_six"])
