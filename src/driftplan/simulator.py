@@ -39,6 +39,18 @@ draws, clamps and sums give the values per-sample scalar draws give, bit
 for bit.  Each noise channel's generator is seeded from the uint32 words
 of (seed, run index, channel id), the words numpy reads from that tuple,
 so the streams are the tuple's without numpy coercing it each time.
+
+The mission is one event loop: each turn finds the next event, flies the
+plan to it, names it and dispatches it.  The events are a current change
+not yet handled, a window estimate coming due, the plan's end and t_max;
+an arrival ends the run inside any flight, drift or hold.  Events within
+EVENT_TIE (1e-9 s) of the stop are due with it and taken in one order:
+t_max; a change, which cancels a pending estimate; the earlier of an
+estimate and a plan end, the estimate on a tie.  Each but t_max ends in a
+replan; one that finds no plan is owed again at once.  On a change the
+fast planner schedules an estimate over the window from the change; the
+slow one holds its stale plan through the window, past the changes and
+the plan end in it.  Both estimate with _window_estimate(start, length).
 """
 
 from __future__ import annotations
@@ -77,6 +89,11 @@ _NO_PLAN = ControlSchedule(())
 # resolves an arrival's entry time to within the second share of it.
 _FLOOR_SHARE = 1e-3
 _RESOLUTION_SHARE = 1e-9
+
+# Mission-loop events within this many seconds of the loop's stop are due
+# with it; the events are named in the order due ones are taken.
+EVENT_TIE = 1e-9
+T_MAX, CHANGE, ESTIMATE, PLAN_END = "t_max", "change", "estimate", "plan end"
 
 
 @dataclass(frozen=True)
@@ -240,6 +257,8 @@ class _Mission:
             self._future = _epochs(process, scenario.t_max, self.rngs["process"])
             self.schedule = CurrentSchedule(((0.0, process.initial),))
         self.solver_cfg = solver_cfg
+        # sensed and estimated current speeds are clamped to [0, speed_cap]
+        self.speed_cap = 0.99 * scenario.vehicle.speed
         self.t = 0.0
         self.pose = scenario.start
         self.plan_controls = _NO_PLAN
@@ -253,8 +272,8 @@ class _Mission:
         # index into schedule.starts of the first change not yet reacted to
         self.unhandled = 1
         self.converged = False
-        # pending estimate refinement for the fast planner: (due time, epoch)
-        self.refine_at: tuple[float, float] | None = None
+        # the fast planner's pending window estimate: (start, length)
+        self.estimate: tuple[float, float] | None = None
         spacing = 0.05 * scenario.vehicle.turning_radius / scenario.vehicle.speed
         self.recorder = _Recorder(scenario.start, spacing, record_trajectory)
 
@@ -300,7 +319,7 @@ class _Mission:
         if n.sigma_thetaw:
             noise = self.rngs["thetaw"].normal(0.0, n.sigma_thetaw, size=len(times)).tolist()
             heading = [h + e for h, e in zip(heading, noise)]
-        cap = 0.99 * self.sc.vehicle.speed
+        cap = self.speed_cap
         return ([v if 0.0 <= v <= cap else min(max(v, 0.0), cap) for v in vw],
                 [h if 0.0 <= h < TWO_PI else normalize_angle(h) for h in heading])
 
@@ -310,7 +329,7 @@ class _Mission:
         return CurrentState(vw, heading)
 
     def _clamped_current(self, vw: float, heading: float) -> CurrentState:
-        vw = min(max(vw, 0.0), 0.99 * self.sc.vehicle.speed)
+        vw = min(max(vw, 0.0), self.speed_cap)
         return CurrentState(vw, normalize_angle(heading))
 
     def _schedule_through(self, t: float) -> None:
@@ -325,18 +344,6 @@ class _Mission:
             self.schedule = CurrentSchedule(self.schedule.entries + chunk)
 
     # --- motion ------------------------------------------------------------
-
-    def _next_unhandled_epoch(self) -> float:
-        self._schedule_through(self.t + 1e-9)
-        starts = self.schedule.starts
-        return starts[self.unhandled] if self.unhandled < len(starts) else math.inf
-
-    def _epoch_pending(self) -> bool:
-        return self._next_unhandled_epoch() <= self.t + 1e-9
-
-    def _mark_epochs_handled(self) -> None:
-        self._schedule_through(self.t + 1e-9)
-        self.unhandled = bisect_right(self.schedule.starts, self.t + 1e-9)
 
     def _fly(self, controls: ControlSchedule, armed_at: float, t_stop: float):
         """Fly controls armed at armed_at (or loiter) up to t_stop.
@@ -482,17 +489,6 @@ class _Mission:
             sol = plan(origin, sc.goal, self.believed, sc.vehicle, ArcMode.FOUR_PI)
         return sol, delay
 
-    def _drift_through(self, duration: float):
-        """Drift along the net velocity (heading frozen) across epochs,
-        stopping on arrival."""
-        start_pose = self.pose
-        start_t = self.t
-        self._fly(_NO_PLAN, 0.0, min(self.t + duration, self.sc.t_max))
-        # a plan left armed (the replan failed) resumes where it paused
-        self.armed_at += self.t - start_t
-        if duration > 0.0:
-            self.drift_segments.append(DriftSegment(start_t, start_pose, self.pose))
-
     def _window_estimate(self, t_from: float, window: float) -> CurrentState:
         """Circular-mean MLE from samples over (t_from, t_from + window].
 
@@ -509,20 +505,11 @@ class _Mission:
         speeds, headings = self._measure_currents(times)
         return self._clamped_current(sum(speeds) / len(speeds), estimate_heading_mle(headings))
 
-    def _hold_and_estimate(self):
-        """Fly the stale plan for the estimation window, then adopt the MLE."""
-        sc = self.sc
-        window = min(sc.estimation_window, sc.t_max - self.t)
-        t0 = self.t
-        self._fly(self.plan_controls, self.armed_at, t0 + window)
-        if self.converged:
-            return
-        self.believed = self._window_estimate(t0, window)
-
     # --- event loop ---------------------------------------------------------
 
-    def _replan_now(self) -> bool:
-        """One planner invocation with its latency; True if a plan is armed."""
+    def _replan_now(self) -> float:
+        """One planner invocation with its latency.  Returns when the next
+        replan falls due: the armed plan's end, or -inf if none was found."""
         sc = self.sc
         initial = self.replans < 0
         sol, delay = self._invoke_planner(initial)
@@ -534,65 +521,76 @@ class _Mission:
                 self.t = min(self.t + delay, sc.t_max)
                 self.recorder.add(self.t, self.pose)
         else:
+            # drift with the heading frozen, stopping on arrival; a plan left
+            # armed (this replan fails) resumes where it paused
             self.compute_delays.append(delay)
-            self._drift_through(delay)
+            t0, pose = self.t, self.pose
+            self._fly(_NO_PLAN, 0.0, min(t0 + delay, sc.t_max))
+            self.armed_at += self.t - t0
+            if delay > 0.0:
+                self.drift_segments.append(DriftSegment(t0, pose, self.pose))
         if sol is None:
-            return False
+            return -math.inf
         self.plan_controls = controls_of(sol, sc.vehicle)
         self.armed_at = self.t
+        return self.t + self.plan_controls.total_duration
+
+    def _next_event(self, plan_end: float) -> tuple[str, float]:
+        """The next event and the time the loop stops for it, not before now:
+        the earliest of the first change not yet handled, the pending
+        estimate, plan_end and t_max, named in the module's tie order."""
+        t_max = self.sc.t_max
+        self._schedule_through(self.t + EVENT_TIE)
+        starts = self.schedule.starts
+        change = starts[self.unhandled] if self.unhandled < len(starts) else math.inf
+        due = sum(self.estimate) if self.estimate else math.inf
+        at = max(min(change, due, plan_end, t_max), self.t)
+        if at >= t_max - EVENT_TIE:
+            return T_MAX, at
+        if change <= at + EVENT_TIE:
+            return CHANGE, at
+        if due <= min(at, plan_end) + EVENT_TIE:
+            return ESTIMATE, at
+        return PLAN_END, at
+
+    def _on_change(self) -> bool:
+        """React to the changes due by now; False if the run ended.  The
+        fast planner takes one reading and schedules an estimate; the slow
+        one cannot afford two compute drifts, so it holds its stale plan
+        through the window and adopts the window's estimate."""
+        sc = self.sc
+        if sc.planner == "analytic_4pi":
+            self.believed = self._reading(self.t)
+            start, window = self.schedule.starts[self.unhandled], sc.estimation_window
+            self.estimate = (start, window) if window > 0.0 else None
+        else:
+            t0, window = self.t, min(sc.estimation_window, sc.t_max - self.t)
+            self._fly(self.plan_controls, self.armed_at, t0 + window)
+            if self.converged or self.t >= sc.t_max - EVENT_TIE:
+                return False
+            self.believed = self._window_estimate(t0, window)
+        self._schedule_through(self.t + EVENT_TIE)
+        self.unhandled = bisect_right(self.schedule.starts, self.t + EVENT_TIE)
         return True
 
-    def _handle_change(self):
-        """React to a current change, in a planner-appropriate way.
-
-        The fast planner replans at once from an instantaneous reading and
-        again when the windowed estimate is ready; the slow planner cannot
-        afford two compute drifts, so it flies its stale plan through the
-        estimation window and replans once on the refined estimate.
-        """
-        sc = self.sc
-        epoch = self._next_unhandled_epoch()
-        if sc.planner == "analytic_4pi":
-            self.believed = self._reading(min(self.t, sc.t_max))
-            self._mark_epochs_handled()
-            if sc.estimation_window > 0.0:
-                self.refine_at = (epoch + sc.estimation_window, epoch)
-        else:
-            self._hold_and_estimate()
-            self._mark_epochs_handled()
-
     def run(self) -> RunResult:
-        sc = self.sc
-        need_plan = True
-        while not self.converged and self.t < sc.t_max - 1e-9:
-            if need_plan or self._epoch_pending():
-                if self._epoch_pending():
-                    self.refine_at = None
-                    self._handle_change()
-                    if self.converged or self.t >= sc.t_max - 1e-9:
-                        break
-                need_plan = not self._replan_now()
-                continue  # re-check for epochs that arrived during the drift
-            plan_end = max(self.armed_at + self.plan_controls.total_duration, self.t)
-            refine_due = self.refine_at[0] if self.refine_at else math.inf
-            t_stop = min(plan_end, self._next_unhandled_epoch(), refine_due, sc.t_max)
-            self._fly(self.plan_controls, self.armed_at, t_stop)
-            if self.converged:
+        plan_end = -math.inf  # the initial plan is owed
+        while not self.converged:  # a compute drift may arrive
+            event, at = self._next_event(plan_end)
+            if at > self.t:
+                self._fly(self.plan_controls, self.armed_at, at)
+            if self.converged or event is T_MAX:
                 break
-            if self.refine_at and self.t >= self.refine_at[0] - 1e-9:
-                due, epoch = self.refine_at
-                self.refine_at = None
-                if not self._epoch_pending():
-                    self.believed = self._window_estimate(epoch, due - epoch)
-                    need_plan = True
-                continue
-            if abs(self.t - plan_end) <= 1e-9:
-                need_plan = True
+            if event is CHANGE and not self._on_change():
+                break
+            if event is ESTIMATE:
+                self.believed = self._window_estimate(*self.estimate)
+                self.estimate = None
+            plan_end = self._replan_now()  # every event but t_max ends in one
         self.recorder.add(self.t, self.pose, force=True)
-        total = min(self.t, sc.t_max)
         return RunResult(
             converged=self.converged,
-            total_time=total,
+            total_time=min(self.t, self.sc.t_max),
             replan_count=max(self.replans, 0),
             drift_segments=tuple(self.drift_segments),
             trajectory=self.recorder.trajectory(),

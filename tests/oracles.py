@@ -7,11 +7,13 @@ batched for bulk solver validation.  The per-candidate, per-cell,
 per-case, per-row and fixed-step references at the end, the per-sample
 sensing mission and the lockstep multistart, are earlier, slower forms
 of library functions, kept to pin the faster ones to the same output; so
-are the per-artifact CSV writers.
+are the per-artifact CSV writers and the mission loop that re-derives
+its events.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from unittest import mock
@@ -558,7 +560,8 @@ class _PerSampleMission(sim._Mission):
         n = self.sc.noise
         vw = true.speed
         if n.sigma_vw_relative:
-            vw += self.rngs["vw"].normal(0.0, n.sigma_vw_relative * true.speed)
+            # + 0.0 turns a speed of -0.0 into a scale of 0.0, which numpy takes
+            vw += self.rngs["vw"].normal(0.0, n.sigma_vw_relative * true.speed + 0.0)
         heading = true.heading
         if n.sigma_thetaw:
             heading += self.rngs["thetaw"].normal(0.0, n.sigma_thetaw)
@@ -592,6 +595,93 @@ def run_scenario_per_sample(scenario, seed, run_index=0, record_trajectory=True,
     """`simulator.run_scenario` with the schedule realised up front and
     sensing taken one sample at a time."""
     return _PerSampleMission(scenario, seed, run_index, record_trajectory, solver_cfg).run()
+
+
+class _ParentLoopMission(sim._Mission):
+    """A mission run by the event loop the simulator had before it named
+    its events: it stops at the earliest of the plan end, the next change,
+    the estimate's due time and t_max, and then works out which of them
+    fired through a need_plan flag, a refine_at pair and re-checks for a
+    pending change.  The one change from that loop: the fast planner's
+    estimate reads the whole estimation window, not its due time less its
+    start."""
+
+    def _next_unhandled_epoch(self):
+        self._schedule_through(self.t + 1e-9)
+        starts = self.schedule.starts
+        return starts[self.unhandled] if self.unhandled < len(starts) else math.inf
+
+    def _epoch_pending(self):
+        return self._next_unhandled_epoch() <= self.t + 1e-9
+
+    def _mark_epochs_handled(self):
+        self._schedule_through(self.t + 1e-9)
+        self.unhandled = bisect.bisect_right(self.schedule.starts, self.t + 1e-9)
+
+    def _hold_and_estimate(self):
+        sc = self.sc
+        window = min(sc.estimation_window, sc.t_max - self.t)
+        t0 = self.t
+        self._fly(self.plan_controls, self.armed_at, t0 + window)
+        if self.converged:
+            return
+        self.believed = self._window_estimate(t0, window)
+
+    def _handle_change(self):
+        sc = self.sc
+        epoch = self._next_unhandled_epoch()
+        if sc.planner == "analytic_4pi":
+            self.believed = self._reading(min(self.t, sc.t_max))
+            self._mark_epochs_handled()
+            if sc.estimation_window > 0.0:
+                self.refine_at = (epoch + sc.estimation_window, epoch)
+        else:
+            self._hold_and_estimate()
+            self._mark_epochs_handled()
+
+    def run(self):
+        sc = self.sc
+        self.refine_at = None
+        need_plan = True
+        while not self.converged and self.t < sc.t_max - 1e-9:
+            if need_plan or self._epoch_pending():
+                if self._epoch_pending():
+                    self.refine_at = None
+                    self._handle_change()
+                    if self.converged or self.t >= sc.t_max - 1e-9:
+                        break
+                need_plan = self._replan_now() == -math.inf
+                continue
+            plan_end = max(self.armed_at + self.plan_controls.total_duration, self.t)
+            refine_due = self.refine_at[0] if self.refine_at else math.inf
+            t_stop = min(plan_end, self._next_unhandled_epoch(), refine_due, sc.t_max)
+            self._fly(self.plan_controls, self.armed_at, t_stop)
+            if self.converged:
+                break
+            if self.refine_at and self.t >= self.refine_at[0] - 1e-9:
+                due, epoch = self.refine_at
+                self.refine_at = None
+                if not self._epoch_pending():
+                    self.believed = self._window_estimate(epoch, sc.estimation_window)
+                    need_plan = True
+                continue
+            if abs(self.t - plan_end) <= 1e-9:
+                need_plan = True
+        self.recorder.add(self.t, self.pose, force=True)
+        return sim.RunResult(
+            converged=self.converged,
+            total_time=min(self.t, sc.t_max),
+            replan_count=max(self.replans, 0),
+            drift_segments=tuple(self.drift_segments),
+            trajectory=self.recorder.trajectory(),
+            compute_delays=tuple(self.compute_delays),
+        )
+
+
+def run_scenario_parent_loop(scenario, seed, run_index=0, record_trajectory=True,
+                             solver_cfg=SolverConfig()):
+    """`simulator.run_scenario` with the event loop that re-derives its events."""
+    return _ParentLoopMission(scenario, seed, run_index, record_trajectory, solver_cfg).run()
 
 
 def branch_jacobian_from_u(ccc, s, m, goal, current, r):
