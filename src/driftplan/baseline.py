@@ -470,15 +470,16 @@ def _roots_to_solutions(
     """Filter (branch, root) pairs down to geometrically valid path solutions.
 
     Branch b is the word and winding offset `branches[b]`.  Roots are in
-    unit-speed time; the solutions carry it in seconds (/v).
+    unit-speed time; the solutions carry it in seconds (/v), as floats.
     """
     sols = []
     for b, row in roots:
         path_type, m = branches[b]
         ccc = _is_ccc(path_type)
+        row = row.tolist()
         alpha, t = row[0], row[-1]
         delta = row[1] if ccc else 0.0
-        gamma = float(_gamma(ccc, SEGMENT_SIGNS[path_type][0], alpha, delta, goal.theta, m))
+        gamma = _gamma(ccc, SEGMENT_SIGNS[path_type][0], alpha, delta, goal.theta, m)
         closure = t - r * (alpha + delta + gamma)
         if ccc:
             middle_ok = _ARC_SLACK < delta < TWO_PI + _ARC_SLACK and abs(closure) <= 1e-6

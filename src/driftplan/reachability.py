@@ -4,8 +4,10 @@ For a fixed first-arc angle the reachable goal positions form a ray from a
 fixed rotation center; sweeping the arc angle rotates the ray (ccw for LSL,
 cw for RSR), so each (path type, winding index) yields an angular sector.
 This module builds those sectors, classifies the major/minor one per path
-type, evaluates the closed-form full-coverage predicates, and rasterizes
-reachability and travel-time grids.
+type, and rasterizes reachability and travel-time grids.  The eight
+closed-form full-coverage predicates are defined once, by the array kernel
+`_coverage_rows`: a scan runs it over a lattice, and full_reachability_2pi
+over one row.
 """
 
 from __future__ import annotations
@@ -42,21 +44,21 @@ FULL_REACH_CASES = ("1.1", "1.2", "2.1", "2.2", "3.1", "3.2", "4.1", "4.2")
 _BLOCK_CELLS = 4096
 
 # _coverage_rows flags a comparison as fragile when its two sides lie within
-# this margin.  numpy's sin, cos and fmod give math's bits (the scan tests
-# pin every row to the scalar loop, so a platform where they do not fails
-# there); atan2 does not: np.arctan2 differs from math.atan2 in the last bit
+# this margin.  numpy's sin, cos and fmod give math's bits (the tests pin
+# the kernel to a scalar loop of math calls, so a platform where they do not
+# fails there); atan2 does not: np.arctan2 differs from math.atan2 in the last bit
 # on about 7% of inputs, by 1 ulp at most over 2*10^5 random inputs on
 # x86-64 with numpy 2.4.  Each side of a comparison is at most two atan2
 # values combined by at most six roundings at magnitudes below 4*pi, so it
 # differs between the two forms by under 1e-14 while atan2 stays within a
 # few ulp; sides further apart than the margin compare alike in both.  The
-# fragile rows are decided by the kernel again with math.atan2, whose bits
-# make every comparison the scalar predicates'.
+# fragile rows are decided by the kernel again with math.atan2, the bits
+# full_reachability_2pi decides every row with.
 _FRAGILE_MARGIN = 1e-9
 
 
 def _math_atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """math.atan2 elementwise, as a float array: the scalar predicates' bits."""
+    """math.atan2 elementwise, as a float array: full_reachability_2pi's bits."""
     return np.frompyfunc(math.atan2, 2, 1)(y, x).astype(float)
 
 # Dominant label per plan_goals winner code; code -1 (no path) picks the last.
@@ -295,41 +297,35 @@ def full_reachability_2pi(
     one and the center-joining rotation phi falls inside the major sector's
     pi-rotated gap; any satisfied case means every goal position is
     reachable.  Zero current is reported degenerate and fully reachable.
+    The predicates are one row of `_coverage_rows` on math.atan2; no
+    turning radius r changes the outcome.
     """
+    if not math.isfinite(theta_f):
+        raise ValueError(f"theta_f must be finite, got {theta_f!r}")
     if current.speed == 0.0:
         return FullReachability(frozenset(), True, degenerate=True)
-    majors = _major_sectors(theta_f, current, r)
-    satisfied = set()
-    for case in FULL_REACH_CASES:
-        path_type, k = _CASE_MAJOR[case]
-        region, extent = majors[path_type]
-        if region.k != k:
-            continue
-        if extent >= TWO_PI - ANGLE_TOL:
-            satisfied.add(case)
-            continue
-        start, end = _shadow_interval(region)
-        if _in_ccw_interval(start, end, phi(case, theta_f, current, r)):
-            satisfied.add(case)
-    return FullReachability(frozenset(satisfied), bool(satisfied))
+    held = _coverage_rows(np.array([theta_f]), np.array([current.wx]), np.array([current.wy]),
+                          _math_atan2)[0][0].tolist()
+    satisfied = frozenset(case for case, ok in zip(FULL_REACH_CASES, held) if ok)
+    return FullReachability(satisfied, bool(satisfied))
 
 
 def _coverage_rows(
     theta_f: np.ndarray, wx: np.ndarray, wy: np.ndarray, atan2
 ) -> tuple[np.ndarray, np.ndarray]:
-    """full_reachability_2pi over arrays of rows with a nonzero current.
+    """The eight coverage predicates over arrays of rows with a nonzero current.
 
     Each row is a goal heading and a unit-speed current (wx, wy).  Builds
     the four 2*pi sectors from the feasible_range bounds, picks each path
-    type's major, and tests its cases, with the scalar form's operation
-    order.  atan2 is np.arctan2, or _math_atan2 for math.atan2's bits.
-    Returns per row whether a case is satisfied, and whether the row is
-    fragile: a comparison fed by atan2 lies within _FRAGILE_MARGIN of its
-    threshold and no case holds without one, so only math.atan2's bits can
-    say how the scalar form decides the row.
+    type's major, and tests its cases.  atan2 is np.arctan2, or _math_atan2
+    for math.atan2's bits, which make every comparison the scalar math's.
+    Returns per row which of FULL_REACH_CASES hold, a bool column per case
+    in that order, and whether the row is fragile: a comparison fed by
+    atan2 lies within _FRAGILE_MARGIN of its threshold and no case holds
+    without one, so only math.atan2's bits can decide the row.
     """
     margin = _FRAGILE_MARGIN
-    reachable = np.zeros(theta_f.shape, dtype=bool)
+    held_cases = np.zeros(theta_f.shape + (len(FULL_REACH_CASES),), dtype=bool)
     fragile = np.zeros(theta_f.shape, dtype=bool)
     sure = np.zeros(theta_f.shape, dtype=bool)  # a case holds with no fragile comparison
     for path_type, ks in WINDING_CANDIDATES.items():
@@ -365,11 +361,12 @@ def _coverage_rows(
             held = wide | (off <= span + ANGLE_TOL) | (off >= TWO_PI - ANGLE_TOL)
             near = ~wide & (span_shaky | (np.abs(off - (span + ANGLE_TOL)) <= margin)
                             | (np.abs(off - (TWO_PI - ANGLE_TOL)) <= margin))
-            reachable |= held
+            held_cases[..., FULL_REACH_CASES.index(case0)] = held & first
+            held_cases[..., FULL_REACH_CASES.index(case1)] = held & ~first
             fragile |= near
             sure |= held & ~near & ~shaky
         fragile |= shaky
-    return reachable, fragile & ~sure
+    return held_cases, fragile & ~sure
 
 
 def major_region_containment(
@@ -448,14 +445,14 @@ def parametric_scan(
     fragile = np.empty(n, dtype=bool)
     for lo in range(0, n, _BLOCK_CELLS):
         rows = np.arange(lo, min(lo + _BLOCK_CELLS, n))
-        ok, shaky = _coverage_rows(*lattice(rows), np.arctan2)
+        cases, shaky = _coverage_rows(*lattice(rows), np.arctan2)
         still = speeds[rows // (n_f * n_w)] == 0.0  # zero current: degenerate and fully reachable
-        reachable[rows] = ok | still
+        reachable[rows] = cases.any(axis=-1) | still
         fragile[rows] = shaky & ~still
     fragile = np.flatnonzero(fragile)
     for lo in range(0, len(fragile), _BLOCK_CELLS):
         rows = fragile[lo:lo + _BLOCK_CELLS]
-        reachable[rows] = _coverage_rows(*lattice(rows), _math_atan2)[0]
+        reachable[rows] = _coverage_rows(*lattice(rows), _math_atan2)[0].any(axis=-1)
     flags = iter(reachable.tolist())
     return [(theta_f, theta_w, vw, next(flags))
             for vw in v_w_values for theta_f in theta_fs for theta_w in theta_ws]

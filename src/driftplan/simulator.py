@@ -1,7 +1,8 @@
 """Mission execution under time-varying currents with noisy replanning.
 
 A run executes the current plan open-loop and succeeds the moment it is
-inside the goal's precision circle with an acceptable heading.  When the
+inside the goal's precision circle with an acceptable heading; a start
+already there succeeds at t = 0, before any plan.  When the
 current changes, the reaction depends on the planner's compute cost: the
 closed-form planner replans at once from an instantaneous reading and
 again when the windowed estimate is ready, while the slow six-type
@@ -574,6 +575,10 @@ class _Mission:
         return True
 
     def run(self) -> RunResult:
+        sc = self.sc
+        # a start that meets the goal ends the run at once, with no plan
+        self.converged = check_termination(sc.start, sc.goal, sc.precision_radius,
+                                           sc.heading_tolerance)
         plan_end = -math.inf  # the initial plan is owed
         while not self.converged:  # a compute drift may arrive
             event, at = self._next_event(plan_end)

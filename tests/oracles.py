@@ -373,9 +373,30 @@ def full_reachability_2pi_per_case(theta_f, current, r):
     return frozenset(satisfied)
 
 
+def full_reachability_2pi_scalar(theta_f, current, r):
+    """`reachability.full_reachability_2pi` as a loop over the cases, each
+    testing its major sector from `_major_sectors` with math's scalar calls."""
+    if current.speed == 0.0:
+        return rc.FullReachability(frozenset(), True, degenerate=True)
+    majors = rc._major_sectors(theta_f, current, r)
+    satisfied = set()
+    for case in rc.FULL_REACH_CASES:
+        path_type, k = rc._CASE_MAJOR[case]
+        region, extent = majors[path_type]
+        if region.k != k:
+            continue
+        if extent >= TWO_PI - rc.ANGLE_TOL:
+            satisfied.add(case)
+            continue
+        start, end = rc._shadow_interval(region)
+        if rc._in_ccw_interval(start, end, rc.phi(case, theta_f, current, r)):
+            satisfied.add(case)
+    return rc.FullReachability(frozenset(satisfied), bool(satisfied))
+
+
 def parametric_scan_per_row(theta_f_step, theta_w_step, v_w_values, r=1.0):
-    """`reachability.parametric_scan`'s rows, one scalar
-    `full_reachability_2pi` call per (theta_f, theta_w, v_w) triple."""
+    """`reachability.parametric_scan`'s rows, one `full_reachability_2pi_scalar`
+    call per (theta_f, theta_w, v_w) triple."""
     rows = []
     n_f = max(1, math.ceil(TWO_PI / theta_f_step - rc.ANGLE_TOL))
     n_w = max(1, math.ceil(TWO_PI / theta_w_step - rc.ANGLE_TOL))
@@ -384,7 +405,7 @@ def parametric_scan_per_row(theta_f_step, theta_w_step, v_w_values, r=1.0):
             theta_f = i * theta_f_step
             for j in range(n_w):
                 theta_w = j * theta_w_step
-                res = rc.full_reachability_2pi(theta_f, CurrentState(vw, theta_w), r)
+                res = full_reachability_2pi_scalar(theta_f, CurrentState(vw, theta_w), r)
                 rows.append((theta_f, theta_w, vw, res.fully_reachable))
     return rows
 

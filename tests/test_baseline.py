@@ -534,6 +534,17 @@ def test_solve_six_upstream_example_beats_closed_forms():
     assert math.hypot(end.x - goal.x, end.y - goal.y) <= 1e-6
 
 
+def test_numeric_word_solutions_hold_plain_floats():
+    # The drift-exploiting RLR root of the upstream instance, read out of the
+    # Newton arrays, holds Python floats as the closed-form words do.
+    best, _ = solve_six(ORIGIN, Pose(-2.3, 2.8, math.pi / 2), CurrentState(0.5, math.pi), UNIT,
+                        SolverConfig(seed=2))
+    assert best.path_type is PathType.RLR
+    assert [type(getattr(best, name)) for name in ("alpha", "beta", "gamma", "kappa",
+                                                   "travel_time")] == [float] * 5
+    assert type(best.k) is int
+
+
 def test_solve_six_rejects_fast_current():
     with pytest.raises(ValueError):
         solve_six(ORIGIN, Pose(1, 1, 0), CurrentState(2.0, 0), UNIT)

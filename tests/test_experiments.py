@@ -1,6 +1,7 @@
 """Comparison studies: layout, savings accounting, and determinism."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -106,19 +107,28 @@ def _assert_numeric_fields_parse(path):
 
 
 def test_csv_numeric_fields_parse_as_floats(tmp_path):
-    # Six-type travel times come from numpy roots; their fields were written
-    # as np.float64(...), which no CSV reader parses.
+    # Six-type travel times come from numpy roots and are read out as plain
+    # floats.  A numpy float in a study must still be written as a number:
+    # np.float64(...), as its repr once put it, no CSV reader parses.
     static = static_comparison(
         seed=0, radii=(5.0,), points_per_square=2,
         n_goal_headings=1, n_current_headings=2, cfg=SMALL_CFG,
     )
-    assert any(isinstance(i.t_baseline, np.floating) for i in static.instances)
-    static.write_csv(tmp_path / "static.csv")
-    _assert_numeric_fields_parse(tmp_path / "static.csv")
+    assert all(type(i.t_baseline) is float for i in static.instances)
+    numpy_static = StaticComparisonResult(tuple(
+        dataclasses.replace(i, t_baseline=np.float64(i.t_baseline)) for i in static.instances))
+    for result in (static, numpy_static):
+        result.write_csv(tmp_path / "static.csv")
+        _assert_numeric_fields_parse(tmp_path / "static.csv")
     stats = dynamic_monte_carlo(NAVAL, n_runs=2, seed=11, solver_cfg=SMALL_CFG)
-    assert any(isinstance(r.baseline.total_time, np.floating) for r in stats.runs)
-    stats.write_csv(tmp_path / "mc.csv")
-    _assert_numeric_fields_parse(tmp_path / "mc.csv")
+    assert all(type(r.baseline.total_time) is float for r in stats.runs)
+    numpy_stats = SavingsStats(tuple(
+        dataclasses.replace(r, baseline=dataclasses.replace(
+            r.baseline, total_time=np.float64(r.baseline.total_time)))
+        for r in stats.runs))
+    for result in (stats, numpy_stats):
+        result.write_csv(tmp_path / "mc.csv")
+        _assert_numeric_fields_parse(tmp_path / "mc.csv")
 
 
 def test_study_csv_bytes_match_the_own_loop_writers(tmp_path):

@@ -35,6 +35,7 @@ from driftplan.reachability import (
 )
 from oracles import (
     full_reachability_2pi_per_case,
+    full_reachability_2pi_scalar,
     parametric_scan_per_row,
     reachability_map_per_cell,
     write_grid_csv,
@@ -241,6 +242,13 @@ def test_full_reachability_zero_current_degenerate():
     assert res.degenerate and res.fully_reachable
 
 
+@pytest.mark.parametrize("theta_f", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("speed", [0.0, 0.5])
+def test_full_reachability_refuses_a_non_finite_goal_heading(theta_f, speed):
+    with pytest.raises(ValueError, match="theta_f must be finite"):
+        full_reachability_2pi(theta_f, CurrentState(speed, 1.0), 1.0)
+
+
 def test_satisfied_cases_subset_of_known_ids():
     rng = np.random.default_rng(12)
     for _ in range(100):
@@ -415,8 +423,8 @@ def test_scan_rows_hold_when_array_atan2_is_off(monkeypatch, scale):
 
 def test_scan_decides_its_fragile_rows_in_the_kernel(monkeypatch):
     # With np.arctan2 nudged, the fragile rows are decided by _coverage_rows
-    # with math.atan2, never by the scalar predicates, and the rows still
-    # equal theirs.
+    # with math.atan2 a block at a time, never one full_reachability_2pi
+    # call per row, and the rows still equal the scalar loop's.
     reference = parametric_scan_per_row(BENCHMARK_SCAN_STEP, BENCHMARK_SCAN_STEP,
                                         BENCHMARK_SCAN_VW)
     monkeypatch.setattr(np, "arctan2", _nudged_arctan2(1e-10))
@@ -431,6 +439,17 @@ def test_scan_decides_its_fragile_rows_in_the_kernel(monkeypatch):
     assert kernel and kernel[0] > 0
 
 
+def test_one_row_is_decided_with_math_atan2(monkeypatch):
+    # The benchmark lattice holds exact ties, where numpy's atan2 off by
+    # 1e-10 would tip a comparison; full_reachability_2pi never calls it.
+    monkeypatch.setattr(np, "arctan2", _nudged_arctan2(1e-10))
+    for vw in BENCHMARK_SCAN_VW:
+        for i in range(24):
+            for j in range(24):
+                args = (i * BENCHMARK_SCAN_STEP, CurrentState(vw, j * BENCHMARK_SCAN_STEP), 1.0)
+                assert full_reachability_2pi(*args) == full_reachability_2pi_scalar(*args), args
+
+
 @pytest.mark.parametrize("scale", [0.0, 1e-12, 1e-10])
 def test_coverage_rows_flag_every_row_they_may_decide_wrongly(monkeypatch, scale):
     # Goal headings within 1e-12 of 0 and of 2pi, where a 2pi sector is
@@ -442,13 +461,13 @@ def test_coverage_rows_flag_every_row_they_may_decide_wrongly(monkeypatch, scale
     theta_f = np.repeat(np.concatenate([edge, TWO_PI - edge]), 100)
     heading = np.tile(rng.uniform(0.0, TWO_PI, 100), 22)
     vw = np.tile(rng.uniform(0.05, 0.99, 100), 22)
-    truth = [full_reachability_2pi(f, CurrentState(v, h), 1.0).fully_reachable
+    truth = [full_reachability_2pi_scalar(f, CurrentState(v, h), 1.0).fully_reachable
              for f, h, v in zip(theta_f.tolist(), heading.tolist(), vw.tolist())]
     if scale:
         monkeypatch.setattr(np, "arctan2", _nudged_arctan2(scale))
-    reachable, fragile = _coverage_rows(theta_f, vw * np.cos(heading), vw * np.sin(heading),
-                                        np.arctan2)
-    assert not (~fragile & (reachable != np.array(truth))).any()
+    cases, fragile = _coverage_rows(theta_f, vw * np.cos(heading), vw * np.sin(heading),
+                                    np.arctan2)
+    assert not (~fragile & (cases.any(axis=-1) != np.array(truth))).any()
     assert 0 < fragile.sum() < fragile.size
 
 
@@ -732,6 +751,28 @@ def test_full_reachability_matches_per_case_sectors_anywhere(theta_f, vw, headin
     theta = normalize_angle(theta_f)
     assert full_reachability_2pi(theta, current, r).satisfied_cases == (
         full_reachability_2pi_per_case(theta, current, r))
+
+
+# Raw goal headings, as full_reachability_2pi takes them without normalizing;
+# within 1e-12 of 0 and of 2*pi, where a 2*pi sector is a full circle to the
+# 1e-12 tolerance; and speeds at the ends of the range.
+RAW_THETA_F = st.one_of(st.floats(-40.0, 40.0), st.floats(-1e-12, 1e-12),
+                        st.floats(TWO_PI - 1e-12, TWO_PI + 1e-12),
+                        st.floats(-TWO_PI - 1e-12, -TWO_PI + 1e-12))
+EDGE_SPEED = st.one_of(st.sampled_from([5e-324, 1e-4, 1.0 - 1e-7]), st.floats(0.0, 1.0 - 1e-7))
+
+
+@settings(max_examples=400)
+@given(theta_f=RAW_THETA_F, vw=EDGE_SPEED, heading=st.floats(0.0, TWO_PI),
+       r=st.floats(0.1, 10.0))
+@example(theta_f=13.0, vw=5e-324, heading=0.75, r=1.0)
+@example(theta_f=-1e-13, vw=1.0 - 1e-7, heading=2.0, r=1.0)
+@example(theta_f=TWO_PI + 1e-13, vw=1e-4, heading=4.0, r=1.0)
+def test_full_reachability_matches_the_scalar_loop_on_raw_headings(theta_f, vw, heading, r):
+    # The one-row kernel call against the case loop, with theta_f as given.
+    current = CurrentState(vw, heading)
+    assert full_reachability_2pi(theta_f, current, r) == full_reachability_2pi_scalar(
+        theta_f, current, r)
 
 
 def test_grid_csv_bytes_match_cellwise_writer(tmp_path):

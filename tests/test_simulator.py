@@ -306,6 +306,48 @@ def test_arrival_during_a_compute_drift():
     assert drift.to_pose == result.trajectory.end_pose()
 
 
+@pytest.mark.parametrize("planner", ["analytic_4pi", "dubins_six"])
+@pytest.mark.parametrize("latency", [0.0, 0.5])
+@pytest.mark.parametrize("initial_compute_latency", [False, True])
+@pytest.mark.parametrize("start", [Pose(0.0, 0.0, 0.0), Pose(0.6, -0.3, 0.05)],
+                         ids=["on-goal", "inside"])
+def test_a_start_that_meets_the_goal_ends_at_once(planner, latency, initial_compute_latency,
+                                                  start):
+    # A zero-latency plan to the start's own goal lasts no time, so a loop
+    # that planned first would replan it forever; no planner is called.
+    sc = Scenario(start=start, goal=Pose(0.0, 0.0, 0.0), vehicle=UNIT,
+                  current_process=_steady(0.5, 1.0),
+                  noise=NoiseModel(sigma_position=0.5, sigma_thetaw=0.1),
+                  latency=LatencyModel(dubins_six=latency, analytic_4pi=latency),
+                  planner=planner, initial_compute_latency=initial_compute_latency)
+    refuse = mock.Mock(side_effect=AssertionError("the planner was called"))
+    with mock.patch.object(simulator, "plan", refuse), \
+            mock.patch.object(simulator, "solve_six", refuse):
+        result = run_scenario(sc, seed=3)
+    assert result.converged
+    assert (result.total_time, result.replan_count) == (0.0, 0)
+    assert result.compute_delays == () and result.drift_segments == ()
+    assert result.trajectory.t.tolist() == [0.0]
+    assert result.trajectory.end_pose() == start
+
+
+def test_a_start_off_the_goal_heading_still_plans():
+    sc = Scenario(start=Pose(0.0, 0.0, 0.5), goal=Pose(0.0, 0.0, 0.0), vehicle=UNIT,
+                  current_process=_steady(0.5, 1.0), estimation_window=0.0)
+    result = run_scenario(sc, seed=3)
+    assert result.converged and result.total_time > 0.0
+
+
+def test_a_dubins_six_mission_time_is_a_plain_float():
+    # The upstream instance, flown on its first plan: an RLR root.
+    sc = Scenario(start=Pose(0, 0, 0), goal=Pose(-2.3, 2.8, math.pi / 2), vehicle=UNIT,
+                  current_process=_steady(0.5, math.pi), estimation_window=0.0,
+                  planner="dubins_six")
+    result = run_scenario(sc, seed=0)
+    assert result.converged and result.replan_count == 0
+    assert type(result.total_time) is float
+
+
 @pytest.mark.parametrize("turn_rate", [0.0, 0.1], ids=["straight", "arc"])
 def test_skimming_pass_stays_within_the_advance_bound(monkeypatch, turn_rate):
     # The path passes 1e-9 outside the precision circle with the heading
