@@ -44,9 +44,9 @@ FULL_REACH_CASES = ("1.1", "1.2", "2.1", "2.2", "3.1", "3.2", "4.1", "4.2")
 _BLOCK_CELLS = 4096
 
 # _coverage_rows flags a comparison as fragile when its two sides lie within
-# this margin.  numpy's sin, cos and fmod give math's bits (the tests pin
-# the kernel to a scalar loop of math calls, so a platform where they do not
-# fails there); atan2 does not: np.arctan2 differs from math.atan2 in the last bit
+# this margin.  numpy's sin, cos and fmod give math's bits (the tests pin the
+# kernel to a scalar loop of math calls, so a platform where they do not fails
+# there); atan2 does not: np.arctan2 differs from math.atan2 in the last bit
 # on about 7% of inputs, by 1 ulp at most over 2*10^5 random inputs on
 # x86-64 with numpy 2.4.  Each side of a comparison is at most two atan2
 # values combined by at most six roundings at magnitudes below 4*pi, so it
@@ -318,11 +318,10 @@ def _coverage_rows(
     Each row is a goal heading and a unit-speed current (wx, wy).  Builds
     the four 2*pi sectors from the feasible_range bounds, picks each path
     type's major, and tests its cases.  atan2 is np.arctan2, or _math_atan2
-    for math.atan2's bits, which make every comparison the scalar math's.
-    Returns per row which of FULL_REACH_CASES hold, a bool column per case
-    in that order, and whether the row is fragile: a comparison fed by
-    atan2 lies within _FRAGILE_MARGIN of its threshold and no case holds
-    without one, so only math.atan2's bits can decide the row.
+    for math.atan2's bits.  Returns per row which of FULL_REACH_CASES hold,
+    a bool column per case in that order, and whether the row is fragile: a
+    comparison fed by atan2 lies within _FRAGILE_MARGIN of its threshold and
+    no case holds without one, so only math.atan2's bits can decide the row.
     """
     margin = _FRAGILE_MARGIN
     held_cases = np.zeros(theta_f.shape + (len(FULL_REACH_CASES),), dtype=bool)
