@@ -3,6 +3,9 @@
 Every command prints exactly one JSON envelope on stdout; grid and
 trajectory artifacts go to files named by --out flags.  Exit codes: 0
 success, 2 input validation failure, 3 runtime failure.
+
+Each command imports the modules it runs in its handler, so `plan` in the
+closed-form modes without --traj imports no numpy.
 """
 
 from __future__ import annotations
@@ -14,17 +17,14 @@ import os
 import sys
 from dataclasses import asdict
 
-from .baseline import SolverConfig, solve_six
 from .core import (CurrentSchedule, CurrentState, Pose, VehicleSpec, angle_input, check_finite,
                    to_start_frame, write_csv)
-from .experiments import PROFILES, dynamic_monte_carlo, timing_bench
-from .planner import ArcMode, plan
-from .reachability import parametric_scan, reachability_map
-from .scenario import load_scenario
-from .simulator import run_scenario
-from .trajectory import cf_path, controls_of, integrate_if
 
 SCHEMA_VERSION = "1"
+
+# montecarlo's --profile choices: sorted(experiments.PROFILES), written out
+# so that building the parser imports no numpy.
+PROFILE_NAMES = ("aerial", "naval")
 
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
@@ -99,6 +99,8 @@ def _parse_current(text: str, degrees: bool, vehicle: VehicleSpec) -> CurrentSta
 
 
 def cmd_plan(args) -> None:
+    from .planner import ArcMode, plan
+
     traj_path = _resolve_out(args.traj, "--traj")
     start = Pose(*_parse_floats(args.start, "--start", "x,y,theta"))
     goal = Pose(*_parse_floats(args.goal, "--goal", "x,y,theta"))
@@ -118,6 +120,8 @@ def cmd_plan(args) -> None:
     }
     try:
         if args.mode == "dubins":
+            from .baseline import SolverConfig, solve_six
+
             solved = solve_six(start, goal, current, vehicle, SolverConfig(seed=args.seed))
             if solved is None:
                 print("no six-type solution converged", file=sys.stderr)
@@ -134,6 +138,8 @@ def cmd_plan(args) -> None:
     except ValueError as exc:  # the other inputs are checked above
         raise ValueError(f"--goal, --speed, --radius: {exc}")
     if traj_path and sol is not None:
+        from .trajectory import cf_path, controls_of, integrate_if
+
         controls = controls_of(sol, vehicle)
         h = 1e-3 * vehicle.turning_radius / vehicle.speed
         try:
@@ -151,6 +157,9 @@ def cmd_plan(args) -> None:
 
 def cmd_grid(args) -> None:
     """reachmap and costmap: both write the same dominant-type/travel-time grid."""
+    from .planner import ArcMode
+    from .reachability import reachability_map
+
     theta_f = angle_input(args.theta_f, args.theta_f_deg, "--theta-f", "--theta-f-deg")
     vehicle = VehicleSpec(args.speed, args.radius)
     current = _parse_current(args.current, args.current_deg, vehicle)
@@ -176,6 +185,8 @@ def cmd_grid(args) -> None:
 
 
 def cmd_paramscan(args) -> None:
+    from .reachability import parametric_scan
+
     vws = _parse_floats(args.vw, "--vw")
     if any(not (0.0 < v < 1.0) for v in vws):
         raise ValueError("--vw speeds must lie in (0, 1)")
@@ -191,6 +202,9 @@ def cmd_paramscan(args) -> None:
 
 
 def cmd_simulate(args) -> None:
+    from .scenario import load_scenario
+    from .simulator import run_scenario
+
     try:
         scenario = load_scenario(args.scenario)
     except (OSError, ValueError) as exc:
@@ -204,6 +218,8 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_montecarlo(args) -> None:
+    from .experiments import PROFILES, dynamic_monte_carlo
+
     out_path = _resolve_out(args.out, "--out")
     stats = dynamic_monte_carlo(PROFILES[args.profile], n_runs=args.runs, seed=args.seed)
     if out_path:
@@ -214,6 +230,8 @@ def cmd_montecarlo(args) -> None:
 
 
 def cmd_bench(args) -> None:
+    from .experiments import timing_bench
+
     result = timing_bench(args.instances, args.seed)
     _emit("bench", {"instances": args.instances, "seed": args.seed}, {
         "mean_fourpi_seconds": result.mean_fourpi,
@@ -271,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("montecarlo", help="paired dynamic-current study")
-    p.add_argument("--profile", required=True, choices=sorted(PROFILES))
+    p.add_argument("--profile", required=True, choices=PROFILE_NAMES)
     p.add_argument("--runs", type=_count, default=360)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="per-run CSV")

@@ -7,9 +7,11 @@ closed-form candidates indexed by a winding index k.  Arc angles may be
 capped at 2*pi (classical) or extended to 4*pi, which restores full
 reachability and often shortens the interception time.  `plan_goals` is
 `plan` over arrays of goals that share one heading and current, for grids.
-Each closed form is written once for floats and arrays, calling math or
-numpy by its argument's type, so both share every formula; solve_beta's
-root does not cancel, which keeps 4*pi plans complete near unit current.
+Each closed form is written once for floats and arrays and calls the module
+its caller passes as num, math for `solve_one` and numpy for `plan_goals`,
+so both share every formula; solve_beta's root does not cancel, which keeps
+4*pi plans complete near unit current.  numpy is imported only on the array
+paths, so `plan` runs in a process that never imports it.
 
 The closed forms run at unit speed.  `plan` scales the start-frame current
 by 1/v once and hands `solve_one` a unit-speed vehicle, so its four
@@ -32,9 +34,9 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     FOUR_PI,
@@ -45,6 +47,9 @@ from .core import (
     normalize_angle,
     to_start_frame,
 )
+
+if TYPE_CHECKING:  # numpy is imported at run time only on the array paths
+    import numpy as np
 
 LSL_K_EXTENDED = (0, 1, 2, 3)
 RSR_K_EXTENDED = (-1, -2, -3, -4)
@@ -85,8 +90,10 @@ TIME_TIE = 1e-12
 
 
 def _num(x):
-    """The module a closed form calls on x: numpy for an array, else math."""
-    return np if isinstance(x, np.ndarray) else math
+    """The module a public closed form calls on x: numpy for an array, else
+    math.  No array exists before numpy is imported, so a float imports none."""
+    np = sys.modules.get("numpy")
+    return np if np is not None and isinstance(x, np.ndarray) else math
 
 
 class ArcMode(str, enum.Enum):
@@ -192,16 +199,16 @@ def coeffs(path_type: PathType, k: int, goal: Pose, current: CurrentState, r: fl
                    math.sin(theta), math.cos(theta), current.wx, current.wy, r)
 
 
-def _solve_beta(a, b, vw: float, wx: float, wy: float):
-    """solve_beta for a current (vw, wx, wy) already checked below unit speed."""
+def _solve_beta(a, b, vw: float, wx: float, wy: float, num):
+    """solve_beta for a current (vw, wx, wy) already checked below unit speed;
+    num is math for floats a, b or numpy for arrays."""
     dot = a * wx + b * wy
     norm2 = a * a + b * b
-    num = _num(dot)
     root = num.sqrt(dot * dot + norm2 * (1.0 - vw * vw))
-    if num is np:
-        beta = (root - dot) / (1.0 - vw * vw)
-        return np.divide(norm2, root + dot, out=beta, where=dot > 0.0)
-    return norm2 / (root + dot) if dot > 0.0 else (root - dot) / (1.0 - vw * vw)
+    if num is math:
+        return norm2 / (root + dot) if dot > 0.0 else (root - dot) / (1.0 - vw * vw)
+    beta = (root - dot) / (1.0 - vw * vw)
+    return num.divide(norm2, root + dot, out=beta, where=dot > 0.0)
 
 
 def solve_beta(a, b, current: CurrentState):
@@ -219,15 +226,14 @@ def solve_beta(a, b, current: CurrentState):
     """
     if current.speed >= 1.0:
         raise ValueError("current speed must be below the normalized vehicle speed")
-    return _solve_beta(a, b, current.speed, current.wx, current.wy)
+    return _solve_beta(a, b, current.speed, current.wx, current.wy, _num(a))
 
 
 def _residual(s: int, alpha, beta, x, y, sin_t: float, cos_t: float, wx: float, wy: float,
-              r: float, travel_time):
+              r: float, travel_time, num):
     """interception_residual for first-turn sign s, from the start-frame goal
     x, y and the sine and cosine of its heading; alpha, beta, travel_time, x
-    and y are floats or arrays of one shape."""
-    num = _num(alpha)
+    and y are floats, with num math, or arrays of one shape, with num numpy."""
     xf = x - wx * travel_time
     yf = y - wy * travel_time
     ex = s * r * sin_t + beta * num.cos(alpha)
@@ -246,7 +252,8 @@ def interception_residual(
     """
     theta = goal.theta
     return _residual(first_turn_sign(path_type), alpha, beta, goal.x, goal.y,
-                     math.sin(theta), math.cos(theta), current.wx, current.wy, r, travel_time)
+                     math.sin(theta), math.cos(theta), current.wx, current.wy, r, travel_time,
+                     _num(alpha))
 
 
 def _normalize_problem(
@@ -270,14 +277,16 @@ def _check_radius(x, y, r: float) -> None:
     lie within (2 + 4*pi) r of x and y, and solve_beta squares them."""
     reach = (2.0 + FOUR_PI) * r
     u, w = abs(x) + reach, abs(y) + reach
-    if isinstance(x, np.ndarray):
-        with np.errstate(over="ignore"):
-            bad = np.flatnonzero(~np.isfinite(u * u + w * w))
+    num = _num(x)
+    if num is math:
+        if math.isfinite(u * u + w * w):
+            return
+    else:
+        with num.errstate(over="ignore"):
+            bad = num.flatnonzero(~num.isfinite(u * u + w * w))
         if not bad.size:
             return
         x, y = float(x.flat[bad[0]]), float(y.flat[bad[0]])
-    elif math.isfinite(u * u + w * w):
-        return
     raise ValueError(f"vehicle turning_radius {r!r} is too large for a goal at ({x!r}, {y!r}):"
                      " the closed-form terms overflow")
 
@@ -307,7 +316,7 @@ def solve_one(
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     vw, wx, wy = current.speed, current.wx, current.wy
     a, b = _coeffs(s, turn, x, y, sin_t, cos_t, wx, wy, r)
-    beta = _solve_beta(a, b, vw, wx, wy)
+    beta = _solve_beta(a, b, vw, wx, wy, math)
 
     scale = max(1.0, abs(x), abs(y))
     if beta <= 1e-9 * scale:
@@ -338,7 +347,7 @@ def solve_one(
         # The residual's rounding error is relative to its largest terms, and
         # the drift vw*T grows without bound as vw approaches 1.
         terms = abs(x) + abs(y) + vw * travel + r + beta
-        defect = _residual(s, alpha, beta, x, y, sin_t, cos_t, wx, wy, r, travel)
+        defect = _residual(s, alpha, beta, x, y, sin_t, cos_t, wx, wy, r, travel, math)
         if defect > 1e-9 * max(1.0, terms):
             continue
         return PathSolution(path_type, k, alpha, beta, gamma, kappa, travel / v)
@@ -388,12 +397,16 @@ def plan(
 
 def _normalize_angles(a: np.ndarray) -> np.ndarray:
     """normalize_angle applied elementwise to a finite array."""
+    import numpy as np
+
     return _wrap_angles(np.fmod(a, TWO_PI))
 
 
 def _wrap_angles(a: np.ndarray) -> np.ndarray:
     """_normalize_angles for an array in (-2*pi, 2*pi), such as atan2's
     values in [-pi, pi], where fmod returns its argument."""
+    import numpy as np
+
     r = np.where(a < 0.0, a + TWO_PI, a)
     return np.where(r >= TWO_PI, 0.0, r)
 
@@ -415,13 +428,15 @@ def _check_speed(seconds, x, y, v: float) -> None:
     """Refuse a vehicle speed v under which a travel time in seconds (a
     float or an array, NaN where no path exists) overflows, naming the
     first such start-frame goal of x, y (floats or arrays of one shape)."""
-    if isinstance(seconds, np.ndarray):
-        bad = np.flatnonzero(np.isinf(seconds))
+    num = _num(seconds)
+    if num is math:
+        if not math.isinf(seconds):
+            return
+    else:
+        bad = num.flatnonzero(num.isinf(seconds))
         if not bad.size:
             return
         x, y = float(x.flat[bad[0]]), float(y.flat[bad[0]])
-    elif not math.isinf(seconds):
-        return
     raise ValueError(f"vehicle speed {v!r} is too small for a goal at ({x!r}, {y!r}):"
                      " the travel time in seconds overflows")
 
@@ -449,6 +464,8 @@ def plan_goals(
     solve_one's feasibility test runs only on the goals where that time
     would win, the only goals where plan's tie-break can take it.
     """
+    import numpy as np
+
     theta = normalize_angle(theta_f)
     current, v = _normalize_problem(current, vehicle)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -471,7 +488,7 @@ def plan_goals(
             # The travel r*arc_sum + beta does not depend on the arc split.
             turn = TWO_PI * k + theta
             a, b = _coeffs(s, turn, x, y, sin_t, cos_t, wx, wy, r)
-            beta = _solve_beta(a, b, vw, wx, wy)
+            beta = _solve_beta(a, b, vw, wx, wy, np)
             arc_sum = s * turn
             travel = r * arc_sum + beta
             with np.errstate(over="ignore"):  # a winner's overflow is refused below
@@ -498,7 +515,7 @@ def plan_goals(
                     # The residual's rounding error is relative to its largest terms.
                     terms = size[c] + vw * travel[c] + r + beta[c]
                     defect = _residual(s, alpha[m], beta[c], x[c], y[c], sin_t, cos_t, wx, wy,
-                                       r, travel[c])
+                                       r, travel[c], np)
                     reached[m] = ~(defect > 1e-9 * np.maximum(1.0, terms))
             take = i[reached]
             winner[take] = code

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftplan import cli, core
+from driftplan import cli, core, experiments
 from driftplan.cli import main
 from oracles import parametric_scan_per_row, write_scan_csv
 
@@ -660,6 +660,15 @@ def test_bench_envelope(capsys):
     assert doc["results"]["ratio"] > 1.0
 
 
+def test_profile_choices_are_the_experiment_profiles(capsys):
+    # The parser lists them without importing experiments, and with it numpy.
+    assert cli.PROFILE_NAMES == tuple(sorted(experiments.PROFILES))
+    code, _, err = _run(capsys, ["montecarlo", "--profile", "coastal"])
+    assert code == 2
+    assert "--profile: invalid choice" in err
+    assert "aerial" in err and "naval" in err
+
+
 def test_out_dir_environment_variable(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("DRIFTPLAN_OUT_DIR", str(tmp_path))
     code, out, _ = _run(capsys, [
@@ -689,7 +698,11 @@ def test_bad_output_path_exits_2_before_any_work(capsys, tmp_path, monkeypatch, 
     def refuse(*args, **kwargs):
         raise AssertionError(f"{work} ran")
 
-    monkeypatch.setattr(cli, work, refuse)
+    # Each handler imports its work from the library module when it runs.
+    module = {"reachability_map": "reachability", "parametric_scan": "reachability",
+              "plan": "planner", "dynamic_monte_carlo": "experiments",
+              "run_scenario": "simulator"}[work]
+    monkeypatch.setattr(f"driftplan.{module}.{work}", refuse)
     scen = tmp_path / "scenario.json"
     scen.write_text(json.dumps({
         "start": {"x": 0, "y": 0, "theta": 0},
