@@ -4,10 +4,12 @@ For a fixed first-arc angle the reachable goal positions form a ray from a
 fixed rotation center; sweeping the arc angle rotates the ray (ccw for LSL,
 cw for RSR), so each (path type, winding index) yields an angular sector.
 This module builds those sectors, classifies the major/minor one per path
-type, and rasterizes reachability and travel-time grids.  The eight
-closed-form full-coverage predicates are defined once, by the array kernel
-`_coverage_rows`: a scan runs it over a lattice, and full_reachability_2pi
-over one row.
+type, and rasterizes reachability and travel-time grids.  Each sector rule
+is written once, taking floats with norm = normalize_angle or arrays with
+norm = _normalize_angles, so the scalar helpers and the array kernel
+`_coverage_rows` share it.  That kernel is the one definition of the eight
+closed-form full-coverage predicates: a scan runs it over a lattice, and
+full_reachability_2pi over one row.
 """
 
 from __future__ import annotations
@@ -18,23 +20,25 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import (TWO_PI, CurrentState, Pose, VehicleSpec, check_count, check_finite,
+from .core import (TWO_PI, CurrentState, VehicleSpec, check_count, check_finite,
                    normalize_angle, write_csv)
 from .planner import (
     WINDING_CANDIDATES,
     ArcMode,
     PathType,
+    _coeffs,
     _normalize_angles,
     _normalize_problem,
-    coeffs,
     feasible_range,
     first_turn_sign,
     plan_goals,
     solve_one,  # noqa: F401  -- benchmarks/selftest.py asserts it is bound here
 )
 
-# Angular tolerance for closed-interval membership and full-circle detection.
+# Angular tolerance for closed-interval membership and full-circle detection:
+# a width, or a ccw offset, of at least _FULL_TURN is a full turn.
 ANGLE_TOL = 1e-12
+_FULL_TURN = TWO_PI - ANGLE_TOL
 
 FULL_REACH_CASES = ("1.1", "1.2", "2.1", "2.2", "3.1", "3.2", "4.1", "4.2")
 
@@ -111,10 +115,14 @@ def center(
 ) -> tuple[float, float]:
     """Rotation center of the reachability ray for one (path type, k).
 
-    It is -(A, B) of `coeffs` for a goal at the origin; theta_f is
-    normalized to [0, 2*pi), as Pose does it.
+    It is -(A, B) of `coeffs` for a goal at the origin, with theta_f
+    normalized to [0, 2*pi) as Pose does it; it builds no Pose, which
+    would cost about half the call.
     """
-    a, b = coeffs(path_type, k, Pose(0.0, 0.0, theta_f), current, r)
+    _check_inputs(theta_f)
+    theta = normalize_angle(theta_f)
+    a, b = _coeffs(first_turn_sign(path_type), TWO_PI * k + theta, 0.0, 0.0, math.sin(theta),
+                   math.cos(theta), current.wx, current.wy, r)
     return -a, -b
 
 
@@ -134,58 +142,77 @@ def omega(path_type: PathType, alpha: float, current: CurrentState) -> float:
     return normalize_angle(math.atan2(*_ray_terms(s, alpha, current.wx, current.wy, math)))
 
 
-def opposite(delta: float) -> float:
-    """Rotation of a ray direction by pi, normalized to [0, 2*pi)."""
-    return normalize_angle(delta + math.pi)
+def _check_inputs(theta_f: float, current: CurrentState | None = None) -> None:
+    """Refuse a non-finite goal heading, and a current at or above the unit
+    vehicle's speed (omega sweeps no sector for it)."""
+    if not math.isfinite(theta_f):
+        raise ValueError(f"theta_f must be finite, got {theta_f!r}")
+    if current is not None and current.speed >= 1.0:
+        raise ValueError(f"current speed must be in [0, 1), below the vehicle's,"
+                         f" got {current.speed!r}")
 
 
-def _ccw_offset(start: float, x: float) -> float:
-    """Counterclockwise angle from start to x, in [0, 2*pi)."""
-    return normalize_angle(x - start)
-
-
-def _in_ccw_interval(start: float, end: float, x: float) -> bool:
-    """Whether x lies in the closed ccw interval from start to end."""
-    span = _ccw_offset(start, end)
-    off = _ccw_offset(start, x)
-    return off <= span + ANGLE_TOL or off >= TWO_PI - ANGLE_TOL
-
-
-def region_span(
-    path_type: PathType,
-    k: int,
-    theta_f: float,
-    current: CurrentState,
-    r: float,
-    kappa: float,
-) -> RegionDescriptor:
-    """Sector swept by the reachability ray over the feasible alpha range."""
-    interval = feasible_range(path_type, k, theta_f, kappa)
-    sweep = "ccw" if path_type is PathType.LSL else "cw"
-    full = (interval.upper - interval.lower) >= TWO_PI - ANGLE_TOL
-    return RegionDescriptor(
-        path_type,
-        k,
-        center(path_type, k, theta_f, current, r),
-        omega(path_type, interval.lower, current),
-        omega(path_type, interval.upper, current),
-        sweep,
-        full,
-    )
-
-
-def _ccw_bounds(region: RegionDescriptor) -> tuple[float, float]:
+def _ccw_bounds(ccw, omega_start, omega_end):
     """A sector's boundary rotations in ccw order (a cw sweep reversed)."""
-    if region.sweep == "ccw":
-        return region.omega_start, region.omega_end
-    return region.omega_end, region.omega_start
+    return (omega_start, omega_end) if ccw else (omega_end, omega_start)
+
+
+def _extent(full, start, end, norm):
+    """Unwrapped angular width of a sector from its ccw bounds, in [0, 2*pi];
+    2*pi where full, its feasible alpha range a full turn."""
+    width = norm(end - start)
+    if norm is normalize_angle:
+        return TWO_PI if full else width
+    return np.where(full, TWO_PI, width)
+
+
+def _first_major(extent0, extent1):
+    """Whether a path type's first winding index owns its major sector: the
+    wider one, the first on a tie."""
+    return extent0 >= extent1
+
+
+def _shadow_interval(start, end, norm):
+    """Ccw interval of directions whose sector placement covers the gap.
+
+    The gap of a major sector with ccw bounds start, end (the directions it
+    misses) spans at most pi; rotating its bounds by pi gives the cone in
+    which the complementary sector's center must lie to cover that gap.
+    """
+    return norm(end + math.pi), norm(start + math.pi)
+
+
+def _in_ccw_span(off, span):
+    """The closed ccw-interval test: whether x lies in the interval from
+    start to end, given off = norm(x - start) and span = norm(end - start)."""
+    return (off <= span + ANGLE_TOL) | (off >= _FULL_TURN)
+
+
+def _covers_direction(start: float, end: float, dx: float, dy: float) -> bool:
+    """Whether the direction of (dx, dy) lies in the closed ccw interval from
+    start to end; a zero vector, at the apex, always does."""
+    if math.hypot(dx, dy) <= ANGLE_TOL:
+        return True
+    x = normalize_angle(math.atan2(dy, dx))
+    return _in_ccw_span(normalize_angle(x - start), normalize_angle(end - start))
+
+
+def region_span(path_type: PathType, k: int, theta_f: float, current: CurrentState, r: float,
+                kappa: float) -> RegionDescriptor:
+    """Sector swept by the reachability ray over the feasible alpha range."""
+    _check_inputs(theta_f, current)
+    interval = feasible_range(path_type, k, theta_f, kappa)
+    return RegionDescriptor(path_type, k, center(path_type, k, theta_f, current, r),
+                            omega(path_type, interval.lower, current),
+                            omega(path_type, interval.upper, current),
+                            "ccw" if path_type is PathType.LSL else "cw",
+                            (interval.upper - interval.lower) >= _FULL_TURN)
 
 
 def sweep_extent(region: RegionDescriptor) -> float:
     """Unwrapped angular width of a sector, in [0, 2*pi]."""
-    if region.covers_full_circle:
-        return TWO_PI
-    return _ccw_offset(*_ccw_bounds(region))
+    start, end = _ccw_bounds(region.sweep == "ccw", region.omega_start, region.omega_end)
+    return _extent(region.covers_full_circle, start, end, normalize_angle)
 
 
 def contains(region: RegionDescriptor, point: tuple[float, float]) -> bool:
@@ -197,11 +224,8 @@ def contains(region: RegionDescriptor, point: tuple[float, float]) -> bool:
     if region.covers_full_circle:
         return True
     px, py = region.center
-    dx = point[0] - px
-    dy = point[1] - py
-    if math.hypot(dx, dy) <= ANGLE_TOL:
-        return True
-    return _in_ccw_interval(*_ccw_bounds(region), normalize_angle(math.atan2(dy, dx)))
+    start, end = _ccw_bounds(region.sweep == "ccw", region.omega_start, region.omega_end)
+    return _covers_direction(start, end, point[0] - px, point[1] - py)
 
 
 def classify_major_minor(
@@ -220,16 +244,13 @@ def classify_major_minor(
 def _major_sectors(
     theta_f: float, current: CurrentState, r: float
 ) -> dict[PathType, tuple[RegionDescriptor, float]]:
-    """Each path type's major 2*pi sector and its sweep extent.
-
-    Builds each of the four sectors once; a tie picks the first winding
-    index.
-    """
+    """Each path type's major 2*pi sector and its sweep extent, building
+    each of the four sectors once."""
     out = {}
     for path_type, ks in WINDING_CANDIDATES.items():
         regions = [region_span(path_type, k, theta_f, current, r, TWO_PI) for k in ks]
         extents = [sweep_extent(region) for region in regions]
-        major = 0 if extents[0] >= extents[1] else 1
+        major = 0 if _first_major(*extents) else 1
         out[path_type] = regions[major], extents[major]
     return out
 
@@ -256,6 +277,7 @@ def phi(case: str, theta_f: float, current: CurrentState, r: float) -> float:
     Closed forms per predicate case; cases 1.x/2.x are undefined for zero
     current (the centers coincide along the current direction).
     """
+    _check_inputs(theta_f)
     wx, wy = current.wx, current.wy
     terms = _phi_terms(case, theta_f, wx, wy, math)
     if case in ("1.1", "1.2", "2.1", "2.2") and wx == 0.0 and wy == 0.0:
@@ -277,17 +299,6 @@ _CASE_MAJOR = {
 }
 
 
-def _shadow_interval(region: RegionDescriptor) -> tuple[float, float]:
-    """Ccw interval of directions whose sector placement covers the gap.
-
-    The gap of a major sector (the directions it misses) spans at most pi;
-    rotating its boundaries by pi gives the cone in which the complementary
-    sector's center must lie to cover that gap.
-    """
-    start, end = _ccw_bounds(region)
-    return opposite(end), opposite(start)
-
-
 def full_reachability_2pi(
     theta_f: float, current: CurrentState, r: float
 ) -> FullReachability:
@@ -296,12 +307,12 @@ def full_reachability_2pi(
     A case is satisfied when its presumed major sector matches the actual
     one and the center-joining rotation phi falls inside the major sector's
     pi-rotated gap; any satisfied case means every goal position is
-    reachable.  Zero current is reported degenerate and fully reachable.
-    The predicates are one row of `_coverage_rows` on math.atan2; no
-    turning radius r changes the outcome.
+    reachable.  Zero current is reported degenerate and fully reachable; a
+    current at or above the vehicle's speed, which sweeps no sector, is
+    refused.  The predicates are one row of `_coverage_rows` on math.atan2;
+    no turning radius r changes the outcome.
     """
-    if not math.isfinite(theta_f):
-        raise ValueError(f"theta_f must be finite, got {theta_f!r}")
+    _check_inputs(theta_f, current)
     if current.speed == 0.0:
         return FullReachability(frozenset(), True, degenerate=True)
     held = _coverage_rows(np.array([theta_f]), np.array([current.wx]), np.array([current.wy]),
@@ -334,21 +345,21 @@ def _coverage_rows(
         for k in ks:
             interval = feasible_range(path_type, k, theta_f, TWO_PI)
             lo, up = interval.lower, interval.upper
-            full = (up - lo) >= TWO_PI - ANGLE_TOL
+            full = (up - lo) >= _FULL_TURN
             bounds = [_normalize_angles(atan2(*_ray_terms(s, alpha, wx, wy, np)))
                       for alpha in (lo, up)]
-            start, end = bounds if s > 0 else bounds[::-1]  # _ccw_bounds
-            extent = np.where(full, TWO_PI, _normalize_angles(end - start))
+            start, end = _ccw_bounds(s > 0, *bounds)
+            extent = _extent(full, start, end, _normalize_angles)
             # Bounds at one alpha have equal rotations: an exactly empty sector.
             shaky |= ~full & (lo != up) & ((extent <= margin) | (extent >= TWO_PI - margin))
             sectors.append((start, end, extent))
         (start0, end0, extent0), (start1, end1, extent1) = sectors
-        first = extent0 >= extent1  # _major_sectors
+        first = _first_major(extent0, extent1)
         shaky |= np.abs(extent0 - extent1) <= margin
-        start, end = np.where(first, start0, start1), np.where(first, end0, end1)
-        wide = np.where(first, extent0, extent1) >= TWO_PI - ANGLE_TOL
-        shadow_start = _normalize_angles(end + math.pi)  # _shadow_interval
-        span = _normalize_angles(_normalize_angles(start + math.pi) - shadow_start)
+        shadow_start, shadow_end = _shadow_interval(
+            np.where(first, start0, start1), np.where(first, end0, end1), _normalize_angles)
+        wide = np.where(first, extent0, extent1) >= _FULL_TURN
+        span = _normalize_angles(shadow_end - shadow_start)
         span_shaky = (span <= margin) | (span >= TWO_PI - margin)
         # One case per major winding index in each family, as _CASE_MAJOR pairs them.
         by_major = [[c for c in FULL_REACH_CASES if _CASE_MAJOR[c] == (path_type, k)]
@@ -357,9 +368,9 @@ def _coverage_rows(
             (y0, x0), (y1, x1) = (_phi_terms(c, theta_f, wx, wy, np) for c in (case0, case1))
             off = _normalize_angles(atan2(np.where(first, y0, y1), np.where(first, x0, x1))
                                     - shadow_start)
-            held = wide | (off <= span + ANGLE_TOL) | (off >= TWO_PI - ANGLE_TOL)
+            held = wide | _in_ccw_span(off, span)
             near = ~wide & (span_shaky | (np.abs(off - (span + ANGLE_TOL)) <= margin)
-                            | (np.abs(off - (TWO_PI - ANGLE_TOL)) <= margin))
+                            | (np.abs(off - _FULL_TURN) <= margin))
             held_cases[..., FULL_REACH_CASES.index(case0)] = held & first
             held_cases[..., FULL_REACH_CASES.index(case1)] = held & ~first
             fragile |= near
@@ -382,14 +393,12 @@ def major_region_containment(
     (lsl, lsl_extent), (rsr, rsr_extent) = majors[PathType.LSL], majors[PathType.RSR]
 
     def covers(big: RegionDescriptor, big_extent: float, small: RegionDescriptor) -> bool:
-        if big_extent >= TWO_PI - ANGLE_TOL:
+        if big_extent >= _FULL_TURN:
             return True
-        dx = small.center[0] - big.center[0]
-        dy = small.center[1] - big.center[1]
-        if math.hypot(dx, dy) <= ANGLE_TOL:
-            return True
-        start, end = _shadow_interval(big)
-        return _in_ccw_interval(start, end, normalize_angle(math.atan2(dy, dx)))
+        start, end = _shadow_interval(*_ccw_bounds(big.sweep == "ccw", big.omega_start,
+                                                   big.omega_end), normalize_angle)
+        return _covers_direction(start, end, small.center[0] - big.center[0],
+                                 small.center[1] - big.center[1])
 
     lsl_covers = covers(lsl, lsl_extent, rsr)
     rsr_covers = covers(rsr, rsr_extent, lsl)
@@ -473,8 +482,7 @@ def reachability_map(
     [-10r, 10r]^2 with step 0.1r.
     """
     mode = ArcMode(mode)
-    if not math.isfinite(theta_f):
-        raise ValueError(f"theta_f must be finite, got {theta_f!r}")
+    _check_inputs(theta_f)
     _normalize_problem(current, vehicle)  # refuses a current at or above vehicle speed
     r = vehicle.turning_radius
     if bounds is None:

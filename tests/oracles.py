@@ -25,8 +25,9 @@ from driftplan import reachability as rc
 from driftplan import simulator as sim
 from driftplan.baseline import SolverConfig
 from driftplan.core import (FOUR_PI, TWO_PI, CurrentSchedule, CurrentState, Pose, current_at,
-                            to_start_frame)
+                            normalize_angle, to_start_frame)
 from driftplan.planner import WINDING_CANDIDATES, ArcMode, PathSolution, PathType, plan, solve_one
+from driftplan.reachability import ANGLE_TOL, RegionDescriptor, region_span
 from driftplan.trajectory import SampledTrajectory, _advance, _segment_pieces, pieces
 
 # The feasible alpha/gamma interval per (kappa, path type, k) as the planner
@@ -347,6 +348,70 @@ def reachability_map_per_cell(theta_f, current, bounds, step, mode, vehicle):
     return xs, ys, dominant, times
 
 
+# The scalar sector helpers as reachability defined them before the array
+# kernel and the scalar helpers came to share one form of each rule; the
+# coverage oracles below use these, so they do not test the kernel against
+# its own formulas.
+
+def opposite(delta: float) -> float:
+    """Rotation of a ray direction by pi, normalized to [0, 2*pi)."""
+    return normalize_angle(delta + math.pi)
+
+
+def _ccw_offset(start: float, x: float) -> float:
+    """Counterclockwise angle from start to x, in [0, 2*pi)."""
+    return normalize_angle(x - start)
+
+
+def _in_ccw_interval(start: float, end: float, x: float) -> bool:
+    """Whether x lies in the closed ccw interval from start to end."""
+    span = _ccw_offset(start, end)
+    off = _ccw_offset(start, x)
+    return off <= span + ANGLE_TOL or off >= TWO_PI - ANGLE_TOL
+
+
+def _ccw_bounds(region: RegionDescriptor) -> tuple[float, float]:
+    """A sector's boundary rotations in ccw order (a cw sweep reversed)."""
+    if region.sweep == "ccw":
+        return region.omega_start, region.omega_end
+    return region.omega_end, region.omega_start
+
+
+def sweep_extent(region: RegionDescriptor) -> float:
+    """Unwrapped angular width of a sector, in [0, 2*pi]."""
+    if region.covers_full_circle:
+        return TWO_PI
+    return _ccw_offset(*_ccw_bounds(region))
+
+
+def _major_sectors(
+    theta_f: float, current: CurrentState, r: float
+) -> dict[PathType, tuple[RegionDescriptor, float]]:
+    """Each path type's major 2*pi sector and its sweep extent.
+
+    Builds each of the four sectors once; a tie picks the first winding
+    index.
+    """
+    out = {}
+    for path_type, ks in WINDING_CANDIDATES.items():
+        regions = [region_span(path_type, k, theta_f, current, r, TWO_PI) for k in ks]
+        extents = [sweep_extent(region) for region in regions]
+        major = 0 if extents[0] >= extents[1] else 1
+        out[path_type] = regions[major], extents[major]
+    return out
+
+
+def _shadow_interval(region: RegionDescriptor) -> tuple[float, float]:
+    """Ccw interval of directions whose sector placement covers the gap.
+
+    The gap of a major sector (the directions it misses) spans at most pi;
+    rotating its boundaries by pi gives the cone in which the complementary
+    sector's center must lie to cover that gap.
+    """
+    start, end = _ccw_bounds(region)
+    return opposite(end), opposite(start)
+
+
 def full_reachability_2pi_per_case(theta_f, current, r):
     """The coverage predicates with each case building its own sectors.
 
@@ -354,21 +419,19 @@ def full_reachability_2pi_per_case(theta_f, current, r):
     """
     if current.speed == 0.0:
         return frozenset()
-    majors = {
-        PathType.LSL: rc.classify_major_minor(PathType.LSL, theta_f, current, r)[0],
-        PathType.RSR: rc.classify_major_minor(PathType.RSR, theta_f, current, r)[0],
-    }
+    majors = {path_type: region.k
+              for path_type, (region, _) in _major_sectors(theta_f, current, r).items()}
     satisfied = set()
     for case in rc.FULL_REACH_CASES:
         path_type, k = rc._CASE_MAJOR[case]
         if majors[path_type] != k:
             continue
-        region = rc.region_span(path_type, k, theta_f, current, r, TWO_PI)
-        if rc.sweep_extent(region) >= TWO_PI - rc.ANGLE_TOL:
+        region = region_span(path_type, k, theta_f, current, r, TWO_PI)
+        if sweep_extent(region) >= TWO_PI - ANGLE_TOL:
             satisfied.add(case)
             continue
-        start, end = rc._shadow_interval(region)
-        if rc._in_ccw_interval(start, end, rc.phi(case, theta_f, current, r)):
+        start, end = _shadow_interval(region)
+        if _in_ccw_interval(start, end, rc.phi(case, theta_f, current, r)):
             satisfied.add(case)
     return frozenset(satisfied)
 
@@ -378,18 +441,18 @@ def full_reachability_2pi_scalar(theta_f, current, r):
     testing its major sector from `_major_sectors` with math's scalar calls."""
     if current.speed == 0.0:
         return rc.FullReachability(frozenset(), True, degenerate=True)
-    majors = rc._major_sectors(theta_f, current, r)
+    majors = _major_sectors(theta_f, current, r)
     satisfied = set()
     for case in rc.FULL_REACH_CASES:
         path_type, k = rc._CASE_MAJOR[case]
         region, extent = majors[path_type]
         if region.k != k:
             continue
-        if extent >= TWO_PI - rc.ANGLE_TOL:
+        if extent >= TWO_PI - ANGLE_TOL:
             satisfied.add(case)
             continue
-        start, end = rc._shadow_interval(region)
-        if rc._in_ccw_interval(start, end, rc.phi(case, theta_f, current, r)):
+        start, end = _shadow_interval(region)
+        if _in_ccw_interval(start, end, rc.phi(case, theta_f, current, r)):
             satisfied.add(case)
     return rc.FullReachability(frozenset(satisfied), bool(satisfied))
 

@@ -124,6 +124,7 @@ def test_criterion_04_rotation_centers():
     _report("4", "all four centers within 0.01")
 
 
+@pytest.mark.slow
 def test_criterion_05_full_reachability_with_oracle():
     t0 = time.perf_counter()
     n = 10_000

@@ -1,6 +1,7 @@
 """Closed-form solver: published spot values, invariants, and degeneracies."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import driftplan.planner
 from driftplan.core import (
     FOUR_PI, TWO_PI, CurrentState, Pose, VehicleSpec, angle_difference, from_start_frame,
-    to_start_frame,
+    normalize_angle, to_start_frame,
 )
 from driftplan.experiments import AERIAL, NAVAL
 from driftplan.planner import (
@@ -21,7 +22,9 @@ from driftplan.planner import (
     ParamInterval,
     PathSolution,
     PathType,
+    _normalize_angles,
     _representatives,
+    _wrap_angles,
     coeffs,
     extended_k_solutions,
     feasible_range,
@@ -641,3 +644,32 @@ def test_path_solution_and_param_interval_keep_the_value_type_contract():
         values = {"lower": lower, "upper": upper, "closed": closed}
         value_types.check_value_type(ParamInterval, (lower, upper, closed), values,
                                      {"closed": not closed}, {**values, "closed": not closed})
+
+
+# Angles where an elementwise normalizer could part from normalize_angle:
+# signed zeros and subnormals, 2*pi and its neighbours, values within 1e-12
+# of 0 and 2*pi, and magnitudes up to the largest float.
+_EDGE_ANGLES = [x for a in (
+    0.0, 5e-324, 1e-300, 1e-15, 1e-12, math.pi, TWO_PI, math.nextafter(TWO_PI, 0.0),
+    math.nextafter(TWO_PI, 7.0), TWO_PI - 1e-12, TWO_PI - 1e-15, TWO_PI + 1e-12, FOUR_PI,
+    1e9, 1e300, sys.float_info.max) for x in (a, -a)]
+
+
+def _normalized(angles) -> bytes:
+    return np.array([normalize_angle(a) for a in angles], dtype=float).tobytes()
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+def test_normalize_angles_is_normalize_angle_bit_for_bit(angles):
+    # plan_goals and the reachability kernel take the array normalizer for
+    # the scalar one; -0.0 and the fmod rounding onto 2*pi included
+    angles = angles + _EDGE_ANGLES
+    assert _normalize_angles(np.array(angles, dtype=float)).tobytes() == _normalized(angles)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(-TWO_PI, TWO_PI, exclude_min=True, exclude_max=True), max_size=40))
+def test_wrap_angles_is_normalize_angle_bit_for_bit_inside_two_turns(angles):
+    angles = angles + [a for a in _EDGE_ANGLES if abs(a) < TWO_PI]
+    assert _wrap_angles(np.array(angles, dtype=float)).tobytes() == _normalized(angles)

@@ -26,7 +26,6 @@ from driftplan.reachability import (
     full_reachability_2pi,
     major_region_containment,
     omega,
-    opposite,
     parametric_scan,
     phi,
     reachability_map,
@@ -75,12 +74,6 @@ def test_omega_wind_free_is_alpha():
     for a in (0.3, 1.0, 2.0):
         assert omega(PathType.LSL, a, still) == pytest.approx(a)
         assert omega(PathType.RSR, a, still) == pytest.approx(TWO_PI - a)
-
-
-def test_opposite():
-    assert opposite(0.0) == pytest.approx(math.pi)
-    assert opposite(3 * math.pi / 2) == pytest.approx(math.pi / 2)
-    assert opposite(math.pi) == pytest.approx(0.0)
 
 
 def test_ray_rotation_monotonicity():
@@ -245,8 +238,32 @@ def test_full_reachability_zero_current_degenerate():
 @pytest.mark.parametrize("theta_f", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("speed", [0.0, 0.5])
 def test_full_reachability_refuses_a_non_finite_goal_heading(theta_f, speed):
-    with pytest.raises(ValueError, match="theta_f must be finite"):
-        full_reachability_2pi(theta_f, CurrentState(speed, 1.0), 1.0)
+    # each entry point to the sectors names the goal heading, phi before its
+    # zero-current refusal of cases 1 and 2
+    cur = CurrentState(speed, 1.0)
+    for call in (lambda: full_reachability_2pi(theta_f, cur, 1.0),
+                 lambda: region_span(PathType.RSR, -2, theta_f, cur, 1.0, TWO_PI),
+                 lambda: center(PathType.LSL, 1, theta_f, cur, 1.0),
+                 lambda: classify_major_minor(PathType.LSL, theta_f, cur, 1.0),
+                 lambda: major_region_containment(theta_f, cur, 1.0),
+                 lambda: phi("3.1", theta_f, cur, 1.0),
+                 lambda: phi("1.1", theta_f, cur, 1.0)):
+        with pytest.raises(ValueError, match=r"^theta_f must be finite, got "):
+            call()
+
+
+@pytest.mark.parametrize("speed", [1.0, 1.0 + 1e-12, 2.0])
+def test_sectors_refuse_a_current_at_or_above_the_vehicle_speed(speed):
+    # the sectors exist only for a current slower than the unit-speed vehicle
+    cur = CurrentState(speed, 0.0)
+    message = rf"^current speed must be in \[0, 1\), below the vehicle's, got {speed!r}$"
+    for call in (lambda: full_reachability_2pi(1.0, cur, 1.0),
+                 lambda: region_span(PathType.LSL, 0, 1.0, cur, 1.0, TWO_PI),
+                 lambda: region_span(PathType.RSR, -2, 1.0, cur, 1.0, FOUR_PI),
+                 lambda: classify_major_minor(PathType.RSR, 1.0, cur, 1.0),
+                 lambda: major_region_containment(1.0, cur, 1.0)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_satisfied_cases_subset_of_known_ids():
