@@ -11,8 +11,13 @@ middle segment.  Roots are found by a seeded, batched, damped-Newton
 multistart, which stands in for the generic nonlinear solvers such
 planners traditionally rely on.  A word and its mirror run as rows of one
 array, one block of rows per (word, winding branch), and Newton uses the
-residual's closed-form Jacobian.  Newton works on an index array of the
-rows still searching, and each iteration's line search makes at most two
+residual's closed-form Jacobian.  Each row's constants (its first-turn
+sign and the goal-heading and winding terms, `_row_constants`) are
+computed once per solve into a (rows, 5) table, and each residual call
+gathers its rows' constants with one take.  Newton keeps a working set of
+the rows still searching, with their points, residuals and norms, from
+one iteration to the next; a row goes back to the full arrays only when it
+converges or stalls.  Each iteration's line search makes at most two
 residual calls: the full step on every searching row, then all smaller
 dampings at once for the rows the full step did not improve.
 
@@ -193,12 +198,15 @@ def multi_start_solve(
     of the first d columns in a form `_batched_solve` reads.  Without
     jacobian_fn, central differences are used.
 
-    Damped Newton works on an index array of the rows still searching; a
-    converged or stalled row leaves it and stops moving.  Each iteration
-    makes at most two residual calls (see `_line_search`).  Every step is
-    computed row by row, so the result is float for float that of moving
-    all rows in lockstep and trying one damping per call.  The returned
-    pairs are deterministic for a fixed config.
+    Damped Newton keeps a working set of the rows still searching: their
+    positions, points, residuals and norms, padded by `_padded`, carried
+    from one iteration to the next.  A row that converges or stalls leaves
+    it and stops moving, and only then is its point and norm written back;
+    an iteration from which no row leaves gathers and scatters nothing.
+    Each iteration makes at most two residual calls (see `_line_search`).
+    Every step is computed row by row, so the result is float for float
+    that of moving all rows in lockstep and trying one damping per call.
+    The returned pairs are deterministic for a fixed config.
     """
     bounds = np.asarray(bounds, dtype=float)
     d = bounds.shape[0]
@@ -206,24 +214,33 @@ def multi_start_solve(
     rows = np.arange(len(x))
     f = residual_fn(x, rows)
     fnorm = _max_abs(f[:, :d])
-    rows = rows[fnorm > RESIDUAL_TOLERANCE]  # the searching rows
+    rows = rows[fnorm > RESIDUAL_TOLERANCE]  # the working set, n rows before padding
+    n = len(rows)
+    rows = _padded(rows)
+    xs, fs, norms = x.take(rows, axis=0), f.take(rows, axis=0), fnorm.take(rows)
     if jacobian_fn is None:
         def jacobian_fn(u, f, rows):
             return _batched_jacobian(lambda v: residual_fn(v, rows), u)
     for _ in range(MAX_ITERATIONS):
-        if not rows.size:
+        if not n:
             break
-        n = len(rows)
-        rows = _padded(rows)
-        xs, fs, norms = x.take(rows, axis=0), f.take(rows, axis=0), fnorm[rows]
         # J^-1 f is minus the Newton step, so the cap's factor is negative;
         # the cap keeps one bad Jacobian from flinging a start away
         step = _batched_solve(jacobian_fn(xs, fs, rows), fs)
         step *= (-10.0 / np.maximum(_max_abs(step), 10.0))[:, None]
         improve, xs, fs, norms = _line_search(residual_fn, rows, xs, fs, norms, step)
-        x[rows], f[rows], fnorm[rows] = xs, fs, norms
         # a row that no damping improved has stalled
-        rows = rows[:n][(improve & (norms > RESIDUAL_TOLERANCE))[:n]]
+        stay = (improve & (norms > RESIDUAL_TOLERANCE))[:n]
+        keep = stay.nonzero()[0]
+        if len(keep) == n:
+            continue
+        leave = (~stay).nonzero()[0]
+        x[rows[leave]], fnorm[rows[leave]] = xs[leave], norms[leave]
+        n = len(keep)
+        keep = _padded(keep)
+        rows, xs, fs, norms = (rows.take(keep), xs.take(keep, axis=0), fs.take(keep, axis=0),
+                               norms.take(keep))
+    x[rows[:n]], fnorm[rows[:n]] = xs[:n], norms[:n]
     roots = []
     n = cfg.n_initial_guesses
     for b, (xs, norms) in enumerate(zip(x.reshape(branches, n, d), fnorm.reshape(branches, n))):
@@ -234,7 +251,7 @@ def multi_start_solve(
 def _cycled(a: np.ndarray, size: int) -> np.ndarray:
     """a repeated cyclically to size entries (np.resize and np.tile cost
     several numpy calls more)."""
-    return np.take(a, np.arange(size), mode="wrap")
+    return a.take(np.arange(size), mode="wrap")
 
 
 def _padded(rows: np.ndarray) -> np.ndarray:
@@ -258,14 +275,15 @@ def _line_search(residual_fn, rows, x, f, fnorm, step):
     the full step did not lower, and each of those rows takes its first
     damping that lowers it.  Returns the mask of rows that improved and
     every row's point, residual (with its carried columns) and norm after
-    the search.
+    the search; only the rows that no damping improved are copied back from
+    x, f and fnorm.
     """
     d = x.shape[1]
     trial = x + step
     ft = residual_fn(trial, rows)
     norm = _max_abs(ft[:, :d])
     improve = norm < fnorm
-    back = np.flatnonzero(~improve)
+    back = (~improve).nonzero()[0]
     if back.size:
         back = _padded(back)
         nb = len(back)
@@ -277,9 +295,11 @@ def _line_search(residual_fn, rows, x, f, fnorm, step):
         pick = better.argmax(axis=0) * nb + np.arange(nb)
         trial[back], ft[back] = damped.take(pick, axis=0), fd.take(pick, axis=0)
         norm[back] = nd[pick]
-        improve[back] = better.any(axis=0)
-    keep = improve[:, None]
-    return improve, np.where(keep, trial, x), np.where(keep, ft, f), np.where(improve, norm, fnorm)
+        improve[back] = ok = better.any(axis=0)
+        stuck = back[~ok]  # keep their point, residual and norm
+        if stuck.size:
+            trial[stuck], ft[stuck], norm[stuck] = x[stuck], f[stuck], fnorm[stuck]
+    return improve, trial, ft, norm
 
 
 def _distinct_rows(rows: np.ndarray) -> list[np.ndarray]:
@@ -314,23 +334,34 @@ def _is_ccc(path_type: PathType) -> bool:
     return SEGMENT_SIGNS[path_type][1] != 0
 
 
-def _gamma(ccc: bool, s, alpha, delta, theta_f: float, m):
-    # heading closure s*alpha + s2*delta + s3*gamma = theta_f, where a mirror
-    # flips all three signs: s2 = -s, s3 = s on CCC; s2 = 0, s3 = -s and
-    # delta = 0 on CSC
-    turn = delta - alpha if ccc else alpha
-    return turn + (s if ccc else -s) * theta_f + TWO_PI * m
+def _row_constants(ccc: bool, s, m, theta_f: float, r: float) -> tuple:
+    """The constants of rows of first-turn sign s on winding branch m: s,
+    s3*theta_f, 2*pi*m, s3*r*sin(theta_f) and s3*r*cos(theta_f).
 
-
-def _endpoint(ccc: bool, s, alpha, mid, theta_f: float, r: float, trig: np.ndarray):
-    """Unit-speed path endpoint from the origin in the first-turn sign s.
-
-    mid is the straight length of a CSC word or the middle arc angle of a
-    CCC word; s = -1 mirrors the path across the start heading.  Columns 0
-    and 1 of trig receive sin and cos of alpha, and on CCC columns 2 and 3
-    those of the chord alpha - mid.
+    s and m are scalars or per-row arrays.  A mirror flips the signs of all
+    three turns: s3 = s on CCC and -s on CSC.  `_gamma` reads entries 1 and
+    2, `_endpoint` entries 0, 3 and 4, as scalars or as rows of a (5, n)
+    table.
     """
     s3 = s if ccc else -s
+    return s, s3 * theta_f, TWO_PI * m, s3 * r * math.sin(theta_f), s3 * r * math.cos(theta_f)
+
+
+def _gamma(ccc: bool, alpha, delta, k):
+    # heading closure s*alpha + s2*delta + s3*gamma = theta_f, with s2 = -s
+    # on CCC and s2 = 0, delta = 0 on CSC; k holds `_row_constants`
+    turn = delta - alpha if ccc else alpha
+    return turn + k[1] + k[2]
+
+
+def _endpoint(ccc: bool, alpha, mid, r: float, k, trig: np.ndarray):
+    """Unit-speed path endpoint from the origin in the first-turn sign k[0].
+
+    mid is the straight length of a CSC word or the middle arc angle of a
+    CCC word; a sign of -1 mirrors the path across the start heading, and
+    k holds `_row_constants`.  Columns 0 and 1 of trig receive sin and cos
+    of alpha, and on CCC columns 2 and 3 those of the chord alpha - mid.
+    """
     sa, ca = np.sin(alpha, out=trig[:, 0]), np.cos(alpha, out=trig[:, 1])
     if ccc:
         chord = alpha - mid
@@ -338,26 +369,20 @@ def _endpoint(ccc: bool, s, alpha, mid, theta_f: float, r: float, trig: np.ndarr
         mx, my = -2 * r * sc, 2 * r * cc
     else:
         mx, my = mid * ca, mid * sa
-    return (2 * r * sa + mx + s3 * r * math.sin(theta_f),
-            s * (r - 2 * r * ca + my) - s3 * r * math.cos(theta_f))
+    return 2 * r * sa + mx + k[3], k[0] * (r - 2 * r * ca + my) - k[4]
 
 
-def _branch_residual(
-    ccc: bool,
-    s: int | np.ndarray,
-    m: int | np.ndarray,
-    goal: Pose,
-    current: CurrentState,
-    r: float,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Smooth residual of first-turn sign s on winding branch m, normalized
-    vehicle speed.
+def _branch_residual(ccc: bool, k, goal: Pose, current: CurrentState,
+                     r: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Smooth residual of rows with the constants k, normalized vehicle
+    speed.
 
-    s and m are each one value for every row or an array with one value
-    per row.  CSC rows are (alpha, T); CCC rows are (alpha, delta, T) and
-    add the time closure T = r*(alpha + delta + gamma) as a third residual.
-    The residual vanishes exactly when the path endpoint meets the goal
-    displaced by the current drift over T.
+    k is `_row_constants` for goal.theta and r: a tuple of scalars shared
+    by every row or of per-row arrays, or a (5, n) table of them.  CSC rows
+    are (alpha, T); CCC rows are (alpha, delta, T) and add the time closure
+    T = r*(alpha + delta + gamma) as a third residual.  The residual
+    vanishes exactly when the path endpoint meets the goal displaced by the
+    current drift over T.
 
     The closure returns 5 columns on CSC and 7 on CCC: the residual, then
     the terms `_branch_jacobian` reads.  Column 2 is the straight length
@@ -366,15 +391,14 @@ def _branch_residual(
     alpha - delta.
     """
     wx, wy = current.wx, current.wy
-    theta_f = goal.theta
 
     def fn(u: np.ndarray) -> np.ndarray:
         alpha, t = u[:, 0], u[:, -1]
         delta = u[:, 1] if ccc else 0.0
-        gamma = _gamma(ccc, s, alpha, delta, theta_f, m)
+        gamma = _gamma(ccc, alpha, delta, k)
         out = np.empty((len(u), 7 if ccc else 5))
         closure = np.subtract(t, r * (alpha + delta + gamma), out=out[:, 2])
-        px, py = _endpoint(ccc, s, alpha, delta if ccc else closure, theta_f, r, out[:, 3:])
+        px, py = _endpoint(ccc, alpha, delta if ccc else closure, r, k, out[:, 3:])
         np.subtract(px, goal.x - wx * t, out=out[:, 0])
         np.subtract(py, goal.y - wy * t, out=out[:, 1])
         return out
@@ -422,9 +446,10 @@ def residual(
     r = vehicle.turning_radius
     ccc = _is_ccc(path_type)
     s = SEGMENT_SIGNS[path_type][0]
-    raw = _gamma(ccc, s, u[:, 0], u[:, 1] if ccc else 0.0, goal.theta, 0)
+    raw = _gamma(ccc, u[:, 0], u[:, 1] if ccc else 0.0, _row_constants(ccc, s, 0, goal.theta, r))
     m = -np.floor(raw / TWO_PI)  # representative in [0, 2*pi)
-    out = _branch_residual(ccc, s, m, goal, scaled, r)(u)[:, :3 if ccc else 2]
+    k = _row_constants(ccc, s, m, goal.theta, r)
+    out = _branch_residual(ccc, k, goal, scaled, r)(u)[:, :3 if ccc else 2]
     return out[0] if np.ndim(unknowns) == 1 else out
 
 
@@ -479,7 +504,8 @@ def _roots_to_solutions(
         row = row.tolist()
         alpha, t = row[0], row[-1]
         delta = row[1] if ccc else 0.0
-        gamma = _gamma(ccc, SEGMENT_SIGNS[path_type][0], alpha, delta, goal.theta, m)
+        gamma = _gamma(ccc, alpha, delta,
+                       _row_constants(ccc, SEGMENT_SIGNS[path_type][0], m, goal.theta, r))
         closure = t - r * (alpha + delta + gamma)
         if ccc:
             middle_ok = _ARC_SLACK < delta < TWO_PI + _ARC_SLACK and abs(closure) <= 1e-6
@@ -507,9 +533,9 @@ def _solve_words(
     one array.
 
     The rows are one block of n_initial_guesses per (word, winding branch),
-    and each row reads its first-turn sign and winding from its position;
-    all blocks start from the same Halton points.  Solutions come word by
-    word, in the order given.
+    and each residual call gathers its rows' `_row_constants` by position
+    from a (rows, 5) table built once; all blocks start from the same
+    Halton points.  Solutions come word by word, in the order given.
     """
     scaled, v = _normalize_problem(current, vehicle)
     r = vehicle.turning_radius
@@ -520,12 +546,13 @@ def _solve_words(
     n = cfg.n_initial_guesses
     s = np.repeat([float(SEGMENT_SIGNS[word][0]) for word, _ in branches], n)
     m = np.repeat([m for _, m in branches], n)
+    table = np.stack(_row_constants(ccc, s, m, goal.theta, r), axis=1)
 
     def fn(u, rows):
-        return _branch_residual(ccc, s[rows], m[rows], goal, scaled, r)(u)
+        return _branch_residual(ccc, table.take(rows, axis=0).T, goal, scaled, r)(u)
 
     def jac(u, f, rows):
-        return _branch_jacobian(ccc, s[rows], scaled, r, f)
+        return _branch_jacobian(ccc, s.take(rows), scaled, r, f)
 
     roots = multi_start_solve(fn, bounds, cfg, len(branches), jac)
     return _roots_to_solutions(branches, roots, goal, r, t_bound, v)

@@ -119,7 +119,7 @@ def center(
     normalized to [0, 2*pi) as Pose does it; it builds no Pose, which
     would cost about half the call.
     """
-    _check_inputs(theta_f)
+    _check_inputs(theta_f, current)
     theta = normalize_angle(theta_f)
     a, b = _coeffs(first_turn_sign(path_type), TWO_PI * k + theta, 0.0, 0.0, math.sin(theta),
                    math.cos(theta), current.wx, current.wy, r)
@@ -138,18 +138,26 @@ def omega(path_type: PathType, alpha: float, current: CurrentState) -> float:
     Independent of the winding index; strictly ccw in alpha for LSL and cw
     for RSR whenever the current is slower than the vehicle.
     """
+    _check_current(current)
     s = first_turn_sign(path_type)
     return normalize_angle(math.atan2(*_ray_terms(s, alpha, current.wx, current.wy, math)))
 
 
-def _check_inputs(theta_f: float, current: CurrentState | None = None) -> None:
-    """Refuse a non-finite goal heading, and a current at or above the unit
-    vehicle's speed (omega sweeps no sector for it)."""
-    if not math.isfinite(theta_f):
-        raise ValueError(f"theta_f must be finite, got {theta_f!r}")
-    if current is not None and current.speed >= 1.0:
+def _check_current(current: CurrentState) -> None:
+    """Refuse a current at or above the unit vehicle's speed (omega sweeps no
+    sector for it)."""
+    if current.speed >= 1.0:
         raise ValueError(f"current speed must be in [0, 1), below the vehicle's,"
                          f" got {current.speed!r}")
+
+
+def _check_inputs(theta_f: float, current: CurrentState | None = None) -> None:
+    """Refuse a non-finite goal heading, and a current that `_check_current`
+    refuses."""
+    if not math.isfinite(theta_f):
+        raise ValueError(f"theta_f must be finite, got {theta_f!r}")
+    if current is not None:
+        _check_current(current)
 
 
 def _ccw_bounds(ccw, omega_start, omega_end):
@@ -200,9 +208,9 @@ def _covers_direction(start: float, end: float, dx: float, dy: float) -> bool:
 def region_span(path_type: PathType, k: int, theta_f: float, current: CurrentState, r: float,
                 kappa: float) -> RegionDescriptor:
     """Sector swept by the reachability ray over the feasible alpha range."""
-    _check_inputs(theta_f, current)
+    apex = center(path_type, k, theta_f, current, r)  # checks theta_f and the current first
     interval = feasible_range(path_type, k, theta_f, kappa)
-    return RegionDescriptor(path_type, k, center(path_type, k, theta_f, current, r),
+    return RegionDescriptor(path_type, k, apex,
                             omega(path_type, interval.lower, current),
                             omega(path_type, interval.upper, current),
                             "ccw" if path_type is PathType.LSL else "cw",
@@ -219,13 +227,17 @@ def contains(region: RegionDescriptor, point: tuple[float, float]) -> bool:
     """Whether a goal position lies inside a swept sector.
 
     The sector apex itself is always contained (zero-length straight
-    segment).  Boundary rays are treated as inclusive.
+    segment).  Boundary rays are treated as inclusive.  A non-finite point
+    is refused.
     """
+    x, y = point
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"point must be finite, got {point!r}")
     if region.covers_full_circle:
         return True
     px, py = region.center
     start, end = _ccw_bounds(region.sweep == "ccw", region.omega_start, region.omega_end)
-    return _covers_direction(start, end, point[0] - px, point[1] - py)
+    return _covers_direction(start, end, x - px, y - py)
 
 
 def classify_major_minor(
@@ -277,7 +289,7 @@ def phi(case: str, theta_f: float, current: CurrentState, r: float) -> float:
     Closed forms per predicate case; cases 1.x/2.x are undefined for zero
     current (the centers coincide along the current direction).
     """
-    _check_inputs(theta_f)
+    _check_inputs(theta_f, current)
     wx, wy = current.wx, current.wy
     terms = _phi_terms(case, theta_f, wx, wy, math)
     if case in ("1.1", "1.2", "2.1", "2.2") and wx == 0.0 and wy == 0.0:

@@ -768,10 +768,39 @@ def run_scenario_parent_loop(scenario, seed, run_index=0, record_trajectory=True
     return _ParentLoopMission(scenario, seed, run_index, record_trajectory, solver_cfg).run()
 
 
+def branch_residual_by_formula(ccc, s, m, goal, current, r):
+    """The residual columns of `baseline._branch_residual` for first-turn
+    signs s on winding branches m, with s3*theta_f, 2*pi*m and the
+    theta_f terms of the endpoint computed inside every call rather than
+    read from `baseline._row_constants`."""
+    wx, wy = current.wx, current.wy
+    theta_f = goal.theta
+    s3 = s if ccc else -s
+
+    def fn(u):
+        alpha, t = u[:, 0], u[:, -1]
+        if ccc:
+            delta = u[:, 1]
+            gamma = delta - alpha + s3 * theta_f + TWO_PI * m
+            chord = alpha - delta
+            mx, my = -2 * r * np.sin(chord), 2 * r * np.cos(chord)
+            closure = t - r * (alpha + delta + gamma)
+        else:
+            gamma = alpha + s3 * theta_f + TWO_PI * m
+            closure = t - r * (alpha + 0.0 + gamma)
+            mx, my = closure * np.cos(alpha), closure * np.sin(alpha)
+        px = 2 * r * np.sin(alpha) + mx + s3 * r * math.sin(theta_f)
+        py = s * (r - 2 * r * np.cos(alpha) + my) - s3 * r * math.cos(theta_f)
+        cols = [px - (goal.x - wx * t), py - (goal.y - wy * t)] + ([closure] if ccc else [])
+        return np.stack(cols, axis=1)
+    return fn
+
+
 def branch_jacobian_from_u(ccc, s, m, goal, current, r):
     """`baseline._branch_jacobian` recomputed from the unknowns, as (n, d, d)
     matrices: sin, cos and gamma are evaluated again at u rather than read
-    from the residual's carried columns."""
+    from the residual's carried columns, and gamma from s, m and theta_f
+    rather than from `baseline._row_constants`."""
     wx, wy = current.wx, current.wy
     theta_f = goal.theta
 
@@ -779,7 +808,7 @@ def branch_jacobian_from_u(ccc, s, m, goal, current, r):
         alpha, t = u[:, 0], u[:, -1]
         sa, ca = np.sin(alpha), np.cos(alpha)
         if not ccc:
-            c = t - r * (alpha + baseline._gamma(ccc, s, alpha, 0.0, theta_f, m))
+            c = t - r * (alpha + (alpha + -s * theta_f + TWO_PI * m))
             out = np.empty((len(u), 2, 2))
             out[:, 0, 0], out[:, 0, 1] = -c * sa, ca + wx
             out[:, 1, 0], out[:, 1, 1] = s * c * ca, s * sa + wy

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftplan import baseline
@@ -25,6 +25,7 @@ from driftplan.trajectory import controls_of, integrate_if
 from oracles import (
     batched_solve_by_sum,
     branch_jacobian_from_u,
+    branch_residual_by_formula,
     classical_dubins_candidates,
     classical_dubins_shortest,
     solve_words_lockstep,
@@ -149,6 +150,27 @@ def test_solve_words_match_lockstep_on_criterion_14_instances():
     psi=st.floats(0.0, TWO_PI), speed=st.floats(0.5, 30.0), radius=st.floats(0.3, 30.0),
     starts=st.integers(1, 100), seed=st.integers(0, 2**16),
 )
+# start counts at the working set's padding boundaries (_PAD_ROWS = 16 rows),
+# for both mirror pairs, and a current a hair under the vehicle's speed,
+# where no start converges
+@example(pair=baseline._MIRROR_PAIRS[0], x=3.0, y=4.0, theta_f=1.0, ring=None, vw=0.5, psi=2.0,
+         speed=1.0, radius=1.0, starts=1, seed=2)
+@example(pair=baseline._MIRROR_PAIRS[0], x=3.0, y=4.0, theta_f=1.0, ring=None, vw=0.5, psi=2.0,
+         speed=1.0, radius=1.0, starts=16, seed=7)
+@example(pair=baseline._MIRROR_PAIRS[0], x=-2.0, y=1.5, theta_f=4.0, ring=None, vw=0.8, psi=0.5,
+         speed=2.0, radius=0.7, starts=17, seed=11)
+@example(pair=baseline._MIRROR_PAIRS[0], x=6.0, y=-5.0, theta_f=5.5, ring=None, vw=0.3, psi=4.0,
+         speed=8.0, radius=10.0, starts=33, seed=12)
+@example(pair=baseline._MIRROR_PAIRS[1], x=1.0, y=1.5, theta_f=3.0, ring=None, vw=0.2, psi=1.0,
+         speed=1.0, radius=1.0, starts=1, seed=1)
+@example(pair=baseline._MIRROR_PAIRS[1], x=1.0, y=1.5, theta_f=3.0, ring=None, vw=0.2, psi=1.0,
+         speed=1.0, radius=1.0, starts=16, seed=7)
+@example(pair=baseline._MIRROR_PAIRS[1], x=-0.5, y=2.0, theta_f=0.5, ring=None, vw=0.6, psi=3.0,
+         speed=2.0, radius=0.7, starts=17, seed=11)
+@example(pair=baseline._MIRROR_PAIRS[1], x=1.5, y=-1.0, theta_f=2.0, ring=None, vw=0.4, psi=5.0,
+         speed=8.0, radius=10.0, starts=33, seed=12)
+@example(pair=baseline._MIRROR_PAIRS[0], x=0.0, y=0.0, theta_f=0.0, ring=7, vw=1 - 1e-7, psi=2.0,
+         speed=18.0, radius=40.0, starts=40, seed=4)
 def test_solve_words_match_lockstep_anywhere(pair, x, y, theta_f, ring, vw, psi, speed, radius,
                                              starts, seed):
     # goals within +-10r of the start, or on the 100 m Monte-Carlo ring
@@ -190,6 +212,30 @@ def test_solve_six_makes_two_residual_calls_per_newton_iteration(monkeypatch):
     calls.clear()
     assert solve_six(ORIGIN, goal, cur, AERIAL.vehicle, cfg) is not None
     assert len(calls) <= 2 * (1 + 2 * baseline.MAX_ITERATIONS)
+
+
+def test_line_search_keeps_the_rows_no_damping_improves():
+    # residual (u0^2 + 1, u1) with a carried column: rows at u0 = 0 sit at
+    # the minimum of the first column, so no step along u0 lowers the norm;
+    # they keep their point, residual and norm, and the other rows move
+    def fn(u, rows):
+        return np.stack([u[:, 0] ** 2 + 1.0, u[:, 1], rows + 0.5], axis=1)
+
+    x = np.array([[0.0, 0.5], [2.0, 0.5], [0.0, -0.25], [3.0, 0.0], [-0.0, 0.5]])
+    rows = np.arange(len(x)) + 10
+    f = fn(x, rows)
+    fnorm = baseline._max_abs(f[:, :2])
+    step = np.array([[1.0, -0.5], [-2.0, -0.5], [-0.5, 0.25], [-13.0, 0.0], [0.25, 0.0]])
+    improve, trial, ft, norm = baseline._line_search(fn, rows, x, f, fnorm, step)
+    assert improve.tolist() == [False, True, False, True, False]
+    stuck = ~improve
+    assert repr(trial[stuck].tolist()) == repr(x[stuck].tolist())
+    assert repr(ft[stuck].tolist()) == repr(f[stuck].tolist())
+    assert repr(norm[stuck].tolist()) == repr(fnorm[stuck].tolist())
+    # the full step for row 1, the first improving damping (1/4) for row 3
+    assert trial[1].tolist() == [0.0, 0.0] and trial[3].tolist() == [-0.25, 0.0]
+    assert ft[improve, 2].tolist() == [11.5, 13.5]
+    assert (norm[improve] < fnorm[improve]).all()
 
 
 def test_distinct_rows_matches_greedy_loop():
@@ -253,7 +299,8 @@ def test_analytic_jacobian_matches_finite_differences(words):
         cur = CurrentState(rng.uniform(0, 0.9), rng.uniform(0, TWO_PI))
         r = rng.uniform(0.3, 3.0)
         s, m, u = _random_branch_rows(words, rng, 60)
-        residual_fn = baseline._branch_residual(ccc, s, m, goal, cur, r)
+        k = baseline._row_constants(ccc, s, m, goal.theta, r)
+        residual_fn = baseline._branch_residual(ccc, k, goal, cur, r)
         jac = _as_matrices(baseline._branch_jacobian(ccc, s, cur, r, residual_fn(u)), len(u))
         fd = baseline._batched_jacobian(residual_fn, u)
         scale = np.maximum(np.abs(jac).max(axis=2, keepdims=True), 1.0)
@@ -278,7 +325,8 @@ def test_carried_jacobian_is_the_from_u_formula_bit_for_bit(words):
             u[8:16, -1] = rng.uniform(1e6, 1e12, size=8) * r
             if ccc:
                 u[:8:2, 1] = (0.0, -0.0, 0.0, -0.0)
-            f = baseline._branch_residual(ccc, s, m, goal, cur, r)(u)
+            k = baseline._row_constants(ccc, s, m, goal.theta, r)
+            f = baseline._branch_residual(ccc, k, goal, cur, r)(u)
             entries = baseline._branch_jacobian(ccc, s, cur, r, f)
             expected = branch_jacobian_from_u(ccc, s, m, goal, cur, r)(u)
             assert np.isfinite(expected).all()
@@ -286,6 +334,32 @@ def test_carried_jacobian_is_the_from_u_formula_bit_for_bit(words):
                 for j, entry in enumerate(row):
                     assert repr(np.broadcast_to(entry, len(u)).tolist()) == \
                         repr(expected[:, i, j].tolist()), (r, i, j)
+
+
+@pytest.mark.parametrize("words", baseline._MIRROR_PAIRS, ids=lambda w: "+".join(x.name for x in w))
+def test_row_constant_table_gives_the_residual_formula_bit_for_bit(words):
+    # _solve_words gathers each row's constants from a (rows, 5) table; the
+    # residual columns must be the floats of the formula that computes them
+    # from s, m and theta_f, also at alpha and delta = +-0, large T and
+    # r = 1e100.
+    ccc = baseline._is_ccc(words[0])
+    d = 3 if ccc else 2
+    rng = np.random.default_rng(37)
+    for r in (rng.uniform(0.3, 3.0), 1.0, 1e100):
+        for _ in range(10):
+            goal = Pose(rng.uniform(-8, 8) * r, rng.uniform(-8, 8) * r, rng.uniform(0, TWO_PI))
+            cur = CurrentState(rng.uniform(0, 0.999), rng.uniform(0, TWO_PI))
+            s, m, u = _random_branch_rows(words, rng, 80)
+            u[:, -1] *= r
+            u[:8, 0] = (0.0, -0.0) * 4
+            u[8:16, -1] = rng.uniform(1e6, 1e12, size=8) * r
+            if ccc:
+                u[:8:2, 1] = (0.0, -0.0, 0.0, -0.0)
+            table = np.stack(baseline._row_constants(ccc, s, m, goal.theta, r), axis=1)
+            rows = rng.permutation(len(u))
+            f = baseline._branch_residual(ccc, table.take(rows, axis=0).T, goal, cur, r)(u)
+            expected = branch_residual_by_formula(ccc, s[rows], m[rows], goal, cur, r)(u)
+            assert repr(f[:, :d].tolist()) == repr(expected.tolist()), r
 
 
 @pytest.mark.parametrize("dims", [2, 3])

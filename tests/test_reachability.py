@@ -1,6 +1,7 @@
 """Sector geometry, coverage predicates, and their agreement with the solver."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -261,9 +262,26 @@ def test_sectors_refuse_a_current_at_or_above_the_vehicle_speed(speed):
                  lambda: region_span(PathType.LSL, 0, 1.0, cur, 1.0, TWO_PI),
                  lambda: region_span(PathType.RSR, -2, 1.0, cur, 1.0, FOUR_PI),
                  lambda: classify_major_minor(PathType.RSR, 1.0, cur, 1.0),
-                 lambda: major_region_containment(1.0, cur, 1.0)):
+                 lambda: major_region_containment(1.0, cur, 1.0),
+                 lambda: omega(PathType.LSL, 1.0, cur),
+                 lambda: omega(PathType.RSR, 0.0, cur),
+                 lambda: center(PathType.LSL, 0, 1.0, cur, 1.0),
+                 lambda: phi("1.1", 1.0, cur, 1.0),
+                 lambda: phi("3.1", 1.0, cur, 1.0)):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@pytest.mark.parametrize("point", [(math.inf, math.inf), (math.inf, 0.0), (0.0, -math.inf),
+                                   (math.nan, 0.0), (1.0, math.nan)])
+def test_contains_refuses_a_non_finite_point(point):
+    # a partial sector and a full circle alike; the message names the point
+    cur = CurrentState(0.5, 1.0)
+    for region in (region_span(PathType.LSL, 0, 1.0, cur, 1.0, TWO_PI),
+                   region_span(PathType.LSL, 1, EXAMPLE_THETA_F, EXAMPLE_CURRENT, 1.0, FOUR_PI)):
+        message = rf"^point must be finite, got {re.escape(repr(point))}$"
+        with pytest.raises(ValueError, match=message):
+            contains(region, point)
 
 
 def test_satisfied_cases_subset_of_known_ids():
